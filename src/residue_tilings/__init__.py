@@ -22,6 +22,7 @@ from .tiling import (
     horizontal_count,
     is_totally_vertical,
     normalize_to_vertical,
+    parity_balance,
     signed_sum,
     signed_sum_bruteforce,
     totally_vertical_tiling,
@@ -45,6 +46,7 @@ from .spectral import (
 from .decomp import (
     ClosureReport,
     DecompositionReport,
+    InvariantError,
     admissible_diagonal,
     closure,
     closure_report,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import inspect
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -184,8 +185,9 @@ def _cmd_verify(args, parser: _Parser) -> int:
         for m in range(1, args.m_max + 1)
     ]
     start = time.perf_counter()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_verify_case, tasks))
     else:
         chunks = [_verify_case(t) for t in tasks]
@@ -264,19 +266,13 @@ def _cmd_lemma(args, parser: _Parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    simple = {"sum": _cmd_sum, "count": _cmd_count, "jacobi": _cmd_jacobi,
+              "detk": _cmd_detk, "table": _cmd_table}
     try:
-        if args.command == "sum":
-            return _cmd_sum(args)
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "jacobi":
-            return _cmd_jacobi(args)
-        if args.command == "detk":
-            return _cmd_detk(args)
+        if args.command in simple:
+            return simple[args.command](args)
         if args.command == "verify":
             return _cmd_verify(args, parser)
-        if args.command == "table":
-            return _cmd_table(args)
         return _cmd_lemma(args, parser)
     except SizeLimitError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

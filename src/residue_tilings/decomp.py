@@ -27,6 +27,10 @@ from .tiling import (
 DEFAULT_FREE_CELL_LIMIT = 16
 
 
+class InvariantError(RuntimeError):
+    """A computed value broke a proved invariant (raised, so python -O keeps it)."""
+
+
 def l_signed_sum_closed(spec: LShapeSpec) -> GaussianInt:
     """Closed form of the signed sum of an L-chain with |a_k - b_k| <= 1:
     zero if any chunk is a square (a_k == b_k != 0), otherwise the product
@@ -196,14 +200,16 @@ def half_board_sum(m: int, n: int, diag: Iterable[int]) -> GaussianInt:
     """Exact signed sum of the half board with anti-diagonal cells diag.
 
     The value is always one of 0, 1, -1, i, -i, and can be nonzero only
-    when diag satisfies the support conditions; both facts are asserted.
+    when diag satisfies the support conditions; a value that breaks
+    either fact raises InvariantError.
     """
     _check_window(m, n)
     marks = frozenset(int(a) for a in diag)
     value = signed_sum(half_board(m, n, marks))
-    assert value in _HALF_BOARD_VALUES, f"half-board sum {value} out of range"
-    if value != ZERO:
-        assert half_board_support(m, n, marks), (
+    if value not in _HALF_BOARD_VALUES:
+        raise InvariantError(f"half-board sum {value} out of range")
+    if value != ZERO and not half_board_support(m, n, marks):
+        raise InvariantError(
             f"nonzero half-board sum at unsupported diag {sorted(marks)}"
         )
     return value
@@ -257,7 +263,8 @@ def reciprocity_free_sum(m: int, n: int) -> int:
     factor = i_power((n * n - 1) // 4 * steps)
     half = half_board_sum(base, n, admissible_diagonal(base, n))
     value = factor * half * half
-    assert value.is_real, f"reciprocity-free sum came out non-real: {value}"
+    if not value.is_real:
+        raise InvariantError(f"reciprocity-free sum came out non-real: {value}")
     return value.re
 
 

@@ -10,7 +10,6 @@ sum up to an explicit sign depending on m's parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)

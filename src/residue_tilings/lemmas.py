@@ -32,10 +32,11 @@ from .spectral import (
     round_signed,
 )
 from .tiling import (
+    _check_cell_limit,
     count_tilings,
     enumerate_tilings,
     flip_moves,
-    horizontal_count,
+    parity_balance,
     signed_sum,
     signed_sum_bruteforce,
     totally_vertical_tiling,
@@ -93,10 +94,10 @@ def run_h_even(max_area: int = 24) -> dict:
     horizontal dominoes."""
     cases = []
     for m, n in _even_rectangles(max_area):
-        odd = sum(
-            1 for t in enumerate_tilings(rectangle(m, n))
-            if horizontal_count(t) % 2
-        )
+        board = rectangle(m, n)
+        _check_cell_limit(board, None)
+        # N - B = 2 * #(odd h), with N tilings and B = sum of (-1)**h
+        odd = (count_tilings(board) - parity_balance(board)) // 2
         cases.append(_case({"width": m, "height": n}, odd, 0))
     return _report("h-even", {"max_area": max_area}, cases)
 
@@ -327,17 +328,18 @@ def run_parity(m_max: int = 9, limit: int = 64) -> dict:
     for m, n in _window_pairs(m_max):
         for r in range(n):
             for picks in combinations(range(1, n), r):
-                tilings = enumerate_tilings(half_board(m, n, picks), limit)
+                board = half_board(m, n, picks)
+                _check_cell_limit(board, limit)
+                tilings = count_tilings(board)
                 if not tilings:
                     continue
+                odd = (tilings - parity_balance(board)) // 2
                 expected = half_board_parity(m, n, picks)
-                mismatches = sum(
-                    1 for t in tilings if horizontal_count(t) % 2 != expected
-                )
+                mismatches = odd if expected == 0 else tilings - odd
                 cases.append(
                     _case(
                         {"m": m, "n": n, "diag": list(picks),
-                         "tilings": len(tilings)},
+                         "tilings": tilings},
                         mismatches, 0,
                     )
                 )

@@ -9,7 +9,10 @@ from __future__ import annotations
 import cmath
 import math
 
+from .kasteleyn import _check_args as _check_pair
+
 RENORM_GUARD = 1e12
+RENORM_FLOOR = 1 / RENORM_GUARD
 
 
 class ToleranceError(ValueError):
@@ -31,17 +34,26 @@ def norm_product(m: int, n: int) -> complex:
     z_2m^i + z_2m^-i + z_n^j + z_n^-j, where z_N is exp(2 pi i / N).
 
     Equals the determinant of the folded adjacency matrix up to floating
-    error; the product is 0 exactly when gcd(m, n) > 1.
+    error; the product is 0 exactly when gcd(m, n) > 1.  The running
+    product is rescaled by powers of two to stay within [RENORM_FLOOR,
+    RENORM_GUARD], so it neither overflows nor underflows.
     """
     _check_pair(m, n)
+    # factor (i, j) is 0 when i/m + 2j/n = 1, i.e. j = n(m - i)/2m is whole
+    if any(n * (m - i) % (2 * m) == 0 for i in range(1, m)):
+        return 0j
+    cols = [(_root(n, j), _root(n, -j)) for j in range(1, (n - 1) // 2 + 1)]
     acc = complex(1.0)
     shift = 0
     for i in range(1, m):
-        for j in range(1, (n - 1) // 2 + 1):
-            acc *= _root(2 * m, i) + _root(2 * m, -i) + _root(n, j) + _root(n, -j)
-            if abs(acc) > RENORM_GUARD:
-                acc /= 2.0**64
-                shift += 64
+        row = _root(2 * m, i) + _root(2 * m, -i)
+        for col, col_conj in cols:
+            acc *= row + col + col_conj
+            size = abs(acc)
+            if size > RENORM_GUARD or size < RENORM_FLOOR:
+                exp = math.frexp(size)[1]
+                acc /= 2.0**exp
+                shift += exp
     return acc * 2.0**shift
 
 
@@ -90,15 +102,6 @@ def round_signed(value: complex, tol: float = 1e-6) -> int:
             imag_residual,
         )
     return int(nearest)
-
-
-def _check_pair(m: int, n: int) -> None:
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise ValueError("m and n must be ints")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
 
 
 def _is_odd_prime(p: int) -> bool:

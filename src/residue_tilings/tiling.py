@@ -3,15 +3,18 @@
 The signed sum of a board X is sum over tilings D of i**h(D), where h(D)
 counts horizontal dominoes.  Two independent evaluation routes live here:
 a backtracking enumerator (the oracle, limited to small boards) and a
-broken-profile dynamic program over Gaussian-integer weights that handles
-every board size used elsewhere in the package.
+broken-profile dynamic program that sweeps the board one cell at a time.
+The DP is one kernel whose only parameter is the weight of a horizontal
+domino: i for the signed sum, 1 for the tiling count and -1 for the
+parity balance sum of (-1)**h(D), from which the number of tilings with
+odd h follows without enumerating them.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .board import Board, Cell, rectangle
 from .gaussian import GaussianInt, ZERO, i_power
@@ -106,13 +109,14 @@ def horizontal_count(tiling: Tiling) -> int:
     return sum(1 for d in tiling.dominoes if d.horizontal)
 
 
-def _cell_limit(limit: int | None) -> int:
-    if limit is not None:
-        return limit
-    env = os.environ.get(ENV_CELL_LIMIT)
-    if env:
-        return int(env)
-    return DEFAULT_CELL_LIMIT
+def _check_cell_limit(board: Board, limit: int | None) -> None:
+    """Refuse a board above limit, by default RESIDUE_TILINGS_LIMIT or 36."""
+    if limit is None:
+        limit = int(os.environ.get(ENV_CELL_LIMIT) or DEFAULT_CELL_LIMIT)
+    if len(board) > limit:
+        raise SizeLimitError(
+            f"board has {len(board)} cells, enumeration limit is {limit}"
+        )
 
 
 def enumerate_tilings(board: Board, limit: int | None = None) -> list[Tiling]:
@@ -123,11 +127,7 @@ def enumerate_tilings(board: Board, limit: int | None = None) -> list[Tiling]:
     than the cell limit (default 36, overridable via the
     RESIDUE_TILINGS_LIMIT environment variable) are refused.
     """
-    bound = _cell_limit(limit)
-    if len(board) > bound:
-        raise SizeLimitError(
-            f"board has {len(board)} cells, enumeration limit is {bound}"
-        )
+    _check_cell_limit(board, limit)
     order = board.cells
     size = len(order)
     position = {cell: k for k, cell in enumerate(order)}
@@ -167,95 +167,85 @@ def enumerate_tilings(board: Board, limit: int | None = None) -> list[Tiling]:
 
 def signed_sum_bruteforce(board: Board, limit: int | None = None) -> GaussianInt:
     """Oracle: sum i**h(D) by explicit enumeration."""
-    total = ZERO
-    for t in enumerate_tilings(board, limit):
-        total = total + i_power(horizontal_count(t))
-    return total
+    tilings = enumerate_tilings(board, limit)
+    return sum((i_power(horizontal_count(t)) for t in tilings), ZERO)
 
 
 def signed_sum(board: Board, max_profile: int = MAX_PROFILE) -> GaussianInt:
-    """Sum of i**h(D) over all tilings D of board, computed exactly.
-
-    Broken-profile DP, swept column by column over the bounding box.  When
-    the bounding box is taller than wide the board is transposed first and
-    the i-weight moves to vertical placements, so h still counts dominoes
-    that are horizontal in the original orientation.
-    """
-    # Weights live in Z[i]; each horizontal domino multiplies by i, which
-    # on an (re, im) pair is the rotation (re, im) -> (-im, re).
-    re, im = _profile_sum(board, True, max_profile)
-    return GaussianInt(re, im)
+    """Sum of i**h(D) over all tilings D of board, computed exactly."""
+    even, odd = _profile_sum(board, 1j, max_profile)
+    return GaussianInt(even, odd)
 
 
 def count_tilings(board: Board, max_profile: int = MAX_PROFILE) -> int:
-    """Number of tilings of board (same sweep as signed_sum, weight 1)."""
-    return _profile_sum(board, False, max_profile)
+    """Number of tilings of board (the profile sweep with weight 1)."""
+    return _profile_sum(board, 1, max_profile)[0]
 
 
-def _profile_sum(board, signed, max_profile):
-    if signed:
-        zero, one = (0, 0), (1, 0)
-    else:
-        zero, one = 0, 1
+def parity_balance(board: Board, max_profile: int = MAX_PROFILE) -> int:
+    """Sum of (-1)**h(D) over all tilings D of board: the number of
+    tilings with h even minus the number with h odd."""
+    even, odd = _profile_sum(board, -1, max_profile)
+    return even - odd
+
+
+def _profile_sum(board, weight, max_profile):
+    """Sum of weight**h(D) over the tilings D of board, weight 1, -1 or
+    1j, as a pair (even, odd) with the sum equal to even + weight * odd.
+
+    Broken-profile DP, one cell at a time in column order.  Bit y of a
+    state is set when the next cell of row y is already covered.  Unless
+    the weight is 1, the bit above the profile holds h mod 2, and a state
+    carries the int sum of weight**(h - h mod 2) over its partial tilings:
+    a weighted domino flips that bit, and for 1j negates on the way from
+    odd to even.  States whose weight has cancelled to 0 are dropped.  On
+    a bounding box taller than wide the board is transposed and the weight
+    moves to vertical placements.
+    """
     cells = board.cells
     if not cells:
-        return one
+        return 1, 0
     if len(cells) % 2:
-        return zero
+        return 0, 0
     min_i, min_j, max_i, max_j = board.bounds()
     width, height = max_i - min_i + 1, max_j - min_j + 1
-    weight_on_horizontal = True
-    if height > width:
-        cells = [(j, i) for i, j in cells]
-        min_i, min_j = min_j, min_i
-        width, height = height, width
-        weight_on_horizontal = False
+    transposed = height > width
+    if transposed:
+        cells = sorted((j, i) for i, j in cells)
+        min_j, height = min_i, width
     if height > max_profile:
         raise SizeLimitError(
             f"profile dimension {height} exceeds limit {max_profile}"
         )
 
-    col_masks = [0] * width
+    odd_bit = 1 << height
+    flip = 0 if weight == 1 else odd_bit
+    negate = odd_bit if weight == 1j else 0
+    h_flip, h_negate = (0, 0) if transposed else (flip, negate)
+    v_flip, v_negate = (flip, negate) if transposed else (0, 0)
+    present = set(cells)
+    states = {0: 1}
     for i, j in cells:
-        col_masks[i - min_i] |= 1 << (j - min_j)
-    full = (1 << height) - 1
-
-    states = {0: one}
-    for x in range(width):
-        col = col_masks[x]
-        nxt_col = col_masks[x + 1] if x + 1 < width else 0
-        new_states: dict = {}
-
-        def fill(y, occupied, out, w):
-            while y < height and occupied >> y & 1:
-                y += 1
-            if y == height:
-                prior = new_states.get(out)
-                if prior is None:
-                    new_states[out] = w
-                elif signed:
-                    new_states[out] = (prior[0] + w[0], prior[1] + w[1])
-                else:
-                    new_states[out] = prior + w
-                return
-            # cell (x, y) is present and uncovered here
-            if nxt_col >> y & 1:
-                hw = w
-                if signed and weight_on_horizontal:
-                    hw = (-w[1], w[0])
-                fill(y + 1, occupied | 1 << y, out | 1 << y, hw)
-            if y + 1 < height and col >> (y + 1) & 1 and not occupied >> (y + 1) & 1:
-                vw = w
-                if signed and not weight_on_horizontal:
-                    vw = (-w[1], w[0])
-                fill(y + 2, occupied | 3 << y, out, vw)
-
-        for mask, weight in states.items():
-            fill(0, mask | (full & ~col), 0, weight)
+        bit = 1 << (j - min_j)
+        right = (i + 1, j) in present
+        up = bit << 1 if (i, j + 1) in present else 0
+        new_states: dict[int, int] = {}
+        get = new_states.get
+        for mask, w in states.items():
+            if not w:
+                continue
+            if mask & bit:
+                key = mask ^ bit
+                new_states[key] = get(key, 0) + w
+                continue
+            if right:
+                key = (mask | bit) ^ h_flip
+                new_states[key] = get(key, 0) + (-w if mask & h_negate else w)
+            if up and not mask & up:
+                key = (mask | up) ^ v_flip
+                new_states[key] = get(key, 0) + (-w if mask & v_negate else w)
         states = new_states
-        if not states:
-            return zero
-    return states.get(0, zero)
+    return states.get(0, 0), states.get(odd_bit, 0)
 
 
 def flip_at(tiling: Tiling, corner: Cell) -> Tiling:

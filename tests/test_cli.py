@@ -222,3 +222,34 @@ def test_verify_jobs_deterministic():
     two = subprocess.run(base + ["--jobs", "2"], capture_output=True, text=True)
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
+
+
+def test_verify_jobs_clamped(monkeypatch, capsys):
+    started = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor, so no process is started
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+
+    def verify(m_max):
+        argv = ["verify", "--m-max", str(m_max), "--n-max", "3", "--jobs", "1000"]
+        return run_cli(argv, capsys)[0]
+
+    assert verify(4) == 0  # 8 tasks on 3 cpus: 3 workers
+    assert verify(1) == 0  # 2 tasks: 2 workers
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert verify(4) == 0  # unknown cpu count: no pool at all
+    assert started == [3, 2]

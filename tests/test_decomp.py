@@ -1,11 +1,14 @@
 """Closure, decomposition, periodicity, and the half-board path."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
 from residue_tilings.board import Board, LShapeSpec, half_board, l_board, rectangle
 from residue_tilings.decomp import (
+    InvariantError,
     admissible_diagonal,
     closure,
     closure_report,
@@ -193,3 +196,39 @@ def test_reciprocity_free_never_calls_jacobi(monkeypatch):
 
     monkeypatch.setattr(residue, "jacobi", trip)
     assert reciprocity_free_sum(7, 5) == expected == -1
+
+
+def test_half_board_invariants_raise(monkeypatch):
+    import residue_tilings.decomp as decomp
+
+    monkeypatch.setattr(decomp, "signed_sum", lambda board: GaussianInt(2))
+    with pytest.raises(InvariantError, match="out of range"):
+        half_board_sum(7, 5, admissible_diagonal(7, 5))
+    # a unit value is in range, but not at a diagonal outside the support
+    monkeypatch.setattr(decomp, "signed_sum", lambda board: GaussianInt(1))
+    assert not half_board_support(7, 5, ())
+    with pytest.raises(InvariantError, match="unsupported"):
+        half_board_sum(7, 5, ())
+
+
+def test_reciprocity_free_invariant_raises(monkeypatch):
+    import residue_tilings.decomp as decomp
+
+    monkeypatch.setattr(decomp, "half_board_sum", lambda m, n, diag: GaussianInt(1, 1))
+    with pytest.raises(InvariantError, match="non-real"):
+        reciprocity_free_sum(7, 5)
+
+
+def test_invariant_checks_survive_optimize_flag():
+    script = (
+        "import residue_tilings.decomp as d\n"
+        "from residue_tilings.gaussian import GaussianInt\n"
+        "d.signed_sum = lambda board: GaussianInt(2)\n"
+        "try:\n"
+        "    d.half_board_sum(7, 5, d.admissible_diagonal(7, 5))\n"
+        "except d.InvariantError:\n"
+        "    print('raised')\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True)
+    assert result.stdout == "raised\n", result.stderr

@@ -1,6 +1,16 @@
 import json
 
-from residue_tilings.lemmas import LEMMAS, decomposition_corpus, run_gauss
+import pytest
+
+from residue_tilings.board import half_board
+from residue_tilings.lemmas import (
+    LEMMAS,
+    decomposition_corpus,
+    run_gauss,
+    run_h_even,
+    run_parity,
+)
+from residue_tilings.tiling import SizeLimitError, enumerate_tilings
 
 
 def test_registry_names():
@@ -37,3 +47,22 @@ def test_default_ranges_pass_quickly():
     for name, runner in LEMMAS.items():
         report = runner()
         assert report["pass"], name
+
+
+def test_parity_sweeps_keep_their_cell_limits(monkeypatch):
+    # the sweeps count through the profile DP, but still refuse the boards
+    # that enumeration would have refused
+    with pytest.raises(SizeLimitError, match="enumeration limit is 20"):
+        run_parity(m_max=11, limit=20)
+    assert run_parity(m_max=7, limit=20)["pass"]
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "10")
+    with pytest.raises(SizeLimitError):
+        run_h_even()
+
+
+def test_parity_tiling_counts_match_enumeration():
+    report = run_parity(m_max=9)
+    for case in report["cases"]:
+        inputs = case["inputs"]
+        board = half_board(inputs["m"], inputs["n"], inputs["diag"])
+        assert inputs["tilings"] == len(enumerate_tilings(board, limit=64))

@@ -103,3 +103,14 @@ def test_argument_validation():
         norm_product(0, 3)
     with pytest.raises(ValueError):
         ktf_count(2, 3)
+
+
+def test_norm_product_no_underflow_on_large_coprime_pair():
+    # the running product once dropped below 1e-300 on the way and came
+    # back as 1.9e-114 instead of 1
+    assert round_signed(norm_product(1401, 701)) == 1
+
+
+def test_norm_product_exact_zero_when_not_coprime():
+    assert norm_product(15, 9) == 0
+    assert norm_product(1000, 15) == 0

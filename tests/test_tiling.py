@@ -1,9 +1,11 @@
 """Tiling enumeration, the profile DP, and flip moves."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from residue_tilings.board import Board, rectangle
-from residue_tilings.gaussian import GaussianInt
+from residue_tilings.board import Board, rectangle, transpose
+from residue_tilings.gaussian import GaussianInt, i_power
 from residue_tilings.tiling import (
     Domino,
     SizeLimitError,
@@ -15,6 +17,7 @@ from residue_tilings.tiling import (
     horizontal_count,
     is_totally_vertical,
     normalize_to_vertical,
+    parity_balance,
     signed_sum,
     signed_sum_bruteforce,
     totally_vertical_tiling,
@@ -167,3 +170,37 @@ def test_tiling_json():
     obj = t.to_json_obj()
     assert [d["orientation"] for d in obj] == ["v", "v"]
     assert obj[0]["cells"] == [[1, 1], [1, 2]]
+
+
+@st.composite
+def holey_boards(draw):
+    """A rectangle up to 6 x 6 with up to five cells taken out."""
+    width = draw(st.integers(1, 6))
+    height = draw(st.integers(1, 6))
+    cell = st.tuples(st.integers(1, width), st.integers(1, height))
+    holes = draw(st.sets(cell, max_size=5))
+    return rectangle(width, height) - Board(holes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(holey_boards())
+def test_profile_kernel_matches_enumeration(board):
+    # the board and its transpose, so the weight is checked both on
+    # horizontal placements and, on the taller box, on vertical ones
+    for b in (board, transpose(board)):
+        hs = [horizontal_count(t) for t in enumerate_tilings(b, limit=64)]
+        assert count_tilings(b) == len(hs)
+        assert parity_balance(b) == sum((-1) ** h for h in hs)
+        expected = GaussianInt(0)
+        for h in hs:
+            expected = expected + i_power(h)
+        assert signed_sum(b) == expected
+
+
+def test_parity_balance_known():
+    # 3 x 2 board: the all-vertical tiling and two with two horizontals
+    assert parity_balance(rectangle(3, 2)) == 3
+    # 2 x 3 board: every tiling has one or three horizontals
+    assert parity_balance(rectangle(2, 3)) == -3
+    assert parity_balance(Board()) == 1
+    assert parity_balance(rectangle(3, 3)) == 0

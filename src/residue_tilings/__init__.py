@@ -42,14 +42,13 @@ from .spectral import (
     ktf_count,
     norm_product,
     round_signed,
+    signed_sum_via_spectral,
 )
 from .decomp import (
-    ClosureReport,
     DecompositionReport,
     InvariantError,
     admissible_diagonal,
     closure,
-    closure_report,
     closure_union,
     half_board_parity,
     half_board_sum,

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .residue import _check_pair
+
 Cell = tuple[int, int]
 
 
@@ -134,10 +136,7 @@ def half_board(m: int, n: int, diag: Iterable[int] = ()) -> Board:
 
     Requires m, n odd with m > n; diag must be a subset of 1..n-1.
     """
-    _check_half_board_args(m, n)
-    marks = frozenset(int(a) for a in diag)
-    if not marks <= frozenset(range(1, n)):
-        raise ValueError("diag must be a subset of 1..n-1")
+    marks = _half_board_diag(m, n, diag)
     mid = (m + n) // 2
     cells = [
         (i, j) for i in range(1, m) for j in range(1, n) if i + j < mid
@@ -146,13 +145,16 @@ def half_board(m: int, n: int, diag: Iterable[int] = ()) -> Board:
     return Board(cells)
 
 
-def _check_half_board_args(m: int, n: int) -> None:
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise ValueError("m and n must be ints")
-    if m < 1 or n < 1 or m % 2 == 0 or n % 2 == 0:
-        raise ValueError("m and n must be odd positive ints")
-    if m <= n:
-        raise ValueError("m must exceed n")
+def _half_board_diag(m: int, n: int, diag: Iterable[int] = ()) -> frozenset[int]:
+    """Check the half-board contract (m, n odd positive ints, m > n, diag
+    a subset of 1..n-1) and return diag as a frozenset."""
+    _check_pair(m, n)
+    if m % 2 == 0 or m <= n:
+        raise ValueError("m must be odd and exceed n")
+    marks = frozenset(int(a) for a in diag)
+    if not marks <= frozenset(range(1, n)):
+        raise ValueError("diag must be a subset of 1..n-1")
+    return marks
 
 
 def transpose(board: Board) -> Board:

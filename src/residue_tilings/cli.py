@@ -19,11 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .board import rectangle
 from .decomp import reciprocity_free_sum
-from .gaussian import GaussianInt
 from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
 from .lemmas import LEMMAS
 from .residue import jacobi, theorem_rhs
-from .spectral import ToleranceError, norm_product, round_signed
+from .spectral import ToleranceError, signed_sum_via_spectral
 from .tiling import SizeLimitError, count_tilings, signed_sum
 
 EXIT_OK = 0
@@ -32,7 +31,16 @@ EXIT_LIMIT = 2
 EXIT_IO = 3
 EXIT_USAGE = 4
 
-METHODS = ("dp", "det", "reciprocity-free", "spectral")
+# Each route maps (m, n, tol) to the signed sum of the (m-1) x (n-1)
+# rectangle.  The lambdas look the functions up at call time, so that a
+# patched module attribute takes effect.
+ROUTES = {
+    "dp": lambda m, n, tol: signed_sum(rectangle(m - 1, n - 1)),
+    "det": lambda m, n, tol: signed_sum_via_det(m, n),
+    "reciprocity-free": lambda m, n, tol: reciprocity_free_sum(m, n),
+    "spectral": lambda m, n, tol: signed_sum_via_spectral(m, n, tol),
+}
+METHODS = tuple(ROUTES)
 
 # maps lemma flag dests to runner keyword names
 _LEMMA_FLAGS = {
@@ -141,34 +149,15 @@ def _verify_case(task: tuple[int, int, tuple[str, ...], float]) -> list[dict]:
     rhs = theorem_rhs(m, n)
     out = []
     for method in methods:
-        limit_hit = False
+        case = {"m": m, "n": n, "lhs": None, "rhs": rhs,
+                "method": method, "pass": False}
         try:
-            if method == "dp":
-                lhs = signed_sum(rectangle(m - 1, n - 1))
-                ok = lhs == rhs
-            elif method == "det":
-                lhs = GaussianInt(signed_sum_via_det(m, n))
-                ok = lhs == rhs
-            elif method == "reciprocity-free":
-                lhs = GaussianInt(reciprocity_free_sum(m, n))
-                ok = lhs == rhs
-            else:
-                z = norm_product(m, n)
-                sign = -1 if m % 2 == 0 and (n * n - 1) // 8 % 2 else 1
-                try:
-                    lhs = GaussianInt(sign * round_signed(z, tol))
-                    ok = lhs == rhs
-                except ToleranceError:
-                    lhs = repr(z)
-                    ok = False
+            lhs = ROUTES[method](m, n, tol)
+            case["lhs"], case["pass"] = str(lhs), lhs == rhs
+        except ToleranceError as exc:
+            case["lhs"] = repr(exc.value)
         except SizeLimitError as exc:
-            lhs = f"limit: {exc}"
-            ok = False
-            limit_hit = True
-        rendered = lhs if isinstance(lhs, str) else lhs.render()
-        case = {"m": m, "n": n, "lhs": rendered, "rhs": rhs,
-                "method": method, "pass": ok}
-        if limit_hit:
+            case["lhs"] = f"limit: {exc}"
             case["limit"] = True
         out.append(case)
     return out

@@ -9,13 +9,13 @@ the signed sum without ever evaluating a Jacobi symbol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .board import Board, LShapeSpec, _check_half_board_args, half_board, rectangle
+from .board import Board, LShapeSpec, _half_board_diag, half_board, rectangle
 from .gaussian import GaussianInt, ZERO, i_power
-from .residue import half_residue
+from .residue import _check_pair, half_residue
 from .tiling import (
     SizeLimitError,
     Tiling,
@@ -24,7 +24,7 @@ from .tiling import (
     signed_sum,
 )
 
-DEFAULT_FREE_CELL_LIMIT = 16
+FREE_CELL_LIMIT = 16
 
 
 class InvariantError(RuntimeError):
@@ -64,29 +64,13 @@ def closure(board: Board, tiling: Tiling, subset: Board) -> Board:
     return Board(region)
 
 
-@dataclass(frozen=True, eq=False)
-class ClosureReport:
-    """Per-tiling closures of one subset and their union."""
-
-    subset: Board
-    per_tiling: dict[Tiling, Board] = field(repr=False)
-    union: Board = field(default_factory=Board)
-
-
-def closure_report(board: Board, subset: Board, limit: int | None = None) -> ClosureReport:
-    per_tiling = {
-        t: closure(board, t, subset) for t in enumerate_tilings(board, limit)
-    }
-    union: set = set()
-    for closed in per_tiling.values():
-        union.update(closed.cells)
-    return ClosureReport(subset, per_tiling, Board(union))
-
-
 def closure_union(board: Board, subset: Board, limit: int | None = None) -> Board:
     """Union of the closures of subset over every tiling of board; the
     empty board when board has no tilings."""
-    return closure_report(board, subset, limit).union
+    union: set = set()
+    for t in enumerate_tilings(board, limit):
+        union.update(closure(board, t, subset).cells)
+    return Board(union)
 
 
 def restricted_sum(subset: Board, board: Board, limit: int | None = None) -> GaussianInt:
@@ -116,17 +100,14 @@ class DecompositionReport:
 
 
 def verify_decomposition(
-    board: Board,
-    subset: Board,
-    limit: int | None = None,
-    free_cell_limit: int = DEFAULT_FREE_CELL_LIMIT,
+    board: Board, subset: Board, limit: int | None = None
 ) -> DecompositionReport:
     """Check S(X) = sum over T <= U <= Cl(T) of S(X \\ U) * S(T; U), where
     S(T; U) restricts to tilings of U that close T to all of U.
 
     Both sides are computed exactly.  Each term records (U, S(X \\ U),
     S(T; U)).  The number of intermediate boards is 2**|Cl(T) \\ T|, so
-    that gap is capped by free_cell_limit.
+    that gap is capped by FREE_CELL_LIMIT.
     """
     if not subset <= board:
         raise ValueError("subset must lie inside the board")
@@ -136,9 +117,9 @@ def verify_decomposition(
     rhs = ZERO
     if subset <= clo:
         free = (clo - subset).cells
-        if len(free) > free_cell_limit:
+        if len(free) > FREE_CELL_LIMIT:
             raise SizeLimitError(
-                f"{len(free)} free closure cells exceed limit {free_cell_limit}"
+                f"{len(free)} free closure cells exceed limit {FREE_CELL_LIMIT}"
             )
         for picks in range(1 << len(free)):
             extra = [free[p] for p in range(len(free)) if picks >> p & 1]
@@ -179,10 +160,7 @@ def admissible_diagonal(m: int, n: int) -> frozenset[int]:
 def half_board_support(m: int, n: int, diag: Iterable[int]) -> bool:
     """Whether the index set diag satisfies the three support conditions
     under which the half-board sum is nonzero."""
-    _check_window(m, n)
-    marks = frozenset(int(a) for a in diag)
-    if not marks <= frozenset(range(1, n)):
-        raise ValueError("diag must be a subset of 1..n-1")
+    marks = _check_window(m, n, diag)
     # With n < m < 3n the residue m/2 mod n is exactly (m - n)/2.
     t = (m - n) // 2
     if t not in marks:
@@ -203,8 +181,7 @@ def half_board_sum(m: int, n: int, diag: Iterable[int]) -> GaussianInt:
     when diag satisfies the support conditions; a value that breaks
     either fact raises InvariantError.
     """
-    _check_window(m, n)
-    marks = frozenset(int(a) for a in diag)
+    marks = _check_window(m, n, diag)
     value = signed_sum(half_board(m, n, marks))
     if value not in _HALF_BOARD_VALUES:
         raise InvariantError(f"half-board sum {value} out of range")
@@ -227,10 +204,7 @@ def half_board_parity(m: int, n: int, diag: Iterable[int]) -> int:
     Evaluated exactly as a rational; a non-integral value means the half
     board is untilable and raises ValueError.
     """
-    _check_half_board_args(m, n)
-    marks = frozenset(int(a) for a in diag)
-    if not marks <= frozenset(range(1, n)):
-        raise ValueError("diag must be a subset of 1..n-1")
+    marks = _half_board_diag(m, n, diag)
     expr = (
         Fraction(n - 1, 4)
         - Fraction(len(marks), 2)
@@ -247,10 +221,7 @@ def reciprocity_free_sum(m: int, n: int) -> int:
     n < m < 3n with m odd, where the sum is the square of the half-board
     sum at the admissible diagonal.  No Jacobi symbols are evaluated.
     """
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise ValueError("m and n must be ints")
-    if m < 1 or n < 1 or n % 2 == 0:
-        raise ValueError("m must be positive and n odd positive")
+    _check_pair(m, n)
     if math.gcd(m, n) > 1:
         return 0
     if n == 1:
@@ -268,7 +239,8 @@ def reciprocity_free_sum(m: int, n: int) -> int:
     return value.re
 
 
-def _check_window(m: int, n: int) -> None:
-    _check_half_board_args(m, n)
-    if not n < m < 3 * n:
+def _check_window(m: int, n: int, diag: Iterable[int] = ()) -> frozenset[int]:
+    marks = _half_board_diag(m, n, diag)
+    if m >= 3 * n:
         raise ValueError("m must satisfy n < m < 3n")
+    return marks

@@ -4,12 +4,14 @@ For odd n the cells of the (m-1) x (n-1) rectangle are folded by the
 relation (i, j) ~ -(i, n-j).  The even-parity cells (i + j even, ordered
 lexicographically) form a basis; the neighbor-sum operator expressed in
 that basis is an integer matrix whose determinant equals the signed tiling
-sum up to an explicit sign depending on m's parity.
+sum up to the sign det_sign(m, n), which depends on m's parity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .residue import _check_pair
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ def build_kasteleyn(m: int, n: int) -> SignedMatrix:
     every nonzero entry is -1 and each column has at most four of them.
     Neighbors that step onto the frame i' in {0, m} or j' in {0, n} vanish.
     """
-    _check_args(m, n)
+    _check_pair(m, n)
     basis = [
         (i, j)
         for i in range(1, m)
@@ -95,23 +97,12 @@ def det_exact(matrix: SignedMatrix) -> int:
     return sign * a[size - 1][size - 1]
 
 
+def det_sign(m: int, n: int) -> int:
+    """The sign relating det K to the signed tiling sum of the (m-1) x (n-1)
+    rectangle: 1 for odd m and (-1)**((n*n - 1) // 8) for even m."""
+    return -1 if m % 2 == 0 and (n * n - 1) // 8 % 2 else 1
+
+
 def signed_sum_via_det(m: int, n: int) -> int:
-    """Signed tiling sum of the (m-1) x (n-1) rectangle via the determinant.
-
-    Equals det K for odd m and (-1)**((n*n - 1) // 8) * det K for even m.
-    """
-    _check_args(m, n)
-    det = det_exact(build_kasteleyn(m, n))
-    if m % 2 == 1:
-        return det
-    sign = -1 if ((n * n - 1) // 8) % 2 else 1
-    return sign * det
-
-
-def _check_args(m: int, n: int) -> None:
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise ValueError("m and n must be ints")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
+    """Signed tiling sum of the (m-1) x (n-1) rectangle via the determinant."""
+    return det_exact(build_kasteleyn(m, n)) * det_sign(m, n)

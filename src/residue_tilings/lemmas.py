@@ -269,21 +269,23 @@ def _window_pairs(m_max: int) -> list[tuple[int, int]]:
     ]
 
 
+def _diagonals(n: int):
+    """Every subset of 1..n-1, as a tuple, by size and then in order."""
+    for r in range(n):
+        yield from combinations(range(1, n), r)
+
+
 def run_y_decomposition(m_max: int = 11) -> dict:
     """The rectangle sum splits over half-board pairs, with exactly one
     nonzero term, sitting at the admissible diagonal."""
     cases = []
     for m, n in _window_pairs(m_max):
-        indices = range(1, n)
-        sums = {}
-        for r in range(n):
-            for picks in combinations(indices, r):
-                key = frozenset(picks)
-                sums[key] = half_board_sum(m, n, key)
+        indices = frozenset(range(1, n))
+        sums = {frozenset(p): half_board_sum(m, n, p) for p in _diagonals(n)}
         total = ZERO
         nonzero = []
         for key, value in sums.items():
-            mirrored = frozenset(n - i for i in frozenset(indices) - key)
+            mirrored = frozenset(n - i for i in indices - key)
             term = sums[mirrored] * value
             total = total + term
             if term != ZERO:
@@ -308,16 +310,15 @@ def run_half_board(m_max: int = 9) -> dict:
     the support conditions, and always lies in {0, 1, -1, i, -i}."""
     cases = []
     for m, n in _window_pairs(m_max):
-        for r in range(n):
-            for picks in combinations(range(1, n), r):
-                value = half_board_sum(m, n, picks)
-                supported = half_board_support(m, n, picks)
-                cases.append(
-                    _case(
-                        {"m": m, "n": n, "diag": list(picks)},
-                        str(value), supported, (value != ZERO) == supported,
-                    )
+        for picks in _diagonals(n):
+            value = half_board_sum(m, n, picks)
+            supported = half_board_support(m, n, picks)
+            cases.append(
+                _case(
+                    {"m": m, "n": n, "diag": list(picks)},
+                    str(value), supported, (value != ZERO) == supported,
                 )
+            )
     return _report("half-board", {"m_max": m_max}, cases)
 
 
@@ -326,23 +327,21 @@ def run_parity(m_max: int = 9, limit: int = 64) -> dict:
     the closed parity expression."""
     cases = []
     for m, n in _window_pairs(m_max):
-        for r in range(n):
-            for picks in combinations(range(1, n), r):
-                board = half_board(m, n, picks)
-                _check_cell_limit(board, limit)
-                tilings = count_tilings(board)
-                if not tilings:
-                    continue
-                odd = (tilings - parity_balance(board)) // 2
-                expected = half_board_parity(m, n, picks)
-                mismatches = odd if expected == 0 else tilings - odd
-                cases.append(
-                    _case(
-                        {"m": m, "n": n, "diag": list(picks),
-                         "tilings": tilings},
-                        mismatches, 0,
-                    )
+        for picks in _diagonals(n):
+            board = half_board(m, n, picks)
+            _check_cell_limit(board, limit)
+            tilings = count_tilings(board)
+            if not tilings:
+                continue
+            odd = (tilings - parity_balance(board)) // 2
+            expected = half_board_parity(m, n, picks)
+            mismatches = odd if expected == 0 else tilings - odd
+            cases.append(
+                _case(
+                    {"m": m, "n": n, "diag": list(picks), "tilings": tilings},
+                    mismatches, 0,
                 )
+            )
     return _report("parity", {"m_max": m_max, "limit": limit}, cases)
 
 

@@ -44,9 +44,7 @@ def gauss_sign_even_half(t: int, n: int) -> int:
 def theorem_rhs(m: int, n: int) -> int:
     """The closed form for the signed tiling sum of the (m-1) x (n-1)
     rectangle: jacobi(m, n) for odd m, jacobi(m/2, n) for even m."""
-    _check_odd_modulus(n)
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive int")
+    _check_pair(m, n)
     return jacobi(m if m % 2 else m // 2, n)
 
 
@@ -55,13 +53,11 @@ def half_residue(m: int, n: int, d: int) -> int:
 
     Both m and n must be odd and coprime, so the inverse always exists.
     """
-    _check_odd_modulus(n)
-    if not isinstance(m, int) or m < 1 or m % 2 == 0:
-        raise ValueError("m must be an odd positive int")
+    _check_coprime_pair(m, n)
+    if m % 2 == 0:
+        raise ValueError("m must be odd")
     if d not in (2, 4):
         raise ValueError("d must be 2 or 4")
-    if math.gcd(m, n) != 1:
-        raise ValueError("m and n must be coprime")
     return m * pow(d, -1, n) % n
 
 
@@ -70,9 +66,15 @@ def _check_odd_modulus(n: int) -> None:
         raise ValueError("modulus must be an odd positive int")
 
 
-def _check_coprime_pair(m: int, n: int) -> None:
+def _check_pair(m: int, n: int) -> None:
+    """The (m, n) contract of every route: m a positive int, n an odd
+    positive int."""
     _check_odd_modulus(n)
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive int")
+
+
+def _check_coprime_pair(m: int, n: int) -> None:
+    _check_pair(m, n)
     if math.gcd(m, n) != 1:
         raise ValueError("arguments must be coprime")

@@ -9,17 +9,21 @@ from __future__ import annotations
 import cmath
 import math
 
-from .kasteleyn import _check_args as _check_pair
+from .kasteleyn import det_sign
+from .residue import _check_pair
 
 RENORM_GUARD = 1e12
 RENORM_FLOOR = 1 / RENORM_GUARD
 
 
 class ToleranceError(ValueError):
-    """A floating value failed to round to an integer within tolerance."""
+    """A floating value failed to round to an integer within tolerance; the
+    value is kept as .value."""
 
-    def __init__(self, message: str, real_residual: float, imag_residual: float):
+    def __init__(self, message: str, value: complex, real_residual: float,
+                 imag_residual: float):
         super().__init__(message)
+        self.value = value
         self.real_residual = real_residual
         self.imag_residual = imag_residual
 
@@ -55,6 +59,12 @@ def norm_product(m: int, n: int) -> complex:
                 acc /= 2.0**exp
                 shift += exp
     return acc * 2.0**shift
+
+
+def signed_sum_via_spectral(m: int, n: int, tol: float = 1e-6) -> int:
+    """Signed tiling sum of the (m-1) x (n-1) rectangle from the eigenvalue
+    product, rounded at tol; raises ToleranceError when it does not round."""
+    return round_signed(norm_product(m, n), tol) * det_sign(m, n)
 
 
 def ktf_count(m: int, n: int) -> float:
@@ -98,6 +108,7 @@ def round_signed(value: complex, tol: float = 1e-6) -> int:
         raise ToleranceError(
             f"value {z!r} does not round to an integer within {tol:g} "
             f"(real residual {real_residual:.3e}, imag residual {imag_residual:.3e})",
+            z,
             real_residual,
             imag_residual,
         )

@@ -21,11 +21,11 @@ from .gaussian import GaussianInt, ZERO, i_power
 
 DEFAULT_CELL_LIMIT = 36
 ENV_CELL_LIMIT = "RESIDUE_TILINGS_LIMIT"
-MAX_PROFILE = 24
+MAX_STATES = 1 << 16
 
 
 class SizeLimitError(RuntimeError):
-    """A board exceeded an enumeration or profile-width resource limit."""
+    """A board exceeded an enumeration or profile-state resource limit."""
 
 
 @dataclass(frozen=True, order=True)
@@ -171,25 +171,25 @@ def signed_sum_bruteforce(board: Board, limit: int | None = None) -> GaussianInt
     return sum((i_power(horizontal_count(t)) for t in tilings), ZERO)
 
 
-def signed_sum(board: Board, max_profile: int = MAX_PROFILE) -> GaussianInt:
+def signed_sum(board: Board) -> GaussianInt:
     """Sum of i**h(D) over all tilings D of board, computed exactly."""
-    even, odd = _profile_sum(board, 1j, max_profile)
+    even, odd = _profile_sum(board, 1j)
     return GaussianInt(even, odd)
 
 
-def count_tilings(board: Board, max_profile: int = MAX_PROFILE) -> int:
+def count_tilings(board: Board) -> int:
     """Number of tilings of board (the profile sweep with weight 1)."""
-    return _profile_sum(board, 1, max_profile)[0]
+    return _profile_sum(board, 1)[0]
 
 
-def parity_balance(board: Board, max_profile: int = MAX_PROFILE) -> int:
+def parity_balance(board: Board) -> int:
     """Sum of (-1)**h(D) over all tilings D of board: the number of
     tilings with h even minus the number with h odd."""
-    even, odd = _profile_sum(board, -1, max_profile)
+    even, odd = _profile_sum(board, -1)
     return even - odd
 
 
-def _profile_sum(board, weight, max_profile):
+def _profile_sum(board, weight):
     """Sum of weight**h(D) over the tilings D of board, weight 1, -1 or
     1j, as a pair (even, odd) with the sum equal to even + weight * odd.
 
@@ -200,7 +200,8 @@ def _profile_sum(board, weight, max_profile):
     a weighted domino flips that bit, and for 1j negates on the way from
     odd to even.  States whose weight has cancelled to 0 are dropped.  On
     a bounding box taller than wide the board is transposed and the weight
-    moves to vertical placements.
+    moves to vertical placements.  A sweep whose live states outgrow
+    MAX_STATES raises SizeLimitError, since time grows with the states.
     """
     cells = board.cells
     if not cells:
@@ -213,10 +214,6 @@ def _profile_sum(board, weight, max_profile):
     if transposed:
         cells = sorted((j, i) for i, j in cells)
         min_j, height = min_i, width
-    if height > max_profile:
-        raise SizeLimitError(
-            f"profile dimension {height} exceeds limit {max_profile}"
-        )
 
     odd_bit = 1 << height
     flip = 0 if weight == 1 else odd_bit
@@ -244,6 +241,10 @@ def _profile_sum(board, weight, max_profile):
             if up and not mask & up:
                 key = (mask | up) ^ v_flip
                 new_states[key] = get(key, 0) + (-w if mask & v_negate else w)
+        if len(new_states) > MAX_STATES:
+            raise SizeLimitError(
+                f"{len(new_states)} profile states exceed limit {MAX_STATES}"
+            )
         states = new_states
     return states.get(0, 0), states.get(odd_bit, 0)
 

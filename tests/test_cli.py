@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from residue_tilings import cli
+from residue_tilings import cli, spectral
 from residue_tilings.gaussian import GaussianInt
 
 GOLDEN_CSV = (
@@ -129,6 +129,18 @@ def test_verify_failure_exit(monkeypatch, capsys):
     assert all(not c["pass"] for c in report["cases"])
 
 
+def test_verify_spectral_failure(monkeypatch, capsys):
+    # a product that does not round reports the refused value and fails
+    monkeypatch.setattr(spectral, "norm_product", lambda m, n: 0.5 + 0j)
+    code, out, _ = run_cli(
+        ["verify", "--m-max", "2", "--n-max", "1", "--methods", "spectral"], capsys
+    )
+    assert code == 1
+    cases = json.loads(out)["cases"]
+    assert [(c["lhs"], c["pass"]) for c in cases] == [("(0.5+0j)", False)] * 2
+    assert not any("limit" in c for c in cases)
+
+
 def test_table_golden_csv(capsys):
     code, out, _ = run_cli(["table", "--m-max", "4", "--n-max", "3"], capsys)
     assert code == 0
@@ -203,23 +215,25 @@ def test_lemma_env_limit(monkeypatch, capsys):
     assert "limit" in err
 
 
-def test_console_script_end_to_end():
+def test_console_script_end_to_end(src_env):
     result = subprocess.run(
         [sys.executable, "-c",
          "from residue_tilings.cli import run; run()",
          "table", "--m-max", "4", "--n-max", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env,
     )
     # argv[0] is the -c script, the rest are CLI args
     assert result.returncode == 0
     assert result.stdout == GOLDEN_CSV
 
 
-def test_verify_jobs_deterministic():
+def test_verify_jobs_deterministic(src_env):
     base = [sys.executable, "-c", "from residue_tilings.cli import run; run()",
             "verify", "--m-max", "5", "--n-max", "5"]
-    one = subprocess.run(base + ["--jobs", "1"], capture_output=True, text=True)
-    two = subprocess.run(base + ["--jobs", "2"], capture_output=True, text=True)
+    one = subprocess.run(base + ["--jobs", "1"], capture_output=True, text=True,
+                         env=src_env)
+    two = subprocess.run(base + ["--jobs", "2"], capture_output=True, text=True,
+                         env=src_env)
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
 

@@ -11,7 +11,6 @@ from residue_tilings.decomp import (
     InvariantError,
     admissible_diagonal,
     closure,
-    closure_report,
     closure_union,
     half_board_parity,
     half_board_sum,
@@ -67,15 +66,6 @@ def test_closure_absorbs_crossing_dominoes():
 def test_closure_union_known():
     clo = closure_union(rectangle(2, 2), Board([(1, 1)]))
     assert set(clo) == {(1, 1), (1, 2), (2, 1)}
-
-
-def test_closure_report_per_tiling():
-    board = rectangle(2, 2)
-    report = closure_report(board, Board([(1, 1)]))
-    assert len(report.per_tiling) == 2
-    closures = {clo for clo in report.per_tiling.values()}
-    assert closures == {Board([(1, 1), (1, 2)]), Board([(1, 1), (2, 1)])}
-    assert report.union == closure_union(board, Board([(1, 1)]))
 
 
 def test_restricted_sum():
@@ -219,7 +209,7 @@ def test_reciprocity_free_invariant_raises(monkeypatch):
         reciprocity_free_sum(7, 5)
 
 
-def test_invariant_checks_survive_optimize_flag():
+def test_invariant_checks_survive_optimize_flag(src_env):
     script = (
         "import residue_tilings.decomp as d\n"
         "from residue_tilings.gaussian import GaussianInt\n"
@@ -230,5 +220,5 @@ def test_invariant_checks_survive_optimize_flag():
         "    print('raised')\n"
     )
     result = subprocess.run([sys.executable, "-O", "-c", script],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=src_env)
     assert result.stdout == "raised\n", result.stderr

@@ -1,5 +1,7 @@
-"""The four routes to the rectangle sum agree exactly on random cases."""
+"""The four routes to the rectangle sum agree exactly on random cases and
+share one (m, n) contract."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +10,7 @@ from residue_tilings.decomp import reciprocity_free_sum
 from residue_tilings.gaussian import GaussianInt
 from residue_tilings.kasteleyn import signed_sum_via_det
 from residue_tilings.residue import theorem_rhs
-from residue_tilings.spectral import norm_product, round_signed
+from residue_tilings.spectral import signed_sum_via_spectral
 from residue_tilings.tiling import signed_sum
 
 
@@ -18,8 +20,16 @@ def test_four_routes_agree(m, n):
     dp = signed_sum(rectangle(m - 1, n - 1))
     det = GaussianInt(signed_sum_via_det(m, n))
     free = GaussianInt(reciprocity_free_sum(m, n))
-    # the raw eigenvalue product differs from the sum by this sign (as in
-    # the CLI's spectral method)
-    sign = -1 if m % 2 == 0 and (n * n - 1) // 8 % 2 else 1
-    spectral = GaussianInt(sign * round_signed(norm_product(m, n)))
+    spectral = GaussianInt(signed_sum_via_spectral(m, n))
     assert dp == det == free == spectral == theorem_rhs(m, n)
+
+
+# the DP takes a board, not (m, n), so it is outside this contract
+@pytest.mark.parametrize(
+    "route", [signed_sum_via_det, reciprocity_free_sum, signed_sum_via_spectral,
+              theorem_rhs],
+)
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (3, 4), (3.0, 3), (3, -1)])
+def test_routes_share_one_contract(route, m, n):
+    with pytest.raises(ValueError):
+        route(m, n)

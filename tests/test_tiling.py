@@ -1,5 +1,8 @@
 """Tiling enumeration, the profile DP, and flip moves."""
 
+import math
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +112,22 @@ def test_profile_limit():
         signed_sum(rectangle(30, 30))
     # but a long thin board is fine: 2xN tilings all have even h
     assert count_tilings(rectangle(40, 2)) == 165580141
+
+
+def test_profile_state_cap_refuses_early():
+    # count 39 x 24 would otherwise run for about 45 minutes
+    for sweep, board in ((count_tilings, rectangle(39, 24)),
+                         (signed_sum, rectangle(24, 24))):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="states exceed limit"):
+            sweep(board)
+        assert time.perf_counter() - start < 10
+    # Kasteleyn's product for the tilings of a 39 x 14 rectangle
+    product = math.prod(
+        4 * math.cos(math.pi * j / 40) ** 2 + 4 * math.cos(math.pi * k / 15) ** 2
+        for j in range(1, 21) for k in range(1, 8)
+    )
+    assert math.isclose(count_tilings(rectangle(39, 14)), product, rel_tol=1e-9)
 
 
 def test_totally_vertical():

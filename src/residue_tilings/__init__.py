@@ -18,6 +18,7 @@ from .tiling import (
     count_tilings,
     enumerate_tilings,
     flip_at,
+    flip_component,
     flip_moves,
     horizontal_count,
     is_totally_vertical,

@@ -42,21 +42,6 @@ ROUTES = {
 }
 METHODS = tuple(ROUTES)
 
-# maps lemma flag dests to runner keyword names
-_LEMMA_FLAGS = {
-    "max": "bound",
-    "m_max": "m_max",
-    "n_max": "n_max",
-    "n": "n",
-    "tol": "tol",
-    "rel_tol": "rel_tol",
-    "limit": "limit",
-    "max_area": "max_area",
-    "arms": "arms",
-    "length": "length",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this artifact reserves 2 for
     resource limits, so remap to 4."""
@@ -64,6 +49,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _lemma_keywords() -> dict[str, type]:
+    """Every keyword of a lemma runner, with the type its flag parses as:
+    float when the runner's default is a float, int otherwise."""
+    keywords = {}
+    for runner in LEMMAS.values():
+        for name, param in inspect.signature(runner).parameters.items():
+            keywords[name] = float if isinstance(param.default, float) else int
+    return keywords
+
+
+def _lemma_flag(keyword: str) -> str:
+    return "--max" if keyword == "bound" else "--" + keyword.replace("_", "-")
 
 
 def _build_parser() -> _Parser:
@@ -104,16 +103,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("lemma", help="run a named property suite")
     p.add_argument("name")
-    p.add_argument("--max", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--rel-tol", type=float, default=None)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--max-area", type=int, default=None)
-    p.add_argument("--arms", type=int, default=None)
-    p.add_argument("--length", type=int, default=None)
+    for keyword, kind in _lemma_keywords().items():
+        p.add_argument(_lemma_flag(keyword), dest=keyword, type=kind, default=None)
 
     return parser
 
@@ -239,14 +230,13 @@ def _cmd_lemma(args, parser: _Parser) -> int:
         parser.error(f"unknown lemma {args.name!r}")
     accepted = inspect.signature(runner).parameters
     kwargs = {}
-    for dest, kwarg in _LEMMA_FLAGS.items():
-        value = getattr(args, dest)
+    for keyword in _lemma_keywords():
+        value = getattr(args, keyword)
         if value is None:
             continue
-        if kwarg not in accepted:
-            flag = "--" + dest.replace("_", "-")
-            parser.error(f"lemma {args.name!r} does not take {flag}")
-        kwargs[kwarg] = value
+        if keyword not in accepted:
+            parser.error(f"lemma {args.name!r} does not take {_lemma_flag(keyword)}")
+        kwargs[keyword] = value
     report = runner(**kwargs)
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["pass"] else EXIT_FAIL
@@ -273,3 +263,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -64,22 +64,22 @@ def closure(board: Board, tiling: Tiling, subset: Board) -> Board:
     return Board(region)
 
 
-def closure_union(board: Board, subset: Board, limit: int | None = None) -> Board:
+def closure_union(board: Board, subset: Board) -> Board:
     """Union of the closures of subset over every tiling of board; the
     empty board when board has no tilings."""
     union: set = set()
-    for t in enumerate_tilings(board, limit):
+    for t in enumerate_tilings(board):
         union.update(closure(board, t, subset).cells)
     return Board(union)
 
 
-def restricted_sum(subset: Board, board: Board, limit: int | None = None) -> GaussianInt:
+def restricted_sum(subset: Board, board: Board) -> GaussianInt:
     """Sum of i**h(D) over tilings D of board whose closure of subset is
     the whole board."""
     if not subset <= board:
         raise ValueError("subset must lie inside the board")
     total = ZERO
-    for t in enumerate_tilings(board, limit):
+    for t in enumerate_tilings(board):
         if closure(board, t, subset) == board:
             total = total + i_power(horizontal_count(t))
     return total
@@ -99,9 +99,7 @@ class DecompositionReport:
         return self.lhs == self.rhs
 
 
-def verify_decomposition(
-    board: Board, subset: Board, limit: int | None = None
-) -> DecompositionReport:
+def verify_decomposition(board: Board, subset: Board) -> DecompositionReport:
     """Check S(X) = sum over T <= U <= Cl(T) of S(X \\ U) * S(T; U), where
     S(T; U) restricts to tilings of U that close T to all of U.
 
@@ -112,7 +110,7 @@ def verify_decomposition(
     if not subset <= board:
         raise ValueError("subset must lie inside the board")
     lhs = signed_sum(board)
-    clo = closure_union(board, subset, limit)
+    clo = closure_union(board, subset)
     terms: list[tuple[Board, GaussianInt, GaussianInt]] = []
     rhs = ZERO
     if subset <= clo:
@@ -125,7 +123,7 @@ def verify_decomposition(
             extra = [free[p] for p in range(len(free)) if picks >> p & 1]
             middle = Board(subset.cells + tuple(extra))
             outside = signed_sum(board - middle)
-            closing = restricted_sum(subset, middle, limit)
+            closing = restricted_sum(subset, middle)
             terms.append((middle, outside, closing))
             rhs = rhs + outside * closing
     return DecompositionReport(board, subset, clo, lhs, rhs, tuple(terms))

@@ -26,6 +26,7 @@ from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
 from .residue import jacobi, theorem_rhs, gauss_sign, gauss_sign_even_half
 from .spectral import (
     ToleranceError,
+    _is_odd_prime,
     eisenstein_product,
     ktf_count,
     norm_product,
@@ -35,7 +36,7 @@ from .tiling import (
     _check_cell_limit,
     count_tilings,
     enumerate_tilings,
-    flip_moves,
+    flip_component,
     parity_balance,
     signed_sum,
     signed_sum_bruteforce,
@@ -74,18 +75,9 @@ def run_flip_connectivity(max_area: int = 24) -> dict:
     all-vertical tiling."""
     cases = []
     for m, n in _even_rectangles(max_area):
-        tilings = enumerate_tilings(rectangle(m, n))
-        seen = {totally_vertical_tiling(m, n)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for u in flip_moves(t):
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        cases.append(_case({"width": m, "height": n}, len(seen), len(tilings)))
+        reached = len(flip_component(totally_vertical_tiling(m, n)))
+        tilings = len(enumerate_tilings(rectangle(m, n)))
+        cases.append(_case({"width": m, "height": n}, reached, tilings))
     return _report("flip-connectivity", {"max_area": max_area}, cases)
 
 
@@ -216,11 +208,11 @@ def decomposition_corpus() -> list[tuple[str, Board, Board]]:
     return pairs
 
 
-def run_decomposition(limit: int | None = None) -> dict:
+def run_decomposition() -> dict:
     """S(X) equals the closure-decomposed sum for every corpus pair."""
     cases = []
     for name, board, subset in decomposition_corpus():
-        rep = verify_decomposition(board, subset, limit)
+        rep = verify_decomposition(board, subset)
         cases.append(
             _case(
                 {"pair": name, "board": board.to_json_obj(),
@@ -348,7 +340,7 @@ def run_parity(m_max: int = 9, limit: int = 64) -> dict:
 def run_eisenstein(bound: int = 23, tol: float = 1e-6) -> dict:
     """The cosine product over prime half-grids rounds to the Jacobi
     symbol of the second prime over the first."""
-    primes = [p for p in range(3, bound + 1, 2) if all(p % d for d in range(3, p, 2))]
+    primes = [p for p in range(3, bound + 1, 2) if _is_odd_prime(p)]
     cases = []
     for p in primes:
         for q in primes:

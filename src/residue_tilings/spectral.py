@@ -74,11 +74,7 @@ def ktf_count(m: int, n: int) -> float:
     _check_pair(m, n)
     if m % 2 == 0:
         raise ValueError("m must be odd")
-    prod = 1.0
-    for j in range(1, (m - 1) // 2 + 1):
-        for k in range(1, (n - 1) // 2 + 1):
-            prod *= math.cos(2 * math.pi * j / m) ** 2 + math.cos(2 * math.pi * k / n) ** 2
-    return 4.0 ** (((m - 1) // 2) * ((n - 1) // 2)) * prod
+    return _cos_sq_product(m, n, 1.0)
 
 
 def eisenstein_product(p: int, q: int) -> float:
@@ -90,11 +86,30 @@ def eisenstein_product(p: int, q: int) -> float:
     """
     if not _is_odd_prime(p) or not _is_odd_prime(q) or p == q:
         raise ValueError("p and q must be distinct odd primes")
-    prod = 1.0
-    for j in range(1, (p - 1) // 2 + 1):
-        for k in range(1, (q - 1) // 2 + 1):
-            prod *= math.cos(2 * math.pi * j / p) ** 2 - math.cos(2 * math.pi * k / q) ** 2
-    return 4.0 ** (((p - 1) // 2) * ((q - 1) // 2)) * prod
+    return _cos_sq_product(p, q, -1.0)
+
+
+def _cos_sq_product(a: int, b: int, sign: float) -> float:
+    """4^((a-1)/2 * (b-1)/2) times the product over j in 1..(a-1)/2 and k
+    in 1..(b-1)/2 of cos^2(2 pi j / a) + sign * cos^2(2 pi k / b).
+
+    The running product is rescaled by powers of two, as in norm_product,
+    so neither it nor the power of 4 overflows or underflows on the way;
+    only a result beyond the float range raises OverflowError.
+    """
+    rows = [math.cos(2 * math.pi * j / a) ** 2 for j in range(1, (a - 1) // 2 + 1)]
+    cols = [sign * math.cos(2 * math.pi * k / b) ** 2 for k in range(1, (b - 1) // 2 + 1)]
+    acc = 1.0
+    shift = 2 * len(rows) * len(cols)
+    for row in rows:
+        for col in cols:
+            acc *= row + col
+            size = abs(acc)
+            if size > RENORM_GUARD or size < RENORM_FLOOR:
+                exp = math.frexp(size)[1]
+                acc /= 2.0**exp
+                shift += exp
+    return math.ldexp(acc, shift)
 
 
 def round_signed(value: complex, tol: float = 1e-6) -> int:

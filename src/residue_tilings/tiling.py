@@ -165,9 +165,9 @@ def enumerate_tilings(board: Board, limit: int | None = None) -> list[Tiling]:
     return results
 
 
-def signed_sum_bruteforce(board: Board, limit: int | None = None) -> GaussianInt:
+def signed_sum_bruteforce(board: Board) -> GaussianInt:
     """Oracle: sum i**h(D) by explicit enumeration."""
-    tilings = enumerate_tilings(board, limit)
+    tilings = enumerate_tilings(board)
     return sum((i_power(horizontal_count(t)) for t in tilings), ZERO)
 
 
@@ -249,17 +249,14 @@ def _profile_sum(board, weight):
     return states.get(0, 0), states.get(odd_bit, 0)
 
 
-def flip_at(tiling: Tiling, corner: Cell) -> Tiling:
-    """Rotate the two parallel dominoes covering the 2x2 square whose
-    lower-left cell is corner; raises ValueError if the square is not
-    covered by exactly two parallel dominoes."""
+def _flip(tiling: Tiling, cover: dict[Cell, Domino], corner: Cell) -> Tiling | None:
+    """tiling with the two parallel dominoes covering the 2x2 square whose
+    lower-left cell is corner rotated, or None when no parallel pair
+    covers that square; cover is tiling.cover_map()."""
     x, y = corner
     c00, c10, c01, c11 = (x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)
-    board = tiling.board
-    for cell in (c00, c10, c01, c11):
-        if cell not in board:
-            raise ValueError(f"square at {corner} is not inside the board")
-    cover = tiling.cover_map()
+    if not all(c in cover for c in (c00, c10, c01, c11)):
+        return None
     d_low = cover[c00]
     if d_low.cells == (c00, c10) and cover[c01].cells == (c01, c11):
         old = (d_low, cover[c01])
@@ -268,27 +265,40 @@ def flip_at(tiling: Tiling, corner: Cell) -> Tiling:
         old = (d_low, cover[c10])
         new = (Domino.of(c00, c10), Domino.of(c01, c11))
     else:
-        raise ValueError(f"square at {corner} is not covered by a parallel pair")
+        return None
     remaining = [d for d in tiling.dominoes if d not in old]
-    return Tiling(board, remaining + list(new))
+    return Tiling(tiling.board, remaining + list(new))
+
+
+def flip_at(tiling: Tiling, corner: Cell) -> Tiling:
+    """Rotate the two parallel dominoes covering the 2x2 square whose
+    lower-left cell is corner; raises ValueError unless the square lies on
+    the board and is covered by exactly two parallel dominoes."""
+    flipped = _flip(tiling, tiling.cover_map(), corner)
+    if flipped is None:
+        raise ValueError(f"square at {corner} is not covered by a parallel pair")
+    return flipped
 
 
 def flip_moves(tiling: Tiling) -> list[Tiling]:
     """All tilings one flip away, ordered by the flipped square's corner."""
-    board = tiling.board
     cover = tiling.cover_map()
-    moves = []
-    for x, y in board.cells:
-        square = ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
-        if not all(c in board for c in square):
-            continue
-        c00, c10, c01, c11 = square
-        d_low = cover[c00]
-        if (d_low.cells == (c00, c10) and cover[c01].cells == (c01, c11)) or (
-            d_low.cells == (c00, c01) and cover[c10].cells == (c10, c11)
-        ):
-            moves.append(flip_at(tiling, (x, y)))
-    return moves
+    moves = (_flip(tiling, cover, corner) for corner in tiling.board.cells)
+    return [move for move in moves if move is not None]
+
+
+def flip_component(tiling: Tiling) -> dict[Tiling, Tiling]:
+    """Breadth-first search of the flip graph from tiling: maps every
+    tiling reachable by flips to its parent on a shortest flip path back
+    to tiling, which is its own parent."""
+    parents = {tiling: tiling}
+    queue = [tiling]
+    for t in queue:
+        for move in flip_moves(t):
+            if move not in parents:
+                parents[move] = t
+                queue.append(move)
+    return parents
 
 
 def totally_vertical_tiling(m: int, n: int) -> Tiling:
@@ -308,30 +318,22 @@ def is_totally_vertical(tiling: Tiling) -> bool:
     return all(not d.horizontal for d in tiling.dominoes)
 
 
-def normalize_to_vertical(
-    tiling: Tiling, m: int, n: int, method: str = "staircase"
-) -> list[Tiling]:
+def normalize_to_vertical(tiling: Tiling, m: int, n: int) -> list[Tiling]:
     """A flip path from tiling to the all-vertical tiling of the m x n
     rectangle.  Returns the visited tilings including both endpoints, so an
     already-vertical input yields a single-element path.
 
-    The default method walks a staircase of forced dominoes: for each
-    column pair and each odd row, find the smallest index where two
-    consecutive staircase dominoes are parallel and flip back down to the
-    row's origin, leaving the pair of cells vertically covered.  Flips
-    never touch finished rows or columns, so progress is monotone.
-    ``method="bfs"`` searches the flip graph instead and is used as an
-    independent cross-check.
+    The path walks a staircase of forced dominoes: for each column pair
+    and each odd row, find the smallest index where two consecutive
+    staircase dominoes are parallel and flip back down to the row's
+    origin, leaving the pair of cells vertically covered.  Flips never
+    touch finished rows or columns, so progress is monotone.
+    flip_component gives shortest paths instead.
     """
     if n % 2:
         raise ValueError("height must be even")
     if tiling.board != rectangle(m, n):
         raise ValueError("tiling is not over the given rectangle")
-    if method == "bfs":
-        return _bfs_path(tiling)
-    if method != "staircase":
-        raise ValueError(f"unknown method {method!r}")
-
     path = [tiling]
     current = tiling
     for c in range(1, m, 2):
@@ -375,29 +377,6 @@ def _staircase(tiling: Tiling, origin: Cell, path: list[Tiling]) -> Tiling:
         current = flip_at(current, _staircase_square(origin, idx))
         path.append(current)
     return current
-
-
-def _bfs_path(tiling: Tiling) -> list[Tiling]:
-    if is_totally_vertical(tiling):
-        return [tiling]
-    parents: dict[Tiling, Tiling] = {tiling: tiling}
-    frontier = [tiling]
-    while frontier:
-        nxt_frontier = []
-        for t in frontier:
-            for move in flip_moves(t):
-                if move in parents:
-                    continue
-                parents[move] = t
-                if is_totally_vertical(move):
-                    path = [move]
-                    while path[-1] is not tiling:
-                        path.append(parents[path[-1]])
-                    path.reverse()
-                    return path
-                nxt_frontier.append(move)
-        frontier = nxt_frontier
-    raise RuntimeError("vertical tiling unreachable by flips")
 
 
 def transpose_tiling(tiling: Tiling) -> Tiling:

@@ -1,5 +1,6 @@
 """Exit codes, golden outputs, and report shapes for the CLI."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from residue_tilings import cli, spectral
 from residue_tilings.gaussian import GaussianInt
+from residue_tilings.lemmas import LEMMAS
 
 GOLDEN_CSV = (
     "m,n,S,jacobi,agree\n"
@@ -208,6 +210,23 @@ def test_lemma_inapplicable_flag(capsys):
     assert "--arms" in err
 
 
+def test_lemma_flags_match_runner_keywords():
+    # every runner keyword parses as its flag, with the type of its default
+    parser = cli._build_parser()
+    for name, runner in LEMMAS.items():
+        for keyword, param in inspect.signature(runner).parameters.items():
+            flag = "--max" if keyword == "bound" else "--" + keyword.replace("_", "-")
+            value = 0.5 if isinstance(param.default, float) else 7
+            parsed = getattr(parser.parse_args(["lemma", name, flag, str(value)]), keyword)
+            assert (parsed, type(parsed)) == (value, type(value)), (name, flag)
+
+
+def test_lemma_flag_of_another_runner(capsys):
+    code, _, err = run_cli(["lemma", "decomposition", "--limit", "5"], capsys)
+    assert code == 4
+    assert "lemma 'decomposition' does not take --limit" in err
+
+
 def test_lemma_env_limit(monkeypatch, capsys):
     monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "1")
     code, _, err = run_cli(["lemma", "decomposition"], capsys)
@@ -225,6 +244,14 @@ def test_console_script_end_to_end(src_env):
     # argv[0] is the -c script, the rest are CLI args
     assert result.returncode == 0
     assert result.stdout == GOLDEN_CSV
+
+
+def test_module_entry_point(src_env):
+    result = subprocess.run(
+        [sys.executable, "-m", "residue_tilings.cli", "jacobi", "--m", "3", "--n", "5"],
+        capture_output=True, text=True, env=src_env,
+    )
+    assert (result.returncode, result.stdout) == (0, "-1\n")
 
 
 def test_verify_jobs_deterministic(src_env):

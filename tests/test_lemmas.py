@@ -6,6 +6,7 @@ from residue_tilings.board import half_board
 from residue_tilings.lemmas import (
     LEMMAS,
     decomposition_corpus,
+    run_eisenstein,
     run_gauss,
     run_h_even,
     run_parity,
@@ -66,3 +67,9 @@ def test_parity_tiling_counts_match_enumeration():
         inputs = case["inputs"]
         board = half_board(inputs["m"], inputs["n"], inputs["diag"])
         assert inputs["tilings"] == len(enumerate_tilings(board, limit=64))
+
+
+def test_eisenstein_beyond_the_float_range_of_its_scale():
+    # the scale 4**((p-1)/2 * (q-1)/2) alone overflows a float from
+    # (41, 53) on, though the product is +-1
+    assert run_eisenstein(bound=60)["pass"]

@@ -16,6 +16,7 @@ from residue_tilings.tiling import (
     count_tilings,
     enumerate_tilings,
     flip_at,
+    flip_component,
     flip_moves,
     horizontal_count,
     is_totally_vertical,
@@ -165,9 +166,13 @@ def test_normalize_to_vertical_staircase():
 
 
 def test_normalize_bfs_not_longer():
+    vertical = totally_vertical_tiling(4, 4)
     for t in enumerate_tilings(rectangle(4, 4)):
         stair = normalize_to_vertical(t, 4, 4)
-        bfs = normalize_to_vertical(t, 4, 4, method="bfs")
+        parents = flip_component(t)
+        bfs = [vertical]
+        while bfs[-1] != t:
+            bfs.append(parents[bfs[-1]])
         assert len(bfs) <= len(stair)
 
 

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .board import rectangle
 from .decomp import reciprocity_free_sum
-from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
+from .kasteleyn import build_kasteleyn, det_exact, kasteleyn_columns, signed_sum_via_det
 from .lemmas import LEMMAS
 from .residue import jacobi, theorem_rhs
 from .spectral import ToleranceError, signed_sum_via_spectral
@@ -125,13 +125,12 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_detk(args) -> int:
-    matrix = build_kasteleyn(args.m, args.n)
-    det = det_exact(matrix)
     if args.matrix:
+        matrix = build_kasteleyn(args.m, args.n)
         print(json.dumps({"m": args.m, "n": args.n,
-                          "matrix": matrix.to_json_obj(), "det": det}))
+                          "matrix": matrix.to_json_obj(), "det": det_exact(matrix)}))
     else:
-        print(det)
+        print(det_exact(kasteleyn_columns(args.m, args.n)))
     return EXIT_OK
 
 
@@ -262,7 +261,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader left: silence the interpreter's final flush as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

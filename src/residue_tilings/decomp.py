@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .board import Board, LShapeSpec, _half_board_diag, half_board, rectangle
+from .board import Board, LShapeSpec, _half_board, _half_board_diag, rectangle
 from .gaussian import GaussianInt, ZERO, i_power
 from .residue import _check_pair, half_residue
 from .tiling import (
@@ -158,7 +158,11 @@ def admissible_diagonal(m: int, n: int) -> frozenset[int]:
 def half_board_support(m: int, n: int, diag: Iterable[int]) -> bool:
     """Whether the index set diag satisfies the three support conditions
     under which the half-board sum is nonzero."""
-    marks = _check_window(m, n, diag)
+    return _supported(m, n, _check_window(m, n, diag))
+
+
+def _supported(m: int, n: int, marks: frozenset[int]) -> bool:
+    """half_board_support for a diagonal set that _check_window has checked."""
     # With n < m < 3n the residue m/2 mod n is exactly (m - n)/2.
     t = (m - n) // 2
     if t not in marks:
@@ -180,10 +184,10 @@ def half_board_sum(m: int, n: int, diag: Iterable[int]) -> GaussianInt:
     either fact raises InvariantError.
     """
     marks = _check_window(m, n, diag)
-    value = signed_sum(half_board(m, n, marks))
+    value = signed_sum(_half_board(m, n, marks))
     if value not in _HALF_BOARD_VALUES:
         raise InvariantError(f"half-board sum {value} out of range")
-    if value != ZERO and not half_board_support(m, n, marks):
+    if value != ZERO and not _supported(m, n, marks):
         raise InvariantError(
             f"nonzero half-board sum at unsupported diag {sorted(marks)}"
         )

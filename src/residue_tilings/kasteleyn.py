@@ -5,13 +5,32 @@ relation (i, j) ~ -(i, n-j).  The even-parity cells (i + j even, ordered
 lexicographically) form a basis; the neighbor-sum operator expressed in
 that basis is an integer matrix whose determinant equals the signed tiling
 sum up to the sign det_sign(m, n), which depends on m's parity.
+
+The determinant is exact for any integer matrix.  Hadamard's inequality
+bounds |det| by H, the product of the column norms, so Gaussian elimination
+modulo one prime P > 2H gives det itself as the residue in (-P/2, P/2].
+P is a Mersenne prime 2**q - 1, so reduction needs only shifts and masks.
+The elimination works on sparse columns and pivots on the sparsest column
+left, which keeps the fill-in of K small.  Each column of K has at most four
+nonzero entries, all -1, so H <= 2**d in dimension d.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .residue import _check_pair
+from .tiling import SizeLimitError
+
+# Exponents q of proven Mersenne primes 2**q - 1, in increasing order.  The
+# last one is the resource limit.  K of dimension d needs q >= d + 2 at
+# worst, so K up to d = 11200 is admitted (up to 14148 for 2 x N boards),
+# which took at most 9 s and 100 MB on 2 vCPUs with CPython 3.11; the next
+# prime, 2**19937 - 1, would admit runs of 40 s and 250 MB.
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                      4253, 4423, 9689, 9941, 11213)
 
 
 @dataclass(frozen=True)
@@ -34,12 +53,32 @@ class SignedMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
+    @property
+    def columns(self) -> tuple[dict[int, int], ...]:
+        """Each column as a {row: entry} dict of its nonzero entries."""
+        return tuple(
+            {r: v for r, v in enumerate(col) if v} for col in zip(*self.entries)
+        )
+
     def to_json_obj(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
 
-def build_kasteleyn(m: int, n: int) -> SignedMatrix:
-    """Matrix of the neighbor-sum operator for the (m-1) x (n-1) rectangle.
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A square integer matrix held as one {row: entry} dict per column,
+    with zero entries left out."""
+
+    columns: tuple[dict[int, int], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.columns)
+
+
+def kasteleyn_columns(m: int, n: int) -> SparseMatrix:
+    """The matrix K of the neighbor-sum operator for the (m-1) x (n-1)
+    rectangle, held by columns.
 
     Column (i, j) holds the image of basis cell (i, j): each in-range
     neighbor (i', j') has odd parity and is rewritten as -(i', n-j'), so
@@ -54,47 +93,128 @@ def build_kasteleyn(m: int, n: int) -> SignedMatrix:
         if (i + j) % 2 == 0
     ]
     index = {cell: pos for pos, cell in enumerate(basis)}
-    dim = len(basis)
-    rows = [[0] * dim for _ in range(dim)]
-    for col, (i, j) in enumerate(basis):
+    columns = []
+    for i, j in basis:
+        column: dict[int, int] = {}
         for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
             if ni in (0, m) or nj in (0, n):
                 continue
-            rows[index[(ni, n - nj)]][col] -= 1
+            row = index[(ni, n - nj)]
+            column[row] = column.get(row, 0) - 1
+        columns.append(column)
+    return SparseMatrix(tuple(columns))
+
+
+def build_kasteleyn(m: int, n: int) -> SignedMatrix:
+    """Matrix of the neighbor-sum operator for the (m-1) x (n-1) rectangle,
+    with the dense entries that `detk --matrix` prints."""
+    columns = kasteleyn_columns(m, n).columns
+    rows = [[0] * len(columns) for _ in columns]
+    for col, column in enumerate(columns):
+        for row, v in column.items():
+            rows[row][col] = v
     return SignedMatrix(tuple(tuple(row) for row in rows))
 
 
-def det_exact(matrix: SignedMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
+def det_exact(matrix: SignedMatrix | SparseMatrix) -> int:
+    """Exact determinant, by elimination modulo a prime above twice the
+    Hadamard bound of the matrix's own entries.
 
-    Every intermediate entry is a minor of the original matrix, so the
-    divisions below are exact in integer arithmetic.  Pivoting picks the
-    first nonzero entry in each column and flips the sign per row swap;
-    an all-zero column means the determinant is 0.  The empty matrix has
+    Raises SizeLimitError, before any elimination, when the bound needs a
+    prime beyond the last of MERSENNE_EXPONENTS.  The empty matrix has
     determinant 1.
     """
-    size = matrix.dim
-    if size == 0:
-        return 1
-    a = [list(row) for row in matrix.entries]
-    sign = 1
-    prev = 1
-    for k in range(size):
-        pivot_row = next((r for r in range(k, size) if a[r][k] != 0), None)
-        if pivot_row is None:
+    columns = matrix.columns
+    q = _modulus_exponent(len(columns), math.prod(
+        sum(v * v for v in column.values()) for column in columns
+    ))
+    p = (1 << q) - 1
+    det = _det_mod(columns, q)
+    return det - p if det > p // 2 else det
+
+
+def _modulus_exponent(dim: int, bound_sq: int) -> int:
+    """The smallest listed q with 2**q - 1 > 2H, where H * H == bound_sq."""
+    for q in MERSENNE_EXPONENTS:
+        if ((1 << q) - 1) ** 2 > 4 * bound_sq:
+            return q
+    raise SizeLimitError(
+        f"the Hadamard bound of a {dim} x {dim} determinant needs a prime "
+        f"above 2^{MERSENNE_EXPONENTS[-1]} - 1"
+    )
+
+
+def _det_mod(lines: tuple[dict[int, int], ...], q: int) -> int:
+    """Determinant modulo p = 2**q - 1 of the matrix whose rows are lines
+    ({column: entry} dicts); a column list gives the same value, since a
+    matrix and its transpose share the determinant.
+
+    Each step takes the column held by the fewest rows left (minimum
+    degree), pivots on its shortest row, and clears the column from the
+    other rows.  The determinant is the product of the pivots times the
+    sign of the permutation that sends each pivot row to its column.
+    """
+    p = (1 << q) - 1
+    rows = [{c: v % p for c, v in line.items() if v % p} for line in lines]
+    # column -> the rows left with a nonzero there; None once it has pivoted
+    holders: list[set[int] | None] = [set() for _ in rows]
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
+    heap = [(len(rs), c) for c, rs in enumerate(holders)]
+    heapify(heap)
+    pivot_col = [0] * len(rows)
+    det = 1
+    for _ in rows:
+        count, k = heappop(heap)
+        while holders[k] is None or count != len(holders[k]):
+            count, k = heappop(heap)
+        if count == 0:
             return 0
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, size):
-            row_i, row_k = a[i], a[k]
-            factor = row_i[k]
-            for j in range(k + 1, size):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[size - 1][size - 1]
+        cands, holders[k] = holders[k], None
+        r = min(cands, key=lambda s: (len(rows[s]), s))
+        cands.remove(r)
+        pivot_col[r] = k
+        pivot = rows[r]
+        a = pivot.pop(k)
+        for c in pivot:
+            holders[c].discard(r)
+        det = det * a % p
+        inv = pow(a, -1, p)
+        for s in cands:
+            row = rows[s]
+            g = (p - row.pop(k)) * inv % p
+            for c, v in pivot.items():
+                # x < p * p, and one fold of the bits above q brings it below 2p
+                x = row.get(c, 0) + g * v
+                x = (x & p) + (x >> q)
+                if x >= p:
+                    x -= p
+                if x:
+                    if c not in row:
+                        holders[c].add(s)
+                    row[c] = x
+                elif c in row:
+                    del row[c]
+                    holders[c].discard(s)
+        for c in pivot:
+            heappush(heap, (len(holders[c]), c))
+    return -det % p if _is_odd(pivot_col) else det
+
+
+def _is_odd(perm: list[int]) -> bool:
+    """Whether the permutation i -> perm[i] is odd: a cycle of length L is
+    L - 1 transpositions."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return (len(perm) - cycles) % 2 == 1
 
 
 def det_sign(m: int, n: int) -> int:
@@ -105,4 +225,4 @@ def det_sign(m: int, n: int) -> int:
 
 def signed_sum_via_det(m: int, n: int) -> int:
     """Signed tiling sum of the (m-1) x (n-1) rectangle via the determinant."""
-    return det_exact(build_kasteleyn(m, n)) * det_sign(m, n)
+    return det_exact(kasteleyn_columns(m, n)) * det_sign(m, n)

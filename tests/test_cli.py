@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import os
 import subprocess
 import sys
 
@@ -294,3 +295,22 @@ def test_verify_jobs_clamped(monkeypatch, capsys):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert verify(4) == 0  # unknown cpu count: no pool at all
     assert started == [3, 2]
+
+
+def test_closed_pipe_exits_io_without_traceback(src_env):
+    # with stdout block-buffered, a short answer fails at the final flush
+    # and a long report inside print
+    env = {k: v for k, v in src_env.items() if k != "PYTHONUNBUFFERED"}
+    for argv in (["jacobi", "--m", "3", "--n", "5"],
+                 ["verify", "--m-max", "300", "--n-max", "3", "--methods", "det"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "residue_tilings.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (cli.EXIT_IO, "")

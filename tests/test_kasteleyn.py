@@ -1,19 +1,25 @@
 """Folded adjacency matrices and the exact determinant."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from residue_tilings import kasteleyn
 from residue_tilings.board import rectangle
 from residue_tilings.gaussian import GaussianInt
 from residue_tilings.kasteleyn import (
     SignedMatrix,
     build_kasteleyn,
     det_exact,
+    det_sign,
     signed_sum_via_det,
 )
-from residue_tilings.tiling import signed_sum
+from residue_tilings.residue import theorem_rhs
+from residue_tilings.tiling import SizeLimitError, signed_sum
 
 
 def det_cofactor(rows):
@@ -81,39 +87,102 @@ def test_det_random_matrices_against_cofactor():
         assert det_exact(SignedMatrix(rows)) == expected
 
 
+def det_fraction(rows):
+    """Gaussian elimination over Fraction, the second oracle."""
+    k = len(rows)
+    work = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(k):
+        pivot = next(
+            (r for r in range(col, k) if work[r][col]), None
+        )
+        if pivot is None:
+            return 0
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, k):
+            factor = work[r][col] / work[col][col]
+            for c in range(col, k):
+                work[r][c] -= factor * work[col][c]
+    assert det.denominator == 1
+    return det
+
+
 def test_det_random_matrices_against_fractions():
-    # second oracle: Gaussian elimination over Fraction
     rng = random.Random(97)
     for _ in range(200):
         k = rng.randrange(1, 7)
         rows = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(k)]
-        work = [[Fraction(v) for v in row] for row in rows]
-        det = Fraction(1)
-        for col in range(k):
-            pivot = next(
-                (r for r in range(col, k) if work[r][col]), None
-            )
-            if pivot is None:
-                det = Fraction(0)
-                break
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det *= work[col][col]
-            for r in range(col + 1, k):
-                factor = work[r][col] / work[col][col]
-                for c in range(col, k):
-                    work[r][c] -= factor * work[col][c]
-        assert det.denominator == 1
-        assert det_exact(SignedMatrix(tuple(tuple(r) for r in rows))) == det
+        assert det_exact(SignedMatrix(tuple(tuple(r) for r in rows))) == det_fraction(rows)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Square matrices up to 25 x 25 with entries up to 10**6 in size: a
+    nonzero entry in each row at permuted columns, so that most are
+    invertible and pivots need row exchanges, plus scattered extras."""
+    k = draw(st.integers(0, 25))
+    rows = [[0] * k for _ in range(k)]
+    entry = st.integers(-10**6, 10**6)
+    for r, c in enumerate(draw(st.permutations(range(k)))):
+        rows[r][c] = draw(entry.filter(bool))
+    if k:
+        index = st.integers(0, k - 1)
+        for r, c, v in draw(st.lists(st.tuples(index, index, entry), max_size=3 * k)):
+            rows[r][c] = v
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sparse_matrices())
+def test_det_sparse_matrices_against_fractions(rows):
+    matrix = SignedMatrix(tuple(tuple(r) for r in rows))
+    assert det_exact(matrix) == det_fraction(rows)
+
+
+def sylvester(order):
+    """The Sylvester-Hadamard matrix of a power-of-two order."""
+    rows = [[1]]
+    while len(rows) < order:
+        rows = [r + r for r in rows] + [r + [-v for v in r] for r in rows]
+    return rows
+
+
+def test_det_attains_the_hadamard_bound():
+    for order in (8, 16, 32, 64):
+        rows = sylvester(order)
+        det = det_exact(SignedMatrix(tuple(tuple(r) for r in rows)))
+        assert abs(det) == order ** (order // 2)
+        if order <= 16:
+            assert det == det_fraction(rows)
+
+
+def test_modulus_is_the_first_prime_above_twice_the_bound():
+    # for a 1 x 1 matrix |det| is the bound H; 2**60 - 1 is the largest H
+    # that 2**61 - 1 lifts exactly, and -2**60 would come back as 2**60 - 1
+    # from a modulus that only exceeded H
+    for det in (2**60 - 1, -(2**60 - 1), 2**60, -(2**60)):
+        assert det_exact(SignedMatrix(((det,),))) == det
+    h = 2**60 - 1
+    assert kasteleyn._modulus_exponent(1, h * h) == 61
+    assert kasteleyn._modulus_exponent(1, (h + 1) ** 2) == 89
+    last = kasteleyn.MERSENNE_EXPONENTS[-1]
+    h = ((1 << last) - 1) // 2
+    assert kasteleyn._modulus_exponent(1, h * h) == last
+    with pytest.raises(SizeLimitError):
+        kasteleyn._modulus_exponent(1, (h + 1) ** 2)
 
 
 def test_signed_sum_via_det_matches_dp():
-    for n in range(1, 8, 2):
-        for m in range(1, 9):
-            assert GaussianInt(signed_sum_via_det(m, n)) == signed_sum(
-                rectangle(m - 1, n - 1)
-            )
+    # the range on which the values were checked equal to the dense
+    # Bareiss elimination this module used before
+    for n in range(1, 14, 2):
+        for m in range(1, 31):
+            via_det = signed_sum_via_det(m, n)
+            assert GaussianInt(via_det) == signed_sum(rectangle(m - 1, n - 1))
+            assert det_exact(build_kasteleyn(m, n)) * det_sign(m, n) == via_det
 
 
 def test_rejects_even_n():
@@ -121,3 +190,27 @@ def test_rejects_even_n():
         build_kasteleyn(3, 4)
     with pytest.raises(ValueError):
         signed_sum_via_det(3, 0)
+
+
+def test_det_reach():
+    start = time.perf_counter()
+    assert signed_sum_via_det(100, 31) == theorem_rhs(100, 31)  # d = 1485
+    assert time.perf_counter() - start < 30
+
+
+def test_det_refuses_past_the_last_prime(monkeypatch):
+    # (759, 31), d = 11370, is the last K of width 31 whose bound fits
+    # under the last prime of the table
+    def trip(*args):
+        raise AssertionError("a dense matrix was built")
+
+    primes = []
+    monkeypatch.setattr(kasteleyn, "build_kasteleyn", trip)
+    monkeypatch.setattr(kasteleyn, "_det_mod", lambda lines, q: primes.append(q) or 1)
+    signed_sum_via_det(759, 31)
+    assert primes == [kasteleyn.MERSENNE_EXPONENTS[-1]]
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="Hadamard bound"):
+        signed_sum_via_det(760, 31)
+    assert time.perf_counter() - start < 1
+    assert len(primes) == 1  # no elimination started

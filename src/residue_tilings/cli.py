@@ -125,12 +125,13 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_detk(args) -> int:
+    # the size limit applies before the dense rows are built
+    det = det_exact(kasteleyn_columns(args.m, args.n))
     if args.matrix:
-        matrix = build_kasteleyn(args.m, args.n)
-        print(json.dumps({"m": args.m, "n": args.n,
-                          "matrix": matrix.to_json_obj(), "det": det_exact(matrix)}))
+        matrix = build_kasteleyn(args.m, args.n).to_json_obj()
+        print(json.dumps({"m": args.m, "n": args.n, "matrix": matrix, "det": det}))
     else:
-        print(det_exact(kasteleyn_columns(args.m, args.n)))
+        print(det)
     return EXIT_OK
 
 
@@ -198,29 +199,28 @@ def _cmd_table(args) -> int:
             value = signed_sum(rectangle(m - 1, n - 1))
             rhs = theorem_rhs(m, n)
             rows.append((m, n, value.render(), rhs, value == rhs))
+    if not args.out:
+        _write_table(sys.stdout, rows, args.format)  # a closed pipe exits via run()
+        return EXIT_OK
     try:
-        handle = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
-        try:
-            target = handle or sys.stdout
-            if args.format == "csv":
-                writer = csv.writer(target, lineterminator="\n")
-                writer.writerow(["m", "n", "S", "jacobi", "agree"])
-                for m, n, s, rhs, agree in rows:
-                    writer.writerow([m, n, s, rhs, "true" if agree else "false"])
-            else:
-                obj = [
-                    {"m": m, "n": n, "S": s, "jacobi": rhs, "agree": agree}
-                    for m, n, s, rhs, agree in rows
-                ]
-                json.dump(obj, target, indent=2)
-                target.write("\n")
-        finally:
-            if handle:
-                handle.close()
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            _write_table(handle, rows, args.format)
     except OSError as exc:
         print(f"table: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def _write_table(target, rows, fmt: str) -> None:
+    if fmt == "csv":
+        writer = csv.writer(target, lineterminator="\n")
+        writer.writerow(["m", "n", "S", "jacobi", "agree"])
+        for m, n, s, rhs, agree in rows:
+            writer.writerow([m, n, s, rhs, "true" if agree else "false"])
+    else:
+        json.dump([{"m": m, "n": n, "S": s, "jacobi": rhs, "agree": agree}
+                   for m, n, s, rhs, agree in rows], target, indent=2)
+        target.write("\n")
 
 
 def _cmd_lemma(args, parser: _Parser) -> int:

@@ -68,6 +68,18 @@ def test_detk(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj == {"m": 2, "n": 3, "matrix": [[-1]], "det": -1}
+    assert list(obj) == ["m", "n", "matrix", "det"]
+
+
+def test_detk_matrix_refused_before_the_dense_rows(monkeypatch, capsys):
+    # d = 11385 needs a prime past the table; 1.3e8 dense entries would come first
+    def refuse(m, n):
+        raise AssertionError("dense matrix built before the size limit")
+
+    monkeypatch.setattr(cli, "build_kasteleyn", refuse)
+    code, out, err = run_cli(["detk", "--m", "760", "--n", "31", "--matrix"], capsys)
+    assert (code, out) == (cli.EXIT_LIMIT, "")
+    assert err.startswith("detk: ")
 
 
 def test_usage_errors(capsys):
@@ -298,11 +310,12 @@ def test_verify_jobs_clamped(monkeypatch, capsys):
 
 
 def test_closed_pipe_exits_io_without_traceback(src_env):
-    # with stdout block-buffered, a short answer fails at the final flush
-    # and a long report inside print
+    # with stdout block-buffered, a short answer fails at the final flush,
+    # a long report inside print and a 13 kB table inside the csv writer
     env = {k: v for k, v in src_env.items() if k != "PYTHONUNBUFFERED"}
     for argv in (["jacobi", "--m", "3", "--n", "5"],
-                 ["verify", "--m-max", "300", "--n-max", "3", "--methods", "det"]):
+                 ["verify", "--m-max", "300", "--n-max", "3", "--methods", "det"],
+                 ["table", "--m-max", "300", "--n-max", "5"]):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first write
         try:

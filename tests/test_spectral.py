@@ -6,16 +6,30 @@ import math
 import pytest
 
 from residue_tilings.board import rectangle
-from residue_tilings.kasteleyn import build_kasteleyn, det_exact
+from residue_tilings.kasteleyn import build_kasteleyn, det_exact, det_sign
 from residue_tilings.spectral import (
     ToleranceError,
+    _sin_pi,
     eisenstein_product,
     ktf_count,
     norm_product,
     round_signed,
 )
-from residue_tilings.residue import jacobi
+from residue_tilings.residue import jacobi, theorem_rhs
 from residue_tilings.tiling import count_tilings
+
+
+def norm_product_by_factors(m, n):
+    """The eigenvalue product one factor (i, j) at a time, in O(m n)."""
+    if any(n * (m - i) % (2 * m) == 0 for i in range(1, m)):
+        return 0.0  # the factor with j = n(m - i)/2m vanishes
+    acc, shift = 1.0, 0
+    for i in range(1, m):
+        for j in range(1, (n - 1) // 2 + 1):
+            acc *= 2 * math.cos(math.pi * i / m) + 2 * math.cos(2 * math.pi * j / n)
+            exp = math.frexp(acc)[1]
+            acc, shift = acc / 2.0**exp, shift + exp
+    return math.ldexp(acc, shift)
 
 
 def test_norm_product_known_values():
@@ -32,13 +46,13 @@ def test_norm_product_matches_det():
 
 
 def test_norm_vanishes_iff_not_coprime():
-    for n in range(1, 14, 2):
-        for m in range(1, 14):
-            modulus = abs(norm_product(m, n))
+    for n in range(1, 100, 2):
+        for m in range(1, 200):
+            z = norm_product(m, n)
             if math.gcd(m, n) > 1:
-                assert modulus <= 1e-6
+                assert z == 0, (m, n)
             else:
-                assert modulus > 0.5
+                assert abs(z) > 0.5, (m, n)
 
 
 def test_geometric_ratio_has_unit_modulus():
@@ -114,3 +128,38 @@ def test_norm_product_no_underflow_on_large_coprime_pair():
 def test_norm_product_exact_zero_when_not_coprime():
     assert norm_product(15, 9) == 0
     assert norm_product(1000, 15) == 0
+
+
+def test_norm_product_matches_the_factor_by_factor_product():
+    for n in range(1, 60, 2):
+        for m in range(1, 60):
+            z = norm_product(m, n)
+            reference = norm_product_by_factors(m, n)
+            assert z.imag == 0.0
+            assert abs(z.real - reference) <= 1e-9 * abs(reference), (m, n)
+
+
+@pytest.mark.parametrize("m, n", [(800, 399), (1700, 849), (2000, 999)])
+def test_norm_product_accuracy_at_large_sizes(m, n):
+    # the factor-by-factor product drifts to errors of 2e-10 to 5e-9 here
+    exact = theorem_rhs(m, n) * det_sign(m, n)
+    assert abs(norm_product(m, n) - exact) < 1e-12
+
+
+def test_norm_product_reach():
+    m, n = 100001, 50001
+    assert round_signed(norm_product(m, n)) == theorem_rhs(m, n) * det_sign(m, n)
+
+
+def test_sin_pi_reduces_the_argument():
+    for q in (1, 2, 3, 8, 2 * 849):
+        for r in range(-3 * q, 3 * q + 1):
+            assert _sin_pi(r, q) == pytest.approx(math.sin(math.pi * r / q), abs=1e-12)
+    # the argument is folded in integers, so the symmetric values agree
+    # exactly and keep their relative accuracy near the zeros of sine
+    q = 10**6
+    tiny = _sin_pi(1, q)
+    assert tiny == pytest.approx(math.pi / q, rel=1e-15)
+    assert _sin_pi(q - 1, q) == _sin_pi(q + 1, q) * -1 == tiny
+    assert _sin_pi(2 * q - 1, q) == _sin_pi(-1, q) == -tiny
+    assert _sin_pi(4 * q + 1, q) == tiny

@@ -29,7 +29,7 @@ from .tiling import (
     totally_vertical_tiling,
     transpose_tiling,
 )
-from .kasteleyn import SignedMatrix, build_kasteleyn, det_exact, signed_sum_via_det
+from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
 from .residue import (
     gauss_sign,
     gauss_sign_even_half,

@@ -82,10 +82,6 @@ class Board:
     def to_json_obj(self) -> list[list[int]]:
         return [[i, j] for i, j in self._cells]
 
-    @classmethod
-    def from_json_obj(cls, obj: Iterable[Iterable[int]]) -> "Board":
-        return cls((int(i), int(j)) for i, j in obj)
-
 
 @dataclass(frozen=True)
 class LShapeSpec:

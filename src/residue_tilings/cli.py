@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .board import rectangle
 from .decomp import reciprocity_free_sum
-from .kasteleyn import build_kasteleyn, det_exact, kasteleyn_columns, signed_sum_via_det
+from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
 from .lemmas import LEMMAS
 from .residue import jacobi, theorem_rhs
 from .spectral import ToleranceError, signed_sum_via_spectral
@@ -125,14 +125,34 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_detk(args) -> int:
-    # the size limit applies before the dense rows are built
-    det = det_exact(kasteleyn_columns(args.m, args.n))
-    if args.matrix:
-        matrix = build_kasteleyn(args.m, args.n).to_json_obj()
-        print(json.dumps({"m": args.m, "n": args.n, "matrix": matrix, "det": det}))
-    else:
+    # the size limit applies before anything is printed
+    matrix = build_kasteleyn(args.m, args.n)
+    det = det_exact(matrix)
+    if not args.matrix:
         print(det)
+        return EXIT_OK
+    # the bytes of json.dumps on the dense rows, written one row at a time
+    rows: list[dict[int, int]] = [{} for _ in matrix.columns]
+    for col, column in enumerate(matrix.columns):
+        for row, v in column.items():
+            rows[row][col] = v
+    out = sys.stdout
+    out.write(f'{{"m": {args.m}, "n": {args.n}, "matrix": [')
+    for row, entries in enumerate(rows):
+        out.write((", " if row else "") + _json_row(entries, matrix.dim))
+    out.write(f'], "det": {det}}}\n')
     return EXIT_OK
+
+
+def _json_row(entries: dict[int, int], dim: int) -> str:
+    """json.dumps of the dense row of length dim with the given nonzero
+    entries, joined from runs of zeros instead of one string per zero."""
+    parts, start = [], 0
+    for col in sorted(entries):
+        parts.append("0, " * (col - start) + f"{entries[col]}, ")
+        start = col + 1
+    parts.append("0, " * (dim - start))
+    return "[" + "".join(parts)[:-2] + "]"
 
 
 def _verify_case(task: tuple[int, int, tuple[str, ...], float]) -> list[dict]:

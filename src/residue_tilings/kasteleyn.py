@@ -6,6 +6,9 @@ lexicographically) form a basis; the neighbor-sum operator expressed in
 that basis is an integer matrix whose determinant equals the signed tiling
 sum up to the sign det_sign(m, n), which depends on m's parity.
 
+Every matrix here has one type, SparseMatrix, whose constructor validates
+its entries, so no malformed input reaches the elimination.
+
 The determinant is exact for any integer matrix.  Hadamard's inequality
 bounds |det| by H, the product of the column norms, so Gaussian elimination
 modulo one prime P > 2H gives det itself as the residue in (-P/2, P/2].
@@ -34,49 +37,35 @@ MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
 
 
 @dataclass(frozen=True)
-class SignedMatrix:
-    """A square integer matrix with immutable row-major entries."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        for row in rows:
-            if len(row) != len(rows):
-                raise ValueError("matrix must be square")
-            for v in row:
-                if not isinstance(v, int):
-                    raise ValueError(f"entry {v!r} is not an int")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @property
-    def columns(self) -> tuple[dict[int, int], ...]:
-        """Each column as a {row: entry} dict of its nonzero entries."""
-        return tuple(
-            {r: v for r, v in enumerate(col) if v} for col in zip(*self.entries)
-        )
-
-    def to_json_obj(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
-
-@dataclass(frozen=True)
 class SparseMatrix:
     """A square integer matrix held as one {row: entry} dict per column,
-    with zero entries left out."""
+    with zero entries left out.
+
+    Raises ValueError unless every column is a dict whose keys are ints in
+    range(dim) and whose values are ints.
+    """
 
     columns: tuple[dict[int, int], ...]
+
+    def __post_init__(self) -> None:
+        columns = tuple(self.columns)
+        object.__setattr__(self, "columns", columns)
+        dim = len(columns)
+        for column in columns:
+            if not isinstance(column, dict):
+                raise ValueError(f"column {column!r} is not a dict")
+            for row, v in column.items():
+                if type(row) is not int or not 0 <= row < dim:
+                    raise ValueError(f"row index {row!r} is not an int in range({dim})")
+                if not isinstance(v, int):
+                    raise ValueError(f"entry {v!r} is not an int")
 
     @property
     def dim(self) -> int:
         return len(self.columns)
 
 
-def kasteleyn_columns(m: int, n: int) -> SparseMatrix:
+def build_kasteleyn(m: int, n: int) -> SparseMatrix:
     """The matrix K of the neighbor-sum operator for the (m-1) x (n-1)
     rectangle, held by columns.
 
@@ -105,18 +94,7 @@ def kasteleyn_columns(m: int, n: int) -> SparseMatrix:
     return SparseMatrix(tuple(columns))
 
 
-def build_kasteleyn(m: int, n: int) -> SignedMatrix:
-    """Matrix of the neighbor-sum operator for the (m-1) x (n-1) rectangle,
-    with the dense entries that `detk --matrix` prints."""
-    columns = kasteleyn_columns(m, n).columns
-    rows = [[0] * len(columns) for _ in columns]
-    for col, column in enumerate(columns):
-        for row, v in column.items():
-            rows[row][col] = v
-    return SignedMatrix(tuple(tuple(row) for row in rows))
-
-
-def det_exact(matrix: SignedMatrix | SparseMatrix) -> int:
+def det_exact(matrix: SparseMatrix) -> int:
     """Exact determinant, by elimination modulo a prime above twice the
     Hadamard bound of the matrix's own entries.
 
@@ -225,4 +203,4 @@ def det_sign(m: int, n: int) -> int:
 
 def signed_sum_via_det(m: int, n: int) -> int:
     """Signed tiling sum of the (m-1) x (n-1) rectangle via the determinant."""
-    return det_exact(kasteleyn_columns(m, n)) * det_sign(m, n)
+    return det_exact(build_kasteleyn(m, n)) * det_sign(m, n)

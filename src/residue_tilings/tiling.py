@@ -52,12 +52,6 @@ class Domino:
     def cells(self) -> tuple[Cell, Cell]:
         return (self.a, self.b)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "cells": [list(self.a), list(self.b)],
-            "orientation": "h" if self.horizontal else "v",
-        }
-
 
 class Tiling:
     """A perfect cover of a board by dominoes, stored in canonical order."""
@@ -100,9 +94,6 @@ class Tiling:
 
     def __repr__(self) -> str:
         return f"Tiling({len(self._dominoes)} dominoes)"
-
-    def to_json_obj(self) -> list[dict]:
-        return [d.to_json_obj() for d in self._dominoes]
 
 
 def horizontal_count(tiling: Tiling) -> int:

@@ -52,11 +52,6 @@ def test_bounds():
         Board().bounds()
 
 
-def test_json_round_trip():
-    board = l_board(LShapeSpec((2, 3), (3, 2)))
-    assert Board.from_json_obj(board.to_json_obj()) == board
-
-
 def test_l_board_single_chunk():
     # the 2-wide row plus 3-tall column sharing the corner square
     board = l_board(LShapeSpec((2,), (3,)))

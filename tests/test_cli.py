@@ -1,14 +1,17 @@
 """Exit codes, golden outputs, and report shapes for the CLI."""
 
+import hashlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
-from residue_tilings import cli, spectral
+from residue_tilings import cli, kasteleyn, spectral
 from residue_tilings.gaussian import GaussianInt
 from residue_tilings.lemmas import LEMMAS
 
@@ -72,14 +75,65 @@ def test_detk(capsys):
 
 
 def test_detk_matrix_refused_before_the_dense_rows(monkeypatch, capsys):
-    # d = 11385 needs a prime past the table; 1.3e8 dense entries would come first
-    def refuse(m, n):
-        raise AssertionError("dense matrix built before the size limit")
+    # d = 11385 needs a prime past the table, and the refusal comes before
+    # any elimination and before the first row is printed
+    def refuse(lines, q):
+        raise AssertionError("elimination started past the size limit")
 
-    monkeypatch.setattr(cli, "build_kasteleyn", refuse)
+    monkeypatch.setattr(kasteleyn, "_det_mod", refuse)
+    start = time.perf_counter()
     code, out, err = run_cli(["detk", "--m", "760", "--n", "31", "--matrix"], capsys)
+    assert time.perf_counter() - start < 1
     assert (code, out) == (cli.EXIT_LIMIT, "")
     assert err.startswith("detk: ")
+
+
+def test_detk_matrix_streams_the_dense_rows(capsys):
+    for n in range(1, 14, 2):
+        for m in range(1, 21):
+            matrix = kasteleyn.build_kasteleyn(m, n)
+            rows = [[column.get(r, 0) for column in matrix.columns] for r in range(matrix.dim)]
+            det = kasteleyn.det_exact(matrix)
+            expected = json.dumps({"m": m, "n": n, "matrix": rows, "det": det}) + "\n"
+            code, out, _ = run_cli(["detk", "--m", str(m), "--n", str(n), "--matrix"], capsys)
+            assert (code, out) == (0, expected), (m, n)
+
+
+def test_detk_matrix_memory(monkeypatch):
+    # d = 1485: all d * d entries held at once take about 36 MB
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert cli.main(["detk", "--m", "100", "--n", "31", "--matrix"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+# sha256 of stdout for outputs that must stay byte-identical
+GOLDEN_DIGESTS = {
+    ("detk", "--m", "2", "--n", "3"):
+        "ee3aa64bb94a50845d5024cd4bd20202a4567aed5cd5328c0d97e9920775fc28",
+    ("detk", "--m", "2", "--n", "3", "--matrix"):
+        "ebace3b0b3b9d6af28b61fee291fddf54172f3d3bcee636bb0af9c6e98447568",
+    ("detk", "--m", "13", "--n", "9", "--matrix"):
+        "693bdd787c3d86b7091e07839275e4679d9077d50a3ae6d4f94a60966125d1d2",
+    ("lemma", "norm-bridge"):
+        "eba8e2c70e73a01ede3a2925cace536902062e74091f595dca96cecf9cd27bb3",
+    ("lemma", "kasteleyn-det"):
+        "ad7d418337600539dc751c4b9e25fb37684712a07f53026efbeac6eaf0d238fe",
+    ("lemma", "decomposition"):
+        "0f582dc9d3bbb89e7e26831a4a99eac95455135f591a541ab364af333650d9fd",
+}
+
+
+def test_golden_digests(capsys):
+    for argv, digest in GOLDEN_DIGESTS.items():
+        code, out, _ = run_cli(list(argv), capsys)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_usage_errors(capsys):

@@ -12,7 +12,7 @@ from residue_tilings import kasteleyn
 from residue_tilings.board import rectangle
 from residue_tilings.gaussian import GaussianInt
 from residue_tilings.kasteleyn import (
-    SignedMatrix,
+    SparseMatrix,
     build_kasteleyn,
     det_exact,
     det_sign,
@@ -20,6 +20,11 @@ from residue_tilings.kasteleyn import (
 )
 from residue_tilings.residue import theorem_rhs
 from residue_tilings.tiling import SizeLimitError, signed_sum
+
+
+def _sparse(rows):
+    return SparseMatrix(tuple({r: row[c] for r, row in enumerate(rows) if row[c]}
+                              for c in range(len(rows))))
 
 
 def det_cofactor(rows):
@@ -42,36 +47,39 @@ def det_cofactor(rows):
 
 
 def test_matrix_validation():
-    m = SignedMatrix(((1, 2), (3, 4)))
+    m = _sparse(((1, 2), (3, 4)))
     assert m.dim == 2
-    assert m.entries[1][0] == 3
-    with pytest.raises(ValueError):
-        SignedMatrix(((1, 2),))
-    with pytest.raises(ValueError):
-        SignedMatrix(((1.5,),))
+    assert m.columns == ({0: 1, 1: 3}, {0: 2, 1: 4})
+    # unchecked, these reach the elimination and give 0, a KeyError, an
+    # IndexError, an AttributeError or a TypeError
+    for columns in (({-2: 2}, {0: 1}), ({-1: 3}, {0: 5}), ({0: 1}, {2: 1}),
+                    ({0: 1, -1: 1}, {0: 1, 1: 1}), ({0: 1.5},), ({0: 1.0},),
+                    ({1.0: 1}, {0: 1}), ({"0": 1},), ([1],), ({0: "1"},)):
+        with pytest.raises(ValueError):
+            det_exact(SparseMatrix(columns))
 
 
 def test_known_matrices():
-    assert build_kasteleyn(2, 3).entries == ((-1,),)
-    assert build_kasteleyn(3, 3).entries == ((-1, -1), (-1, -1))
+    assert build_kasteleyn(2, 3).columns == ({0: -1},)
+    assert build_kasteleyn(3, 3).columns == ({0: -1, 1: -1}, {0: -1, 1: -1})
     # the folded space has one basis vector per even cell
     assert build_kasteleyn(6, 5).dim == 10
     assert build_kasteleyn(1, 5).dim == 0
 
 
 def test_column_structure():
-    # each column holds the -1 neighbor stencil, so entries are 0, -1 or
-    # (after folding collisions) -2
+    # each column holds the -1 neighbor stencil, so its nonzero entries are
+    # -1 or (after folding collisions) -2
     for m, n in [(4, 3), (5, 5), (6, 7), (9, 3)]:
         matrix = build_kasteleyn(m, n)
-        for row in matrix.entries:
-            assert all(v in (0, -1, -2) for v in row)
+        for column in matrix.columns:
+            assert all(v in (-1, -2) for v in column.values())
 
 
 def test_det_known_values():
-    assert det_exact(SignedMatrix(())) == 1
-    assert det_exact(SignedMatrix(((7,),))) == 7
-    assert det_exact(SignedMatrix(((1, 2), (3, 4)))) == -2
+    assert det_exact(_sparse(())) == 1
+    assert det_exact(_sparse(((7,),))) == 7
+    assert det_exact(_sparse(((1, 2), (3, 4)))) == -2
     assert det_exact(build_kasteleyn(2, 3)) == -1
     assert det_exact(build_kasteleyn(3, 3)) == 0
 
@@ -84,7 +92,7 @@ def test_det_random_matrices_against_cofactor():
             tuple(rng.randrange(-4, 5) for _ in range(k)) for _ in range(k)
         )
         expected = det_cofactor([list(r) for r in rows])
-        assert det_exact(SignedMatrix(rows)) == expected
+        assert det_exact(_sparse(rows)) == expected
 
 
 def det_fraction(rows):
@@ -115,7 +123,7 @@ def test_det_random_matrices_against_fractions():
     for _ in range(200):
         k = rng.randrange(1, 7)
         rows = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(k)]
-        assert det_exact(SignedMatrix(tuple(tuple(r) for r in rows))) == det_fraction(rows)
+        assert det_exact(_sparse(rows)) == det_fraction(rows)
 
 
 @st.composite
@@ -138,8 +146,7 @@ def sparse_matrices(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(sparse_matrices())
 def test_det_sparse_matrices_against_fractions(rows):
-    matrix = SignedMatrix(tuple(tuple(r) for r in rows))
-    assert det_exact(matrix) == det_fraction(rows)
+    assert det_exact(_sparse(rows)) == det_fraction(rows)
 
 
 def sylvester(order):
@@ -153,7 +160,7 @@ def sylvester(order):
 def test_det_attains_the_hadamard_bound():
     for order in (8, 16, 32, 64):
         rows = sylvester(order)
-        det = det_exact(SignedMatrix(tuple(tuple(r) for r in rows)))
+        det = det_exact(_sparse(rows))
         assert abs(det) == order ** (order // 2)
         if order <= 16:
             assert det == det_fraction(rows)
@@ -164,7 +171,7 @@ def test_modulus_is_the_first_prime_above_twice_the_bound():
     # that 2**61 - 1 lifts exactly, and -2**60 would come back as 2**60 - 1
     # from a modulus that only exceeded H
     for det in (2**60 - 1, -(2**60 - 1), 2**60, -(2**60)):
-        assert det_exact(SignedMatrix(((det,),))) == det
+        assert det_exact(_sparse(((det,),))) == det
     h = 2**60 - 1
     assert kasteleyn._modulus_exponent(1, h * h) == 61
     assert kasteleyn._modulus_exponent(1, (h + 1) ** 2) == 89
@@ -201,11 +208,7 @@ def test_det_reach():
 def test_det_refuses_past_the_last_prime(monkeypatch):
     # (759, 31), d = 11370, is the last K of width 31 whose bound fits
     # under the last prime of the table
-    def trip(*args):
-        raise AssertionError("a dense matrix was built")
-
     primes = []
-    monkeypatch.setattr(kasteleyn, "build_kasteleyn", trip)
     monkeypatch.setattr(kasteleyn, "_det_mod", lambda lines, q: primes.append(q) or 1)
     signed_sum_via_det(759, 31)
     assert primes == [kasteleyn.MERSENNE_EXPONENTS[-1]]

@@ -189,13 +189,6 @@ def test_transpose_tiling():
         assert horizontal_count(u) == len(t.dominoes) - horizontal_count(t)
 
 
-def test_tiling_json():
-    t = totally_vertical_tiling(2, 2)
-    obj = t.to_json_obj()
-    assert [d["orientation"] for d in obj] == ["v", "v"]
-    assert obj[0]["cells"] == [[1, 1], [1, 2]]
-
-
 @st.composite
 def holey_boards(draw):
     """A rectangle up to 6 x 6 with up to five cells taken out."""

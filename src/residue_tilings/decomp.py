@@ -4,6 +4,13 @@ This module carries the self-contained route to the main identity: closed
 forms for L-shaped chains, closure-based board decompositions, the width
 periodicity of rectangle sums, and the half-board analysis that produces
 the signed sum without ever evaluating a Jacobi symbol.
+
+The half-board sum enters that route only squared, and its square comes
+from a determinant: a half board is simply connected, so by Kasteleyn's
+theorem every tiling T has the same unit sgn(sigma_T) * i**v(T), where
+sigma_T is T read as a matching of even cells to odd cells and v(T) counts
+vertical dominoes.  Hence S**2 = (-1)**h * det(B)**2, with B the 0/1
+biadjacency matrix and h the common parity of horizontal dominoes.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from typing import Iterable
 
 from .board import Board, LShapeSpec, _half_board, _half_board_diag, rectangle
 from .gaussian import GaussianInt, ZERO, i_power
+from .kasteleyn import SparseMatrix, _refuse_past_table, det_exact
 from .residue import _check_pair, half_residue
 from .tiling import (
     SizeLimitError,
@@ -217,6 +225,48 @@ def half_board_parity(m: int, n: int, diag: Iterable[int]) -> int:
     return int(expr) % 2
 
 
+def half_board_square(m: int, n: int, diag: Iterable[int]) -> int:
+    """Square of the signed sum of the half board with anti-diagonal cells
+    diag, as (-1)**h * det(B)**2 (see the module docstring).
+
+    B has one column per even cell (i + j even) with entry 1 at each odd
+    neighbor on the board; a board whose two colour classes differ in size
+    has no tiling.  |det B| is at most 1, and nonzero only when diag
+    satisfies the support conditions; a value that breaks either fact
+    raises InvariantError.  Raises SizeLimitError when det_exact refuses
+    B, and before the build when n alone shows that it would.
+    """
+    marks = _check_window(m, n, diag)
+    _refuse_large_half_board(n)
+    board = _half_board(m, n, marks)
+    even = [(i, j) for i, j in board if (i + j) % 2 == 0]
+    odd = {cell: row for row, cell in enumerate(
+        (i, j) for i, j in board if (i + j) % 2)}
+    if len(even) != len(odd):
+        return 0
+    det = det_exact(SparseMatrix(tuple(
+        {odd[c]: 1 for c in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+         if c in odd}
+        for i, j in even
+    )))
+    if abs(det) > 1:
+        raise InvariantError(f"half-board determinant {det} out of range")
+    if det and not _supported(m, n, marks):
+        raise InvariantError(
+            f"nonzero half-board determinant at unsupported diag {sorted(marks)}"
+        )
+    return (-1) ** half_board_parity(m, n, marks) if det else 0
+
+
+def _refuse_large_half_board(n: int) -> None:
+    """Raise SizeLimitError when every half board of height n - 1 has a B
+    that det_exact would refuse: the cells with i, j >= 2 and i + j <= n
+    lie on each window's half board with their left and lower neighbors,
+    so ((n - 3) / 2)**2 columns of B have squared norm at least 2, and no
+    column is empty."""
+    _refuse_past_table(f"the half-board determinant at n = {n}", ((n - 3) // 2) ** 2)
+
+
 def reciprocity_free_sum(m: int, n: int) -> int:
     """Signed tiling sum of the (m-1) x (n-1) rectangle computed by the
     combinatorial route alone: width periodicity reduces m into the window
@@ -232,13 +282,10 @@ def reciprocity_free_sum(m: int, n: int) -> int:
     base = n + r if (n + r) % 2 else 2 * n + r
     steps = (m - base) // n
     # Each width step of n multiplies the sum by i**((n^2 - 1)/4), which is
-    # real because (n^2 - 1)/4 is even for odd n.
-    factor = i_power((n * n - 1) // 4 * steps)
-    half = half_board_sum(base, n, admissible_diagonal(base, n))
-    value = factor * half * half
-    if not value.is_real:
-        raise InvariantError(f"reciprocity-free sum came out non-real: {value}")
-    return value.re
+    # (-1)**((n^2 - 1)/8) because (n^2 - 1)/4 is even for odd n.
+    sign = (-1) ** ((n * n - 1) // 8 * steps % 2)
+    _refuse_large_half_board(n)  # before the diagonal, which holds (n - 1)/2 marks
+    return sign * half_board_square(base, n, admissible_diagonal(base, n))
 
 
 def _check_window(m: int, n: int, diag: Iterable[int] = ()) -> frozenset[int]:

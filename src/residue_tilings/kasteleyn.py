@@ -21,6 +21,7 @@ nonzero entries, all -1, so H <= 2**d in dimension d.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -73,8 +74,16 @@ def build_kasteleyn(m: int, n: int) -> SparseMatrix:
     neighbor (i', j') has odd parity and is rewritten as -(i', n-j'), so
     every nonzero entry is -1 and each column has at most four of them.
     Neighbors that step onto the frame i' in {0, m} or j' in {0, n} vanish.
+
+    Raises SizeLimitError, before the build, when det_exact would refuse K
+    anyway.  For m, n >= 3 each column has a horizontal and a vertical
+    neighbor in range, in different rows; for m = 2 each column but that of
+    (1, 1) has two vertical ones.  So the square of the Hadamard bound is
+    at least 2**(d - 1) in dimension d.
     """
     _check_pair(m, n)
+    dim = ((m - 1) * (n - 1) + 1) // 2
+    _refuse_past_table(f"a {dim} x {dim} determinant", dim - 1)
     basis = [
         (i, j)
         for i in range(1, m)
@@ -103,23 +112,40 @@ def det_exact(matrix: SparseMatrix) -> int:
     determinant 1.
     """
     columns = matrix.columns
-    q = _modulus_exponent(len(columns), math.prod(
-        sum(v * v for v in column.values()) for column in columns
-    ))
+    dim = len(columns)
+    q = _modulus_exponent(f"a {dim} x {dim} determinant", _bound_sq(columns))
     p = (1 << q) - 1
     det = _det_mod(columns, q)
     return det - p if det > p // 2 else det
 
 
-def _modulus_exponent(dim: int, bound_sq: int) -> int:
-    """The smallest listed q with 2**q - 1 > 2H, where H * H == bound_sq."""
+def _bound_sq(columns: tuple[dict[int, int], ...]) -> int:
+    """The square of the Hadamard bound: the product of the squared column
+    norms.  Equal norms are raised to their count at once, since a product
+    taken one factor at a time costs time quadratic in the dimension."""
+    norms = Counter(sum(v * v for v in column.values()) for column in columns)
+    return math.prod(pow(v, k) for v, k in norms.items())
+
+
+def _modulus_exponent(what: str, bound_sq: int) -> int:
+    """The smallest listed q with 2**q - 1 > 2H, where H * H == bound_sq;
+    what names the matrix in the SizeLimitError."""
     for q in MERSENNE_EXPONENTS:
         if ((1 << q) - 1) ** 2 > 4 * bound_sq:
             return q
     raise SizeLimitError(
-        f"the Hadamard bound of a {dim} x {dim} determinant needs a prime "
+        f"the Hadamard bound of {what} needs a prime "
         f"above 2^{MERSENNE_EXPONENTS[-1]} - 1"
     )
+
+
+def _refuse_past_table(what: str, floor_bits: int) -> None:
+    """Raise SizeLimitError when a squared Hadamard bound of at least
+    2**floor_bits already needs a prime past the table, so that a matrix
+    det_exact would refuse is refused before it is built.  Every bound past
+    2**(2 * q) for the last q is refused alike, so the shift stops there."""
+    floor_bits = min(max(floor_bits, 0), 2 * MERSENNE_EXPONENTS[-1])
+    _modulus_exponent(what, 1 << floor_bits)
 
 
 def _det_mod(lines: tuple[dict[int, int], ...], q: int) -> int:

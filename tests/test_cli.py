@@ -88,6 +88,15 @@ def test_detk_matrix_refused_before_the_dense_rows(monkeypatch, capsys):
     assert err.startswith("detk: ")
 
 
+def test_detk_refuses_long_thin_boards_at_once(capsys):
+    # d = 999999 took 40 s and 423 MB to refuse when K was built first
+    start = time.perf_counter()
+    code, out, err = run_cli(["detk", "--m", "1000000", "--n", "3"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (cli.EXIT_LIMIT, "")
+    assert "Hadamard bound" in err
+
+
 def test_detk_matrix_streams_the_dense_rows(capsys):
     for n in range(1, 14, 2):
         for m in range(1, 21):

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from residue_tilings.decomp import (
     closure,
     closure_union,
     half_board_parity,
+    half_board_square,
     half_board_sum,
     half_board_support,
     l_signed_sum_closed,
@@ -23,7 +25,12 @@ from residue_tilings.decomp import (
 )
 from residue_tilings.gaussian import GaussianInt, ZERO, i_power
 from residue_tilings.residue import theorem_rhs
-from residue_tilings.tiling import enumerate_tilings, signed_sum, signed_sum_bruteforce
+from residue_tilings.tiling import (
+    SizeLimitError,
+    enumerate_tilings,
+    signed_sum,
+    signed_sum_bruteforce,
+)
 
 
 def test_l_closed_form_known():
@@ -170,22 +177,10 @@ def test_reciprocity_free_known():
 def test_reciprocity_free_matches_theorem():
     for n in range(1, 10, 2):
         for m in range(1, 14):
-            assert reciprocity_free_sum(m, n) == theorem_rhs(m, n)
-
-
-def test_reciprocity_free_never_calls_jacobi(monkeypatch):
-    import residue_tilings.decomp as decomp
-    import residue_tilings.residue as residue
-
-    # the combinatorial route must not lean on the symbol it reproves
-    assert "jacobi" not in vars(decomp)
-    expected = theorem_rhs(7, 5)
-
-    def trip(*args, **kwargs):
-        raise AssertionError("jacobi was called")
-
-    monkeypatch.setattr(residue, "jacobi", trip)
-    assert reciprocity_free_sum(7, 5) == expected == -1
+            value = reciprocity_free_sum(m, n)
+            # an int, also below the window: verify prints str(value)
+            assert type(value) is int
+            assert value == theorem_rhs(m, n)
 
 
 def test_half_board_invariants_raise(monkeypatch):
@@ -201,12 +196,114 @@ def test_half_board_invariants_raise(monkeypatch):
         half_board_sum(7, 5, ())
 
 
+def _window_pairs(n_max):
+    """Every coprime (m, n) with odd n < m < 3n and odd n <= n_max."""
+    return [(m, n) for n in range(3, n_max + 1, 2) for m in range(n + 2, 3 * n, 2)
+            if math.gcd(m, n) == 1]
+
+
+def test_half_board_square_matches_dp():
+    # the DP oracle takes most of the time here, about 26 s of it at n = 21
+    pairs = _window_pairs(21)
+    assert len(pairs) == 94
+    for m, n in pairs:
+        diag = admissible_diagonal(m, n)
+        half = half_board_sum(m, n, diag)
+        assert half != ZERO
+        assert half_board_square(m, n, diag) == half * half, (m, n)
+    # every diagonal, including the zeros and the boards whose colour
+    # classes differ in size
+    for m, n in [(5, 3), (7, 3), (7, 5), (9, 5), (9, 7), (11, 7)]:
+        for diag in _subsets(n):
+            half = half_board_sum(m, n, diag)
+            assert half_board_square(m, n, diag) == half * half, (m, n, diag)
+
+
+def test_reciprocity_free_matches_theorem_on_windows():
+    start = time.perf_counter()
+    pairs = _window_pairs(31)
+    for m, n in pairs:
+        assert reciprocity_free_sum(m, n) == theorem_rhs(m, n), (m, n)
+    assert len(pairs) == 212
+    assert time.perf_counter() - start < 3
+
+
+def test_reciprocity_free_reach():
+    # (301, 101) is the largest window board of n = 101: B has d = 7500
+    start = time.perf_counter()
+    assert reciprocity_free_sum(301, 101) == theorem_rhs(301, 101)
+    assert time.perf_counter() - start < 5
+    # at (391, 131), d = 12675, the bound needs a prime past the table
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="Hadamard bound"):
+        reciprocity_free_sum(391, 131)
+    assert time.perf_counter() - start < 1
+
+
+def test_half_board_refused_before_the_build(monkeypatch):
+    import residue_tilings.decomp as decomp
+    from residue_tilings import kasteleyn
+
+    # the floor taken from n alone is a lower bound on B's squared
+    # Hadamard bound
+    seen, floors = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(decomp, "det_exact", lambda matrix: seen.append(matrix) or 0)
+        patch.setattr(decomp, "_refuse_past_table", lambda what, bits: floors.append(bits))
+        for m, n in _window_pairs(31):
+            half_board_square(m, n, admissible_diagonal(m, n))
+            columns = seen[-1].columns
+            assert all(columns)
+            assert kasteleyn._bound_sq(columns) >= 1 << floors[-1], (m, n)
+    # from n = 303 on it already needs a prime past the table, so neither
+    # the (n - 1)/2 marks of the diagonal nor the board get built
+    def trip(*args, **kwargs):
+        raise AssertionError("built past the size limit")
+
+    monkeypatch.setattr(decomp, "admissible_diagonal", trip)
+    monkeypatch.setattr(decomp, "_half_board", trip)
+    for refuse in (lambda: reciprocity_free_sum(907, 303),
+                   lambda: half_board_square(907, 303, ())):
+        with pytest.raises(SizeLimitError, match="half-board determinant at n = 303"):
+            refuse()
+
+
+def test_reciprocity_free_stays_independent(monkeypatch):
+    import residue_tilings.decomp as decomp
+    import residue_tilings.kasteleyn as kasteleyn
+    import residue_tilings.residue as residue
+    import residue_tilings.tiling as tiling
+
+    # the route shares only det_exact with the det route, and reproves
+    # the symbol rather than evaluating it
+    for name in ("jacobi", "build_kasteleyn", "det_sign"):
+        assert name not in vars(decomp)
+    pairs = [(m, n) for n in range(1, 16, 2) for m in range(1, 3 * n + 4)]
+    expected = {pair: theorem_rhs(*pair) for pair in pairs}
+    assert expected[7, 5] == -1
+
+    def trip(*args, **kwargs):
+        raise AssertionError("the reciprocity-free route left its own path")
+
+    for module, name in ((residue, "jacobi"), (tiling, "signed_sum"),
+                         (decomp, "signed_sum"), (kasteleyn, "build_kasteleyn"),
+                         (kasteleyn, "det_sign")):
+        monkeypatch.setattr(module, name, trip)
+    assert {pair: reciprocity_free_sum(*pair) for pair in pairs} == expected
+
+
 def test_reciprocity_free_invariant_raises(monkeypatch):
     import residue_tilings.decomp as decomp
 
-    monkeypatch.setattr(decomp, "half_board_sum", lambda m, n, diag: GaussianInt(1, 1))
-    with pytest.raises(InvariantError, match="non-real"):
+    monkeypatch.setattr(decomp, "det_exact", lambda matrix: 2)
+    with pytest.raises(InvariantError, match="out of range"):
         reciprocity_free_sum(7, 5)
+    # a unit determinant is in range, but not at a diagonal outside the
+    # support; (1, 3) leaves both colour classes the same size
+    monkeypatch.setattr(decomp, "det_exact", lambda matrix: 1)
+    assert not half_board_support(7, 5, (1, 3))
+    with pytest.raises(InvariantError, match="unsupported"):
+        half_board_square(7, 5, (1, 3))
 
 
 def test_invariant_checks_survive_optimize_flag(src_env):
@@ -214,11 +311,14 @@ def test_invariant_checks_survive_optimize_flag(src_env):
         "import residue_tilings.decomp as d\n"
         "from residue_tilings.gaussian import GaussianInt\n"
         "d.signed_sum = lambda board: GaussianInt(2)\n"
-        "try:\n"
-        "    d.half_board_sum(7, 5, d.admissible_diagonal(7, 5))\n"
-        "except d.InvariantError:\n"
-        "    print('raised')\n"
+        "d.det_exact = lambda matrix: 2\n"
+        "for check in (lambda: d.half_board_sum(7, 5, d.admissible_diagonal(7, 5)),\n"
+        "              lambda: d.reciprocity_free_sum(7, 5)):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except d.InvariantError:\n"
+        "        print('raised')\n"
     )
     result = subprocess.run([sys.executable, "-O", "-c", script],
                             capture_output=True, text=True, env=src_env)
-    assert result.stdout == "raised\n", result.stderr
+    assert result.stdout == "raised\nraised\n", result.stderr

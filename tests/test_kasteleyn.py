@@ -1,5 +1,6 @@
 """Folded adjacency matrices and the exact determinant."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -173,13 +174,14 @@ def test_modulus_is_the_first_prime_above_twice_the_bound():
     for det in (2**60 - 1, -(2**60 - 1), 2**60, -(2**60)):
         assert det_exact(_sparse(((det,),))) == det
     h = 2**60 - 1
-    assert kasteleyn._modulus_exponent(1, h * h) == 61
-    assert kasteleyn._modulus_exponent(1, (h + 1) ** 2) == 89
+    what = "a 1 x 1 determinant"
+    assert kasteleyn._modulus_exponent(what, h * h) == 61
+    assert kasteleyn._modulus_exponent(what, (h + 1) ** 2) == 89
     last = kasteleyn.MERSENNE_EXPONENTS[-1]
     h = ((1 << last) - 1) // 2
-    assert kasteleyn._modulus_exponent(1, h * h) == last
+    assert kasteleyn._modulus_exponent(what, h * h) == last
     with pytest.raises(SizeLimitError):
-        kasteleyn._modulus_exponent(1, (h + 1) ** 2)
+        kasteleyn._modulus_exponent(what, (h + 1) ** 2)
 
 
 def test_signed_sum_via_det_matches_dp():
@@ -217,3 +219,44 @@ def test_det_refuses_past_the_last_prime(monkeypatch):
         signed_sum_via_det(760, 31)
     assert time.perf_counter() - start < 1
     assert len(primes) == 1  # no elimination started
+
+
+def test_grouped_bound_is_the_product_of_the_norms(monkeypatch):
+    floors = []
+    monkeypatch.setattr(kasteleyn, "_refuse_past_table",
+                        lambda what, bits: floors.append(bits))
+    rng = random.Random(5)
+    for _ in range(200):
+        dim = rng.randrange(0, 9)
+        columns = tuple({r: rng.choice((-2, -1, 1, 3)) for r in range(dim)
+                         if rng.random() < 0.4} for _ in range(dim))
+        norms = [sum(v * v for v in column.values()) for column in columns]
+        assert kasteleyn._bound_sq(columns) == math.prod(norms)
+    for n in range(1, 10, 2):
+        for m in range(1, 15):
+            columns = build_kasteleyn(m, n).columns
+            norms = [sum(v * v for v in column.values()) for column in columns]
+            assert kasteleyn._bound_sq(columns) == math.prod(norms)
+            # the floor build_kasteleyn checks before the build
+            assert kasteleyn._bound_sq(columns) >= 1 << max(floors[-1], 0), (m, n)
+
+
+def test_long_thin_boards_refused_before_the_build(monkeypatch):
+    # (14149, 3) is the widest 2 x N board whose K (d = 14148) is admitted,
+    # and (377, 61) one of the largest others; the check from (m, n) alone
+    # must not refuse either
+    primes = []
+    monkeypatch.setattr(kasteleyn, "_det_mod", lambda lines, q: primes.append(q) or 1)
+    signed_sum_via_det(14149, 3)
+    signed_sum_via_det(377, 61)
+    assert primes == [kasteleyn.MERSENNE_EXPONENTS[-1]] * 2
+    with pytest.raises(SizeLimitError):
+        signed_sum_via_det(14150, 3)
+    # d = 999999: refused without building a column; at d near 5e17 the
+    # lower bound itself must not be built as an integer
+    start = time.perf_counter()
+    for m, n in ((1000000, 3), (10**9, 10**9 + 1)):
+        with pytest.raises(SizeLimitError, match="Hadamard bound"):
+            build_kasteleyn(m, n)
+    assert time.perf_counter() - start < 0.1
+    assert len(primes) == 2

@@ -114,7 +114,11 @@ def _cos_sq_product(a: int, b: int, sign: float) -> float:
 
 def round_signed(value: complex, tol: float = 1e-6) -> int:
     """Round a floating value to the nearest integer, requiring both the
-    imaginary part and the rounding residual to be within tol."""
+    imaginary part and the rounding residual to be within tol.  Raises
+    ValueError unless 0 <= tol < 1/2: a NaN tol would pass every value, and
+    at 1/2 or more every real value passes."""
+    if not 0 <= tol < 0.5:
+        raise ValueError(f"tol must satisfy 0 <= tol < 1/2, got {tol!r}")
     z = complex(value)
     nearest = round(z.real)
     real_residual = abs(z.real - nearest)

@@ -7,7 +7,10 @@ broken-profile dynamic program that sweeps the board one cell at a time.
 The DP is one kernel whose only parameter is the weight of a horizontal
 domino: i for the signed sum, 1 for the tiling count and -1 for the
 parity balance sum of (-1)**h(D), from which the number of tilings with
-odd h follows without enumerating them.
+odd h follows without enumerating them.  A board that is its own mirror
+image about the middle column of the sweep, such as any rectangle, is
+swept only up to that column: the right half, mirrored, is the left half,
+so the sum is assembled from the profiles of one half sweep.
 """
 
 from __future__ import annotations
@@ -101,9 +104,13 @@ def horizontal_count(tiling: Tiling) -> int:
 
 
 def _check_cell_limit(board: Board, limit: int | None) -> None:
-    """Refuse a board above limit, by default RESIDUE_TILINGS_LIMIT or 36."""
+    """Refuse a board above limit, by default RESIDUE_TILINGS_LIMIT or 36;
+    a value of that variable that is not a positive int raises ValueError."""
     if limit is None:
-        limit = int(os.environ.get(ENV_CELL_LIMIT) or DEFAULT_CELL_LIMIT)
+        raw = os.environ.get(ENV_CELL_LIMIT) or str(DEFAULT_CELL_LIMIT)
+        if not (raw.isdecimal() and int(raw) > 0):
+            raise ValueError(f"{ENV_CELL_LIMIT} must be a positive int, got {raw!r}")
+        limit = int(raw)
     if len(board) > limit:
         raise SizeLimitError(
             f"board has {len(board)} cells, enumeration limit is {limit}"
@@ -193,6 +200,17 @@ def _profile_sum(board, weight):
     a bounding box taller than wide the board is transposed and the weight
     moves to vertical placements.  A sweep whose live states outgrow
     MAX_STATES raises SizeLimitError, since time grows with the states.
+
+    Fold: when the cell set equals its mirror image about the middle column
+    of the sweep, the sweep stops after ceil(w/2) of its w columns.  Cut
+    between columns k and k + 1 and let p be the rows a domino crosses the
+    cut in; the right part, mirrored, is a left sweep of w - k columns that
+    ends with the same p.  So the sum is sum_p L_k[p] * L_(w-k)[p] *
+    weight**-|p|, with L_c the states after c columns, k = floor(w/2), and
+    both snapshots from the one sweep (the same dict for even w).  Each side
+    already counts the crossing dominoes, hence weight**-|p|, which is 1
+    when they carry no weight (weight 1, or a transposed board).  The
+    parity bits and that factor combine into weight**(e mod 2) and a sign.
     """
     cells = board.cells
     if not cells:
@@ -204,7 +222,7 @@ def _profile_sum(board, weight):
     transposed = height > width
     if transposed:
         cells = sorted((j, i) for i, j in cells)
-        min_j, height = min_i, width
+        min_i, max_i, min_j, height = min_j, max_j, min_i, width
 
     odd_bit = 1 << height
     flip = 0 if weight == 1 else odd_bit
@@ -212,8 +230,15 @@ def _profile_sum(board, weight):
     h_flip, h_negate = (0, 0) if transposed else (flip, negate)
     v_flip, v_negate = (flip, negate) if transposed else (0, 0)
     present = set(cells)
+    mirror = min_i + max_i
+    folded = all((mirror - i, j) in present for i, j in cells)
+    if folded:
+        cells = [cell for cell in cells if 2 * cell[0] <= mirror]
+    left = None
     states = {0: 1}
     for i, j in cells:
+        if folded and left is None and 2 * i == mirror:
+            left = states
         bit = 1 << (j - min_j)
         right = (i + 1, j) in present
         up = bit << 1 if (i, j + 1) in present else 0
@@ -237,7 +262,21 @@ def _profile_sum(board, weight):
                 f"{len(new_states)} profile states exceed limit {MAX_STATES}"
             )
         states = new_states
-    return states.get(0, 0), states.get(odd_bit, 0)
+    if not folded:
+        return states.get(0, 0), states.get(odd_bit, 0)
+    if left is None:  # even width, or no middle cell: one cut ends both halves
+        left = states
+    sums = [0, 0]
+    for key, a in left.items():
+        p = key & (odd_bit - 1)
+        for other in (p, p | flip) if flip else (p,):
+            c = states.get(other)
+            if a and c:
+                # weight**e for the two parity bits and the crossing
+                # dominoes counted on both sides, as weight**(e % 2) and a sign
+                e = (key != p) + (other != p) - (p.bit_count() if h_flip else 0)
+                sums[e % 2] += -a * c if negate and e % 4 > 1 else a * c
+    return sums[0], sums[1]
 
 
 def _flip(tiling: Tiling, cover: dict[Cell, Domino], corner: Cell) -> Tiling | None:

@@ -219,6 +219,18 @@ def test_verify_spectral_failure(monkeypatch, capsys):
     assert not any("limit" in c for c in cases)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_refuses_a_tolerance_outside_the_gate(tol, capsys):
+    # --tol nan used to turn the spectral gate off and exit 0, and --tol -1
+    # reported every case as a verification failure
+    code, out, err = run_cli(
+        ["verify", "--m-max", "6", "--n-max", "5", "--methods", "spectral",
+         "--tol", tol], capsys
+    )
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert "0 <= tol < 1/2" in err
+
+
 def test_table_golden_csv(capsys):
     code, out, _ = run_cli(["table", "--m-max", "4", "--n-max", "3"], capsys)
     assert code == 0
@@ -308,6 +320,13 @@ def test_lemma_env_limit(monkeypatch, capsys):
     code, _, err = run_cli(["lemma", "decomposition"], capsys)
     assert code == 2
     assert "limit" in err
+
+
+def test_lemma_env_limit_not_an_int(monkeypatch, capsys):
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "abc")
+    code, out, err = run_cli(["lemma", "decomposition"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "lemma: RESIDUE_TILINGS_LIMIT must be a positive int, got 'abc'\n"
 
 
 def test_console_script_end_to_end(src_env):

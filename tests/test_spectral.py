@@ -75,12 +75,22 @@ def test_round_signed():
     assert round_signed(1.0000001, 1e-3) == 1
     assert round_signed(-0.9999999 + 1e-9j, 1e-3) == -1
     assert round_signed(2.0) == 2
+    assert round_signed(3.0, 0.0) == 3
+    assert round_signed(1.25, 0.4999) == 1
     with pytest.raises(ToleranceError) as info:
         round_signed(0.4)
     assert info.value.real_residual == pytest.approx(0.4)
     with pytest.raises(ToleranceError) as info:
         round_signed(1 + 0.5j)
     assert info.value.imag_residual == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, 0.5, 1.0, float("inf")])
+def test_round_signed_refuses_a_tolerance_outside_the_gate(tol):
+    # NaN compares false, so it would pass every value; 1/2 passes every real
+    with pytest.raises(ValueError, match="0 <= tol < 1/2") as info:
+        round_signed(0.5 + 0j, tol)
+    assert not isinstance(info.value, ToleranceError)
 
 
 def test_ktf_known_counts():

@@ -78,6 +78,14 @@ def test_enumeration_limit(monkeypatch):
         enumerate_tilings(rectangle(2, 2))
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", "4e1"])
+def test_enumeration_limit_must_be_a_positive_int(monkeypatch, value):
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", value)
+    message = f"RESIDUE_TILINGS_LIMIT must be a positive int, got '{value}'"
+    with pytest.raises(ValueError, match=message):
+        enumerate_tilings(rectangle(2, 2))
+
+
 def test_count_matches_enumeration():
     for w in range(0, 7):
         for h in range(0, 5):
@@ -199,9 +207,7 @@ def holey_boards(draw):
     return rectangle(width, height) - Board(holes)
 
 
-@settings(max_examples=100, deadline=None)
-@given(holey_boards())
-def test_profile_kernel_matches_enumeration(board):
+def assert_kernel_matches_enumeration(board):
     # the board and its transpose, so the weight is checked both on
     # horizontal placements and, on the taller box, on vertical ones
     for b in (board, transpose(board)):
@@ -212,6 +218,65 @@ def test_profile_kernel_matches_enumeration(board):
         for h in hs:
             expected = expected + i_power(h)
         assert signed_sum(b) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(holey_boards())
+def test_profile_kernel_matches_enumeration(board):
+    assert_kernel_matches_enumeration(board)
+
+
+@st.composite
+def mirror_boards(draw):
+    """A rectangle up to 7 x 5, at least as wide as tall, with holes
+    mirrored about its middle column: a board the profile sweep folds."""
+    width = draw(st.integers(1, 7))
+    height = draw(st.integers(1, min(width, 5)))
+    cell = st.tuples(st.integers(1, width), st.integers(1, height))
+    holes = draw(st.sets(cell, max_size=4))
+    holes |= {(width + 1 - i, j) for i, j in holes}
+    return rectangle(width, height) - Board(holes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mirror_boards())
+def test_folded_sweep_matches_enumeration(board):
+    # the transpose of a wide board is folded too, with the weight moved
+    # to vertical placements
+    assert_kernel_matches_enumeration(board)
+
+
+def h_distribution(width, height):
+    """{h: number of tilings with h horizontals} of the width x height
+    rectangle, from a plain profile sweep over every column."""
+    states = {0: {0: 1}}
+    for i in range(width):
+        for j in range(height):
+            bit, new = 1 << j, {}
+            for mask, hs in states.items():
+                if mask & bit:
+                    moves = [(mask ^ bit, 0)]
+                else:
+                    moves = [(mask | bit, 1)] if i + 1 < width else []
+                    if j + 1 < height and not mask & bit << 1:
+                        moves.append((mask | bit << 1, 0))
+                for key, dh in moves:
+                    target = new.setdefault(key, {})
+                    for h, c in hs.items():
+                        target[h + dh] = target.get(h + dh, 0) + c
+            states = new
+    return states.get(0, {})
+
+
+def test_folded_sweep_matches_unfolded_reference():
+    for width in range(11):
+        for height in range(9):
+            board = rectangle(width, height)
+            dist = h_distribution(width, height)
+            assert count_tilings(board) == sum(dist.values())
+            assert parity_balance(board) == sum((-1) ** h * c for h, c in dist.items())
+            signed = sum((i_power(h) * c for h, c in dist.items()), GaussianInt(0))
+            assert signed_sum(board) == signed, (width, height)
 
 
 def test_parity_balance_known():

@@ -23,7 +23,7 @@ from .tiling import (
     horizontal_count,
     is_totally_vertical,
     normalize_to_vertical,
-    parity_balance,
+    parity_counts,
     signed_sum,
     signed_sum_bruteforce,
     totally_vertical_tiling,
@@ -33,7 +33,6 @@ from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
 from .residue import (
     gauss_sign,
     gauss_sign_even_half,
-    half_residue,
     jacobi,
     theorem_rhs,
 )

@@ -51,14 +51,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _lemma_keywords() -> dict[str, type]:
-    """Every keyword of a lemma runner, with the type its flag parses as:
-    float when the runner's default is a float, int otherwise."""
-    keywords = {}
-    for runner in LEMMAS.values():
-        for name, param in inspect.signature(runner).parameters.items():
-            keywords[name] = float if isinstance(param.default, float) else int
-    return keywords
+def _lemma_keywords() -> list[str]:
+    """Every keyword of a lemma runner, in order of first use; each takes
+    an int, and so does its flag."""
+    return list(dict.fromkeys(
+        name
+        for runner in LEMMAS.values()
+        for name in inspect.signature(runner).parameters
+    ))
 
 
 def _lemma_flag(keyword: str) -> str:
@@ -103,8 +103,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("lemma", help="run a named property suite")
     p.add_argument("name")
-    for keyword, kind in _lemma_keywords().items():
-        p.add_argument(_lemma_flag(keyword), dest=keyword, type=kind, default=None)
+    for keyword in _lemma_keywords():
+        p.add_argument(_lemma_flag(keyword), dest=keyword, type=int, default=None)
 
     return parser
 

@@ -23,7 +23,7 @@ from typing import Iterable
 from .board import Board, LShapeSpec, _half_board, _half_board_diag, rectangle
 from .gaussian import GaussianInt, ZERO, i_power
 from .kasteleyn import SparseMatrix, _refuse_past_table, det_exact
-from .residue import _check_pair, half_residue
+from .residue import _check_pair
 from .tiling import (
     SizeLimitError,
     Tiling,
@@ -159,7 +159,7 @@ def admissible_diagonal(m: int, n: int) -> frozenset[int]:
     _check_window(m, n)
     if math.gcd(m, n) != 1:
         raise ValueError("m and n must be coprime")
-    step = half_residue(m, n, 2)
+    step = _window_residue(m, n)
     return frozenset(k * step % n for k in range(1, (n - 1) // 2 + 1))
 
 
@@ -171,8 +171,7 @@ def half_board_support(m: int, n: int, diag: Iterable[int]) -> bool:
 
 def _supported(m: int, n: int, marks: frozenset[int]) -> bool:
     """half_board_support for a diagonal set that _check_window has checked."""
-    # With n < m < 3n the residue m/2 mod n is exactly (m - n)/2.
-    t = (m - n) // 2
+    t = _window_residue(m, n)
     if t not in marks:
         return False
     for i in range(1, n):
@@ -281,11 +280,18 @@ def reciprocity_free_sum(m: int, n: int) -> int:
     r = m % n
     base = n + r if (n + r) % 2 else 2 * n + r
     steps = (m - base) // n
-    # Each width step of n multiplies the sum by i**((n^2 - 1)/4), which is
-    # (-1)**((n^2 - 1)/8) because (n^2 - 1)/4 is even for odd n.
-    sign = (-1) ** ((n * n - 1) // 8 * steps % 2)
+    # Each width step of n multiplies the sum by periodicity_factor(n - 1),
+    # which is real for odd n; steps is negative below the window, so only
+    # its parity enters, keeping the sign an int.
+    sign = periodicity_factor(n - 1).re ** (steps % 2)
     _refuse_large_half_board(n)  # before the diagonal, which holds (n - 1)/2 marks
     return sign * half_board_square(base, n, admissible_diagonal(base, n))
+
+
+def _window_residue(m: int, n: int) -> int:
+    """The residue m/2 mod n, which for odd m in the window n < m < 3n is
+    exactly (m - n)/2."""
+    return (m - n) // 2
 
 
 def _check_window(m: int, n: int, diag: Iterable[int] = ()) -> frozenset[int]:

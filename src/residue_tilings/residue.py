@@ -48,19 +48,6 @@ def theorem_rhs(m: int, n: int) -> int:
     return jacobi(m if m % 2 else m // 2, n)
 
 
-def half_residue(m: int, n: int, d: int) -> int:
-    """m * d^(-1) mod n for d in {2, 4}; the residue written m/d below.
-
-    Both m and n must be odd and coprime, so the inverse always exists.
-    """
-    _check_coprime_pair(m, n)
-    if m % 2 == 0:
-        raise ValueError("m must be odd")
-    if d not in (2, 4):
-        raise ValueError("d must be 2 or 4")
-    return m * pow(d, -1, n) % n
-
-
 def _check_odd_modulus(n: int) -> None:
     if not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise ValueError("modulus must be an odd positive int")

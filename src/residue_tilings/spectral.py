@@ -7,6 +7,7 @@ exact integer quantities via round_signed at an explicit tolerance.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from .kasteleyn import det_sign
 from .residue import _check_pair
@@ -38,20 +39,14 @@ def norm_product(m: int, n: int) -> complex:
     (-1)**((m-1)(n-1)/2) * prod_a sin(pi n a/2m) / sin(pi a/2m).  If math.sin
     is within 1 ulp, each factor is within a few ulps (_sin_pi), so the
     relative error is at most a few times m ulps.  The running product is
-    rescaled by powers of two into [RENORM_FLOOR, RENORM_GUARD].
+    rescaled by _scaled_product.
     """
     _check_pair(m, n)
     if math.gcd(m, n) > 1:
         return 0j  # the factor of row a = 2m/gcd(m, n) is sin(pi n/gcd) = 0
-    acc = -1.0 if (m - 1) * (n - 1) // 2 % 2 else 1.0
-    shift = 0
-    for a in range(1, m):
-        acc *= _sin_pi(n * a, 2 * m) / _sin_pi(a, 2 * m)
-        if not RENORM_FLOOR <= abs(acc) <= RENORM_GUARD:
-            exp = math.frexp(acc)[1]
-            acc /= 2.0**exp
-            shift += exp
-    return complex(math.ldexp(acc, shift))
+    sign = -1.0 if (m - 1) * (n - 1) // 2 % 2 else 1.0
+    factors = (_sin_pi(n * a, 2 * m) / _sin_pi(a, 2 * m) for a in range(1, m))
+    return complex(sign * _scaled_product(factors, 0))
 
 
 def _sin_pi(r: int, q: int) -> float:
@@ -92,23 +87,25 @@ def eisenstein_product(p: int, q: int) -> float:
 
 def _cos_sq_product(a: int, b: int, sign: float) -> float:
     """4^((a-1)/2 * (b-1)/2) times the product over j in 1..(a-1)/2 and k
-    in 1..(b-1)/2 of cos^2(2 pi j / a) + sign * cos^2(2 pi k / b).
-
-    The running product is rescaled by powers of two, as in norm_product,
-    so neither it nor the power of 4 overflows or underflows on the way;
-    only a result beyond the float range raises OverflowError.
-    """
+    in 1..(b-1)/2 of cos^2(2 pi j / a) + sign * cos^2(2 pi k / b)."""
     rows = [math.cos(2 * math.pi * j / a) ** 2 for j in range(1, (a - 1) // 2 + 1)]
     cols = [sign * math.cos(2 * math.pi * k / b) ** 2 for k in range(1, (b - 1) // 2 + 1)]
+    factors = (row + col for row in rows for col in cols)
+    return _scaled_product(factors, 2 * len(rows) * len(cols))
+
+
+def _scaled_product(factors: Iterable[float], shift: int) -> float:
+    """The product of factors times 2**shift.  The running product is
+    rescaled by powers of two into [RENORM_FLOOR, RENORM_GUARD], so neither
+    it nor the power of two overflows or underflows on the way; only a
+    result beyond the float range raises OverflowError."""
     acc = 1.0
-    shift = 2 * len(rows) * len(cols)
-    for row in rows:
-        for col in cols:
-            acc *= row + col
-            if not RENORM_FLOOR <= abs(acc) <= RENORM_GUARD:
-                exp = math.frexp(acc)[1]
-                acc /= 2.0**exp
-                shift += exp
+    for factor in factors:
+        acc *= factor
+        if not RENORM_FLOOR <= abs(acc) <= RENORM_GUARD:
+            exp = math.frexp(acc)[1]
+            acc /= 2.0**exp
+            shift += exp
     return math.ldexp(acc, shift)
 
 

@@ -6,11 +6,11 @@ a backtracking enumerator (the oracle, limited to small boards) and a
 broken-profile dynamic program that sweeps the board one cell at a time.
 The DP is one kernel whose only parameter is the weight of a horizontal
 domino: i for the signed sum, 1 for the tiling count and -1 for the
-parity balance sum of (-1)**h(D), from which the number of tilings with
-odd h follows without enumerating them.  A board that is its own mirror
-image about the middle column of the sweep, such as any rectangle, is
-swept only up to that column: the right half, mirrored, is the left half,
-so the sum is assembled from the profiles of one half sweep.
+counts of tilings with h even and odd, found without enumerating them.
+A board that is its own mirror image about the middle column of the
+sweep, such as any rectangle, is swept only up to that column: the right
+half, mirrored, is the left half, so the sum is assembled from the
+profiles of one half sweep.
 """
 
 from __future__ import annotations
@@ -105,12 +105,14 @@ def horizontal_count(tiling: Tiling) -> int:
 
 def _check_cell_limit(board: Board, limit: int | None) -> None:
     """Refuse a board above limit, by default RESIDUE_TILINGS_LIMIT or 36;
-    a value of that variable that is not a positive int raises ValueError."""
+    a limit from either source that is not a positive int raises ValueError."""
+    source, raw = "enumeration limit", limit
     if limit is None:
+        source = ENV_CELL_LIMIT
         raw = os.environ.get(ENV_CELL_LIMIT) or str(DEFAULT_CELL_LIMIT)
-        if not (raw.isdecimal() and int(raw) > 0):
-            raise ValueError(f"{ENV_CELL_LIMIT} must be a positive int, got {raw!r}")
-        limit = int(raw)
+        limit = int(raw) if raw.isdecimal() else None
+    if not (isinstance(limit, int) and limit > 0):
+        raise ValueError(f"{source} must be a positive int, got {raw!r}")
     if len(board) > limit:
         raise SizeLimitError(
             f"board has {len(board)} cells, enumeration limit is {limit}"
@@ -180,11 +182,9 @@ def count_tilings(board: Board) -> int:
     return _profile_sum(board, 1)[0]
 
 
-def parity_balance(board: Board) -> int:
-    """Sum of (-1)**h(D) over all tilings D of board: the number of
-    tilings with h even minus the number with h odd."""
-    even, odd = _profile_sum(board, -1)
-    return even - odd
+def parity_counts(board: Board) -> tuple[int, int]:
+    """Numbers of tilings D of board with h(D) even and with h(D) odd."""
+    return _profile_sum(board, -1)
 
 
 def _profile_sum(board, weight):

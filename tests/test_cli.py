@@ -329,6 +329,23 @@ def test_lemma_env_limit_not_an_int(monkeypatch, capsys):
     assert err == "lemma: RESIDUE_TILINGS_LIMIT must be a positive int, got 'abc'\n"
 
 
+@pytest.mark.parametrize("limit", ["-1", "0"])
+def test_lemma_limit_not_positive(limit, capsys):
+    # --limit -1 used to be reported as a resource limit, with exit 2
+    code, out, err = run_cli(["lemma", "parity", "--limit", limit], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"lemma: enumeration limit must be a positive int, got {limit}\n"
+
+
+@pytest.mark.parametrize("argv", [["ktf", "--rel-tol", "1e9"], ["norm-bridge", "--tol", "0.4"]],
+                         ids=["ktf", "norm-bridge"])
+def test_lemma_float_gates_take_no_flag(argv, capsys):
+    # --rel-tol 1e9 used to let every ktf case pass
+    code, out, err = run_cli(["lemma", *argv], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
 def test_console_script_end_to_end(src_env):
     result = subprocess.run(
         [sys.executable, "-c",

@@ -124,6 +124,10 @@ def test_admissible_diagonal_known():
     assert admissible_diagonal(7, 5) == frozenset({1, 2})
     assert admissible_diagonal(9, 7) == frozenset({1, 2, 3})
     assert admissible_diagonal(13, 9) == frozenset({2, 4, 6, 8})
+    # the multiples of m/2 mod n, with 1/2 the inverse of 2 mod n
+    for m, n in _window_pairs(31):
+        step = m * pow(2, -1, n) % n
+        assert admissible_diagonal(m, n) == {k * step % n for k in range(1, (n + 1) // 2)}
 
 
 def test_admissible_diagonal_window():

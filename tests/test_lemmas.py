@@ -5,6 +5,7 @@ import pytest
 from residue_tilings.board import half_board
 from residue_tilings.lemmas import (
     LEMMAS,
+    _window_pairs,
     decomposition_corpus,
     run_eisenstein,
     run_gauss,
@@ -59,6 +60,26 @@ def test_parity_sweeps_keep_their_cell_limits(monkeypatch):
     monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "10")
     with pytest.raises(SizeLimitError):
         run_h_even()
+
+
+def test_parity_sweeps_make_one_profile_sweep_per_board(monkeypatch):
+    import residue_tilings.tiling as tiling
+
+    weights = []
+    sweep = tiling._profile_sum
+
+    def counted(board, weight):
+        weights.append(weight)
+        return sweep(board, weight)
+
+    monkeypatch.setattr(tiling, "_profile_sum", counted)
+    report = run_h_even()
+    assert (len(weights), set(weights)) == (report["total"], {-1})
+    weights.clear()
+    # one board per window pair and subset of 1..n-1, tilable or not
+    boards = sum(2 ** (n - 1) for _, n in _window_pairs(9))
+    assert run_parity()["pass"]
+    assert (len(weights), set(weights)) == (boards, {-1})
 
 
 def test_parity_tiling_counts_match_enumeration():

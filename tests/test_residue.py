@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from residue_tilings.residue import (
     gauss_sign,
     gauss_sign_even_half,
-    half_residue,
     jacobi,
     theorem_rhs,
 )
@@ -97,22 +96,3 @@ def test_theorem_rhs():
     assert theorem_rhs(4, 3) == jacobi(2, 3) == -1
     assert theorem_rhs(1, 1) == 1
     assert theorem_rhs(6, 9) == 0
-
-
-def test_half_residue():
-    assert half_residue(5, 3, 2) == 1
-    assert half_residue(5, 3, 4) == 2
-    for n in range(3, 20, 2):
-        for m in range(1, 40):
-            if math.gcd(m, n) == 1 and m % 2:
-                for d in (2, 4):
-                    assert half_residue(m, n, d) * d % n == m % n
-
-
-def test_half_residue_validation():
-    with pytest.raises(ValueError):
-        half_residue(4, 3, 2)
-    with pytest.raises(ValueError):
-        half_residue(5, 3, 3)
-    with pytest.raises(ValueError):
-        half_residue(3, 9, 2)

@@ -1,6 +1,7 @@
 """Tiling enumeration, the profile DP, and flip moves."""
 
 import math
+import re
 import time
 
 import pytest
@@ -21,7 +22,7 @@ from residue_tilings.tiling import (
     horizontal_count,
     is_totally_vertical,
     normalize_to_vertical,
-    parity_balance,
+    parity_counts,
     signed_sum,
     signed_sum_bruteforce,
     totally_vertical_tiling,
@@ -78,12 +79,19 @@ def test_enumeration_limit(monkeypatch):
         enumerate_tilings(rectangle(2, 2))
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", "4e1"])
+@pytest.mark.parametrize("value", [
+    "abc", "0", "-3", "1.5", "4e1",
+    pytest.param(-1, id="limit=-1"), pytest.param(0, id="limit=0"),
+])
 def test_enumeration_limit_must_be_a_positive_int(monkeypatch, value):
-    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", value)
-    message = f"RESIDUE_TILINGS_LIMIT must be a positive int, got '{value}'"
-    with pytest.raises(ValueError, match=message):
-        enumerate_tilings(rectangle(2, 2))
+    # a str is set as RESIDUE_TILINGS_LIMIT, an int is passed as the limit
+    limit, source = value, "enumeration limit"
+    if isinstance(value, str):
+        monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", value)
+        limit, source = None, "RESIDUE_TILINGS_LIMIT"
+    message = f"{source} must be a positive int, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        enumerate_tilings(rectangle(2, 2), limit)
 
 
 def test_count_matches_enumeration():
@@ -213,7 +221,8 @@ def assert_kernel_matches_enumeration(board):
     for b in (board, transpose(board)):
         hs = [horizontal_count(t) for t in enumerate_tilings(b, limit=64)]
         assert count_tilings(b) == len(hs)
-        assert parity_balance(b) == sum((-1) ** h for h in hs)
+        odd = sum(h % 2 for h in hs)
+        assert parity_counts(b) == (len(hs) - odd, odd)
         expected = GaussianInt(0)
         for h in hs:
             expected = expected + i_power(h)
@@ -274,15 +283,18 @@ def test_folded_sweep_matches_unfolded_reference():
             board = rectangle(width, height)
             dist = h_distribution(width, height)
             assert count_tilings(board) == sum(dist.values())
-            assert parity_balance(board) == sum((-1) ** h * c for h, c in dist.items())
+            odd = sum(c for h, c in dist.items() if h % 2)
+            assert parity_counts(board) == (sum(dist.values()) - odd, odd)
             signed = sum((i_power(h) * c for h, c in dist.items()), GaussianInt(0))
             assert signed_sum(board) == signed, (width, height)
 
 
-def test_parity_balance_known():
+def test_parity_counts_known():
     # 3 x 2 board: the all-vertical tiling and two with two horizontals
-    assert parity_balance(rectangle(3, 2)) == 3
+    assert parity_counts(rectangle(3, 2)) == (3, 0)
     # 2 x 3 board: every tiling has one or three horizontals
-    assert parity_balance(rectangle(2, 3)) == -3
-    assert parity_balance(Board()) == 1
-    assert parity_balance(rectangle(3, 3)) == 0
+    assert parity_counts(rectangle(2, 3)) == (0, 3)
+    assert parity_counts(Board()) == (1, 0)
+    assert parity_counts(rectangle(3, 3)) == (0, 0)
+    # 4 x 4 board: the height is even, so every one of its 36 tilings has h even
+    assert parity_counts(rectangle(4, 4)) == (36, 0)

@@ -132,11 +132,7 @@ def half_board(m: int, n: int, diag: Iterable[int] = ()) -> Board:
 
     Requires m, n odd with m > n; diag must be a subset of 1..n-1.
     """
-    return _half_board(m, n, _half_board_diag(m, n, diag))
-
-
-def _half_board(m: int, n: int, marks: frozenset[int]) -> Board:
-    """half_board for a diagonal set that _half_board_diag has checked."""
+    marks = _half_board_diag(m, n, diag)
     mid = (m + n) // 2
     cells = [
         (i, j) for i in range(1, m) for j in range(1, n) if i + j < mid

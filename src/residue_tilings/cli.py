@@ -22,7 +22,7 @@ from .decomp import reciprocity_free_sum
 from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
 from .lemmas import LEMMAS
 from .residue import jacobi, theorem_rhs
-from .spectral import ToleranceError, signed_sum_via_spectral
+from .spectral import ToleranceError, _check_tol, signed_sum_via_spectral
 from .tiling import SizeLimitError, count_tilings, signed_sum
 
 EXIT_OK = 0
@@ -166,7 +166,7 @@ def _verify_case(task: tuple[int, int, tuple[str, ...], float]) -> list[dict]:
             lhs = ROUTES[method](m, n, tol)
             case["lhs"], case["pass"] = str(lhs), lhs == rhs
         except ToleranceError as exc:
-            case["lhs"] = repr(exc.value)
+            case["lhs"] = repr(complex(exc.value))  # the published form
         except SizeLimitError as exc:
             case["lhs"] = f"limit: {exc}"
             case["limit"] = True
@@ -176,9 +176,12 @@ def _verify_case(task: tuple[int, int, tuple[str, ...], float]) -> list[dict]:
 
 def _cmd_verify(args, parser: _Parser) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
+    if not methods:
+        parser.error("--methods names no method")
     for method in methods:
         if method not in METHODS:
             parser.error(f"unknown method {method!r}")
+    _check_tol(args.tol)  # whatever the methods, so a bad --tol never exits 0
     tasks = [
         (m, n, methods, args.tol)
         for n in range(1, args.n_max + 1, 2)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .board import Board, LShapeSpec, _half_board, _half_board_diag, rectangle
+from .board import Board, LShapeSpec, _half_board_diag, half_board, rectangle
 from .gaussian import GaussianInt, ZERO, i_power
 from .kasteleyn import SparseMatrix, _refuse_past_table, det_exact
 from .residue import _check_pair
@@ -166,11 +165,7 @@ def admissible_diagonal(m: int, n: int) -> frozenset[int]:
 def half_board_support(m: int, n: int, diag: Iterable[int]) -> bool:
     """Whether the index set diag satisfies the three support conditions
     under which the half-board sum is nonzero."""
-    return _supported(m, n, _check_window(m, n, diag))
-
-
-def _supported(m: int, n: int, marks: frozenset[int]) -> bool:
-    """half_board_support for a diagonal set that _check_window has checked."""
+    marks = _check_window(m, n, diag)
     t = _window_residue(m, n)
     if t not in marks:
         return False
@@ -191,37 +186,38 @@ def half_board_sum(m: int, n: int, diag: Iterable[int]) -> GaussianInt:
     either fact raises InvariantError.
     """
     marks = _check_window(m, n, diag)
-    value = signed_sum(_half_board(m, n, marks))
-    if value not in _HALF_BOARD_VALUES:
-        raise InvariantError(f"half-board sum {value} out of range")
-    if value != ZERO and not _supported(m, n, marks):
-        raise InvariantError(
-            f"nonzero half-board sum at unsupported diag {sorted(marks)}"
-        )
+    value = signed_sum(half_board(m, n, marks))
+    _check_half_board(m, n, marks, "sum", value, _HALF_BOARD_VALUES)
     return value
 
 
-_HALF_BOARD_VALUES = frozenset(
-    [ZERO, i_power(0), i_power(1), i_power(2), i_power(3)]
-)
+_HALF_BOARD_VALUES = frozenset([ZERO, *(i_power(k) for k in range(4))])
+
+
+def _check_half_board(m: int, n: int, marks: frozenset[int], what: str,
+                      value, allowed) -> None:
+    """Raise InvariantError unless value, the half-board what at marks,
+    lies in allowed and is zero off the support conditions."""
+    if value not in allowed:
+        raise InvariantError(f"half-board {what} {value} out of range")
+    # value != 0, not a truth test: every GaussianInt is truthy
+    if value != 0 and not half_board_support(m, n, marks):
+        raise InvariantError(f"nonzero half-board {what} at unsupported diag "
+                             f"{sorted(marks)}")
 
 
 def half_board_parity(m: int, n: int, diag: Iterable[int]) -> int:
     """Common parity of h(D) over tilings of the half board:
     (n-1)/4 - #diag/2 + #(odd elements of diag), reduced mod 2.
 
-    Evaluated exactly as a rational; a non-integral value means the half
-    board is untilable and raises ValueError.
+    It is an integer exactly when 4 divides n - 1 - 2 #diag; otherwise the
+    half board is untilable and ValueError is raised.
     """
     marks = _half_board_diag(m, n, diag)
-    expr = (
-        Fraction(n - 1, 4)
-        - Fraction(len(marks), 2)
-        + sum(1 for a in marks if a % 2)
-    )
-    if expr.denominator != 1:
-        raise ValueError(f"parity expression {expr} is not an integer (untilable)")
-    return int(expr) % 2
+    quarters = n - 1 - 2 * len(marks)
+    if quarters % 4:
+        raise ValueError(f"parity expression is {quarters}/4 plus an int (untilable)")
+    return (quarters // 4 + sum(1 for a in marks if a % 2)) % 2
 
 
 def half_board_square(m: int, n: int, diag: Iterable[int]) -> int:
@@ -237,7 +233,7 @@ def half_board_square(m: int, n: int, diag: Iterable[int]) -> int:
     """
     marks = _check_window(m, n, diag)
     _refuse_large_half_board(n)
-    board = _half_board(m, n, marks)
+    board = half_board(m, n, marks)
     even = [(i, j) for i, j in board if (i + j) % 2 == 0]
     odd = {cell: row for row, cell in enumerate(
         (i, j) for i, j in board if (i + j) % 2)}
@@ -248,12 +244,7 @@ def half_board_square(m: int, n: int, diag: Iterable[int]) -> int:
          if c in odd}
         for i, j in even
     )))
-    if abs(det) > 1:
-        raise InvariantError(f"half-board determinant {det} out of range")
-    if det and not _supported(m, n, marks):
-        raise InvariantError(
-            f"nonzero half-board determinant at unsupported diag {sorted(marks)}"
-        )
+    _check_half_board(m, n, marks, "determinant", det, (-1, 0, 1))
     return (-1) ** half_board_parity(m, n, marks) if det else 0
 
 

@@ -48,6 +48,14 @@ from .tiling import (
 _FLOAT_GATE = 1e-6
 
 
+def _rounds_to(value: float, expected: int) -> bool:
+    """Whether value rounds to expected within _FLOAT_GATE."""
+    try:
+        return round_signed(value, _FLOAT_GATE) == expected
+    except ToleranceError:
+        return False
+
+
 def _report(lemma: str, params: dict, cases: list[dict]) -> dict:
     failed = sum(1 for c in cases if not c["pass"])
     return {
@@ -119,14 +127,11 @@ def run_norm_bridge(m_max: int = 13, n_max: int = 13) -> dict:
         for m in range(1, m_max + 1):
             z = norm_product(m, n)
             det = det_exact(build_kasteleyn(m, n))
-            try:
-                rounded = round_signed(z, _FLOAT_GATE)
-                ok = rounded == det
-            except ToleranceError:
-                ok = False
+            ok = _rounds_to(z, det)
             if math.gcd(m, n) > 1:
                 ok = ok and abs(z) <= _FLOAT_GATE
-            cases.append(_case({"m": m, "n": n}, repr(z), det, ok))
+            # printed as a complex, so the report keeps its published bytes
+            cases.append(_case({"m": m, "n": n}, repr(complex(z)), det, ok))
     return _report(
         "norm-bridge", {"m_max": m_max, "n_max": n_max, "tol": _FLOAT_GATE}, cases
     )
@@ -320,6 +325,7 @@ def run_half_board(m_max: int = 9) -> dict:
 def run_parity(m_max: int = 9, limit: int = 64) -> dict:
     """Every tiling of a tilable half board has the parity of h given by
     the closed parity expression."""
+    _check_cell_limit(Board(), limit)  # also when the range holds no board
     cases = []
     for m, n in _window_pairs(m_max):
         for picks in _diagonals(n):
@@ -350,11 +356,9 @@ def run_eisenstein(bound: int = 23) -> dict:
             if p == q:
                 continue
             value = eisenstein_product(p, q)
-            try:
-                ok = round_signed(value, _FLOAT_GATE) == jacobi(q, p)
-            except ToleranceError:
-                ok = False
-            cases.append(_case({"p": p, "q": q}, value, jacobi(q, p), ok))
+            expected = jacobi(q, p)
+            cases.append(_case({"p": p, "q": q}, value, expected,
+                               _rounds_to(value, expected)))
     return _report("eisenstein", {"bound": bound, "tol": _FLOAT_GATE}, cases)
 
 

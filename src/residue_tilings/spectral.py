@@ -17,21 +17,19 @@ RENORM_FLOOR = 1 / RENORM_GUARD
 
 
 class ToleranceError(ValueError):
-    """A floating value failed to round to an integer within tolerance; the
-    value is kept as .value."""
+    """A floating value failed to round to an integer within tolerance; it
+    is kept as .value, and its distance to the nearest integer as .residual."""
 
-    def __init__(self, message: str, value: complex, real_residual: float,
-                 imag_residual: float):
+    def __init__(self, message: str, value: float, residual: float):
         super().__init__(message)
         self.value = value
-        self.real_residual = real_residual
-        self.imag_residual = imag_residual
+        self.residual = residual
 
 
-def norm_product(m: int, n: int) -> complex:
-    """Product over i in 1..m-1 and j in 1..(n-1)/2 of the eigenvalues
-    2cos(pi i/m) + 2cos(2 pi j/n): det K up to rounding, 0j exactly when
-    gcd(m, n) > 1, and always with imaginary part 0.
+def norm_product(m: int, n: int) -> float:
+    """Product over i in 1..m-1 and j in 1..(n-1)/2 of the real eigenvalues
+    2cos(pi i/m) + 2cos(2 pi j/n): det K up to rounding, and 0.0 exactly
+    when gcd(m, n) > 1.
 
     For odd n, prod_j (2cos t - 2cos(2 pi j/n)) = sin(n t/2) / sin(t/2): both
     sides are monic of degree (n-1)/2 in 2cos t with the same roots.  With
@@ -43,10 +41,10 @@ def norm_product(m: int, n: int) -> complex:
     """
     _check_pair(m, n)
     if math.gcd(m, n) > 1:
-        return 0j  # the factor of row a = 2m/gcd(m, n) is sin(pi n/gcd) = 0
+        return 0.0  # the factor of row a = 2m/gcd(m, n) is sin(pi n/gcd) = 0
     sign = -1.0 if (m - 1) * (n - 1) // 2 % 2 else 1.0
     factors = (_sin_pi(n * a, 2 * m) / _sin_pi(a, 2 * m) for a in range(1, m))
-    return complex(sign * _scaled_product(factors, 0))
+    return sign * _scaled_product(factors, 0)
 
 
 def _sin_pi(r: int, q: int) -> float:
@@ -109,26 +107,23 @@ def _scaled_product(factors: Iterable[float], shift: int) -> float:
     return math.ldexp(acc, shift)
 
 
-def round_signed(value: complex, tol: float = 1e-6) -> int:
-    """Round a floating value to the nearest integer, requiring both the
-    imaginary part and the rounding residual to be within tol.  Raises
-    ValueError unless 0 <= tol < 1/2: a NaN tol would pass every value, and
-    at 1/2 or more every real value passes."""
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless 0 <= tol < 1/2: a NaN tol would pass every
+    value, and at 1/2 or more every value passes."""
     if not 0 <= tol < 0.5:
         raise ValueError(f"tol must satisfy 0 <= tol < 1/2, got {tol!r}")
-    z = complex(value)
-    nearest = round(z.real)
-    real_residual = abs(z.real - nearest)
-    imag_residual = abs(z.imag)
-    if real_residual > tol or imag_residual > tol:
-        raise ToleranceError(
-            f"value {z!r} does not round to an integer within {tol:g} "
-            f"(real residual {real_residual:.3e}, imag residual {imag_residual:.3e})",
-            z,
-            real_residual,
-            imag_residual,
-        )
-    return int(nearest)
+
+
+def round_signed(value: float, tol: float = 1e-6) -> int:
+    """Round value to the nearest integer; ToleranceError if the residual
+    exceeds tol, ValueError if tol fails _check_tol."""
+    _check_tol(tol)
+    nearest = round(value)
+    residual = abs(value - nearest)
+    if residual > tol:
+        raise ToleranceError(f"value {value!r} does not round to an integer within "
+                             f"{tol:g} (residual {residual:.3e})", value, residual)
+    return nearest
 
 
 def _is_odd_prime(p: int) -> bool:

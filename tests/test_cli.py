@@ -135,6 +135,14 @@ GOLDEN_DIGESTS = {
         "ad7d418337600539dc751c4b9e25fb37684712a07f53026efbeac6eaf0d238fe",
     ("lemma", "decomposition"):
         "0f582dc9d3bbb89e7e26831a4a99eac95455135f591a541ab364af333650d9fd",
+    ("lemma", "half-board"):
+        "96b04446479476b0287af759906cef108ae8c434182cb8406256497cb7b9229d",
+    ("lemma", "y-decomposition"):
+        "e0662ad6c8063bc639e874690b9248105b7e3ace7afc581bb76f41179c3071a2",
+    ("lemma", "parity"):
+        "8111aa0f51cbd3da85ddb5aae6f42826fc6afce8103b5541e4beba16c135d39e",
+    ("lemma", "eisenstein"):
+        "f52d0e8ce6c75c03d9c10050fcc460e4c1432e55966ccef436e1db32fbadefb8",
 }
 
 
@@ -193,6 +201,12 @@ def test_verify_unknown_method(capsys):
         ["verify", "--m-max", "2", "--n-max", "1", "--methods", "magic"],
         capsys,
     )[0] == 4
+    # an empty method list used to run 0 cases and exit 0
+    code, out, err = run_cli(
+        ["verify", "--m-max", "3", "--n-max", "3", "--methods", ","], capsys
+    )
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert "names no method" in err
 
 
 def test_verify_failure_exit(monkeypatch, capsys):
@@ -209,7 +223,7 @@ def test_verify_failure_exit(monkeypatch, capsys):
 
 def test_verify_spectral_failure(monkeypatch, capsys):
     # a product that does not round reports the refused value and fails
-    monkeypatch.setattr(spectral, "norm_product", lambda m, n: 0.5 + 0j)
+    monkeypatch.setattr(spectral, "norm_product", lambda m, n: 0.5)
     code, out, _ = run_cli(
         ["verify", "--m-max", "2", "--n-max", "1", "--methods", "spectral"], capsys
     )
@@ -219,14 +233,17 @@ def test_verify_spectral_failure(monkeypatch, capsys):
     assert not any("limit" in c for c in cases)
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
-def test_verify_refuses_a_tolerance_outside_the_gate(tol, capsys):
+@pytest.mark.parametrize("argv", [
+    ["--m-max", "6", "--n-max", "5", "--methods", "spectral", "--tol", "nan"],
+    ["--m-max", "6", "--n-max", "5", "--methods", "spectral", "--tol", "-1"],
+    ["--m-max", "3", "--n-max", "3", "--methods", "dp", "--tol", "nan"],
+    ["--m-max", "0", "--n-max", "5", "--methods", "spectral", "--tol", "nan"],
+], ids=["nan", "-1", "no-spectral-method", "no-case"])
+def test_verify_refuses_a_tolerance_outside_the_gate(argv, capsys):
     # --tol nan used to turn the spectral gate off and exit 0, and --tol -1
-    # reported every case as a verification failure
-    code, out, err = run_cli(
-        ["verify", "--m-max", "6", "--n-max", "5", "--methods", "spectral",
-         "--tol", tol], capsys
-    )
+    # reported every case as a verification failure; without a spectral
+    # case to run, --tol nan was not checked at all and exited 0
+    code, out, err = run_cli(["verify", *argv], capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert "0 <= tol < 1/2" in err
 
@@ -329,10 +346,12 @@ def test_lemma_env_limit_not_an_int(monkeypatch, capsys):
     assert err == "lemma: RESIDUE_TILINGS_LIMIT must be a positive int, got 'abc'\n"
 
 
-@pytest.mark.parametrize("limit", ["-1", "0"])
-def test_lemma_limit_not_positive(limit, capsys):
-    # --limit -1 used to be reported as a resource limit, with exit 2
-    code, out, err = run_cli(["lemma", "parity", "--limit", limit], capsys)
+@pytest.mark.parametrize("limit, extra", [("-1", []), ("0", []), ("-1", ["--m-max", "3"])],
+                         ids=["-1", "0", "-1-empty-range"])
+def test_lemma_limit_not_positive(limit, extra, capsys):
+    # --limit -1 used to be reported as a resource limit, with exit 2, and
+    # with --m-max 3, a range without a board, it was never checked
+    code, out, err = run_cli(["lemma", "parity", "--limit", limit, *extra], capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == f"lemma: enumeration limit must be a positive int, got {limit}\n"
 

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -171,6 +172,19 @@ def test_half_board_parity():
         half_board_parity(5, 3, {1, 2})  # non-integral expression
 
 
+def test_half_board_parity_matches_the_rational_expression():
+    # the closed expression evaluated over the rationals is the oracle
+    for m, n in _window_pairs(11):
+        for diag in _subsets(n):
+            expr = (Fraction(n - 1, 4) - Fraction(len(diag), 2)
+                    + sum(1 for a in diag if a % 2))
+            if expr.denominator != 1:
+                with pytest.raises(ValueError, match="untilable"):
+                    half_board_parity(m, n, diag)
+            else:
+                assert half_board_parity(m, n, diag) == int(expr) % 2, (m, n, diag)
+
+
 def test_reciprocity_free_known():
     assert reciprocity_free_sum(4, 3) == -1
     assert reciprocity_free_sum(5, 3) == -1
@@ -265,7 +279,7 @@ def test_half_board_refused_before_the_build(monkeypatch):
         raise AssertionError("built past the size limit")
 
     monkeypatch.setattr(decomp, "admissible_diagonal", trip)
-    monkeypatch.setattr(decomp, "_half_board", trip)
+    monkeypatch.setattr(decomp, "half_board", trip)
     for refuse in (lambda: reciprocity_free_sum(907, 303),
                    lambda: half_board_square(907, 303, ())):
         with pytest.raises(SizeLimitError, match="half-board determinant at n = 303"):

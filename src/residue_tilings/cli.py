@@ -131,14 +131,11 @@ def _cmd_detk(args) -> int:
     if not args.matrix:
         print(det)
         return EXIT_OK
-    # the bytes of json.dumps on the dense rows, written one row at a time
-    rows: list[dict[int, int]] = [{} for _ in matrix.columns]
-    for col, column in enumerate(matrix.columns):
-        for row, v in column.items():
-            rows[row][col] = v
+    # the bytes of json.dumps on the dense rows, written one row at a time;
+    # K is symmetric, so each column is its row
     out = sys.stdout
     out.write(f'{{"m": {args.m}, "n": {args.n}, "matrix": [')
-    for row, entries in enumerate(rows):
+    for row, entries in enumerate(matrix.columns):
         out.write((", " if row else "") + _json_row(entries, matrix.dim))
     out.write(f'], "det": {det}}}\n')
     return EXIT_OK
@@ -182,6 +179,8 @@ def _cmd_verify(args, parser: _Parser) -> int:
         if method not in METHODS:
             parser.error(f"unknown method {method!r}")
     _check_tol(args.tol)  # whatever the methods, so a bad --tol never exits 0
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be a positive int, got {args.jobs}")
     tasks = [
         (m, n, methods, args.tol)
         for n in range(1, args.n_max + 1, 2)

@@ -52,23 +52,14 @@ def l_signed_sum_closed(spec: LShapeSpec) -> GaussianInt:
 
 def closure(board: Board, tiling: Tiling, subset: Board) -> Board:
     """The smallest superset of subset such that no domino of tiling
-    crosses its boundary.  Worklist propagation; each productive step
-    absorbs a whole domino, so it stabilizes after at most |t| rounds."""
+    crosses its boundary.  Dominoes are disjoint, so it is the union of
+    the dominoes that meet subset."""
     if not subset <= board:
         raise ValueError("subset must lie inside the board")
     if tiling.board != board:
         raise ValueError("tiling does not cover the given board")
-    region = set(subset.cells)
-    changed = True
-    while changed:
-        changed = False
-        for d in tiling.dominoes:
-            a, b = d.cells
-            if (a in region) != (b in region):
-                region.add(a)
-                region.add(b)
-                changed = True
-    return Board(region)
+    return Board(cell for d in tiling.dominoes
+                 if d.a in subset or d.b in subset for cell in d.cells)
 
 
 def closure_union(board: Board, subset: Board) -> Board:
@@ -138,15 +129,12 @@ def verify_decomposition(board: Board, subset: Board) -> DecompositionReport:
 
 def periodicity_factor(n: int) -> GaussianInt:
     """Multiplier relating rectangle sums of heights n and widths m and
-    m + n + 1: i**((n^2 + 2n) / 4) for even n, i**((n^2 + 2n + 1) / 4)
-    for odd n."""
+    m + n + 1: i**floor((n + 1)^2 / 4).  That is i**((n^2 + 2n + 1) / 4)
+    for odd n, and i**((n^2 + 2n) / 4) for even n, where n^2 + 2n is a
+    multiple of 8, so the factor is real."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive int")
-    if n % 2 == 0:
-        exponent = (n * n + 2 * n) // 4
-    else:
-        exponent = (n * n + 2 * n + 1) // 4
-    return i_power(exponent)
+    return i_power((n + 1) ** 2 // 4)
 
 
 def admissible_diagonal(m: int, n: int) -> frozenset[int]:

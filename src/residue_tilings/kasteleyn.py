@@ -14,8 +14,8 @@ bounds |det| by H, the product of the column norms, so Gaussian elimination
 modulo one prime P > 2H gives det itself as the residue in (-P/2, P/2].
 P is a Mersenne prime 2**q - 1, so reduction needs only shifts and masks.
 The elimination works on sparse columns and pivots on the sparsest column
-left, which keeps the fill-in of K small.  Each column of K has at most four
-nonzero entries, all -1, so H <= 2**d in dimension d.
+left, which keeps the fill-in of K small.  K is symmetric, and each column
+has at most four nonzero entries, all -1, so H <= 2**d in dimension d.
 """
 
 from __future__ import annotations
@@ -71,9 +71,12 @@ def build_kasteleyn(m: int, n: int) -> SparseMatrix:
     rectangle, held by columns.
 
     Column (i, j) holds the image of basis cell (i, j): each in-range
-    neighbor (i', j') has odd parity and is rewritten as -(i', n-j'), so
-    every nonzero entry is -1 and each column has at most four of them.
+    neighbor (i', j') has odd parity and is rewritten as -(i', n-j').
     Neighbors that step onto the frame i' in {0, m} or j' in {0, n} vanish.
+    The fold (i', j') -> (i', n-j') is one-to-one and preserves adjacency,
+    so no two neighbors share a row, which makes every nonzero entry a
+    single -1, at most four per column; and basis cell (i', n-j') has the
+    neighbor (i, n-j), which folds back to (i, j), so K is symmetric.
 
     Raises SizeLimitError, before the build, when det_exact would refuse K
     anyway.  For m, n >= 3 each column has a horizontal and a vertical
@@ -97,8 +100,7 @@ def build_kasteleyn(m: int, n: int) -> SparseMatrix:
         for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
             if ni in (0, m) or nj in (0, n):
                 continue
-            row = index[(ni, n - nj)]
-            column[row] = column.get(row, 0) - 1
+            column[index[(ni, n - nj)]] = -1
         columns.append(column)
     return SparseMatrix(tuple(columns))
 

@@ -116,8 +116,11 @@ def _check_tol(tol: float) -> None:
 
 def round_signed(value: float, tol: float = 1e-6) -> int:
     """Round value to the nearest integer; ToleranceError if the residual
-    exceeds tol, ValueError if tol fails _check_tol."""
+    exceeds tol or value is not finite (its residual is then inf),
+    ValueError if tol fails _check_tol."""
     _check_tol(tol)
+    if not math.isfinite(value):
+        raise ToleranceError(f"value {value!r} is not finite", value, math.inf)
     nearest = round(value)
     residual = abs(value - nearest)
     if residual > tol:

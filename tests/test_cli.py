@@ -143,6 +143,11 @@ GOLDEN_DIGESTS = {
         "8111aa0f51cbd3da85ddb5aae6f42826fc6afce8103b5541e4beba16c135d39e",
     ("lemma", "eisenstein"):
         "f52d0e8ce6c75c03d9c10050fcc460e4c1432e55966ccef436e1db32fbadefb8",
+    ("lemma", "periodicity"):
+        "8980e1f52004582904b1db6f2467d57d43b4a0e2fcc11fa7bfd5714974e77e5b",
+    ("verify", "--m-max", "20", "--n-max", "13",
+     "--methods", "dp,det,reciprocity-free,spectral"):
+        "abb7a4516de7ef237f8dc549eecdf7bee4f969e00fb9d34893e078d53f19d865",
 }
 
 
@@ -231,6 +236,28 @@ def test_verify_spectral_failure(monkeypatch, capsys):
     cases = json.loads(out)["cases"]
     assert [(c["lhs"], c["pass"]) for c in cases] == [("(0.5+0j)", False)] * 2
     assert not any("limit" in c for c in cases)
+
+
+def test_verify_spectral_nan_is_a_failure(monkeypatch, capsys):
+    # a NaN product used to escape round_signed as a plain ValueError, which
+    # verify reported as a usage error with exit 4
+    monkeypatch.setattr(spectral, "norm_product", lambda m, n: float("nan"))
+    code, out, _ = run_cli(
+        ["verify", "--m-max", "2", "--n-max", "1", "--methods", "spectral"], capsys
+    )
+    assert code == 1
+    cases = json.loads(out)["cases"]
+    assert [(c["lhs"], c["pass"]) for c in cases] == [("(nan+0j)", False)] * 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_jobs_not_positive(jobs, capsys):
+    # --jobs 0 and --jobs -2 used to run serially and exit 0
+    code, out, err = run_cli(
+        ["verify", "--m-max", "3", "--n-max", "3", "--jobs", jobs], capsys
+    )
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"verify: --jobs must be a positive int, got {jobs}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Closure, decomposition, periodicity, and the half-board path."""
 
 import math
+import random
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from residue_tilings.decomp import (
     verify_decomposition,
 )
 from residue_tilings.gaussian import GaussianInt, ZERO, i_power
+from residue_tilings.lemmas import decomposition_corpus
 from residue_tilings.residue import theorem_rhs
 from residue_tilings.tiling import (
     SizeLimitError,
@@ -71,6 +73,36 @@ def test_closure_absorbs_crossing_dominoes():
         assert subset <= clo
 
 
+def closure_fixpoint(tiling, subset):
+    """The closure by worklist to a fixpoint, the reference: absorb every
+    domino that crosses the region's boundary until none does."""
+    region = set(subset)
+    changed = True
+    while changed:
+        changed = False
+        for d in tiling.dominoes:
+            a, b = d.cells
+            if (a in region) != (b in region):
+                region.update((a, b))
+                changed = True
+    return Board(region)
+
+
+def test_closure_matches_the_fixpoint():
+    rng = random.Random(1211)
+    checked = 0
+    for _, board, subset in decomposition_corpus():
+        cells = board.cells
+        subsets = [subset, Board(), board]
+        subsets += [Board(rng.sample(cells, rng.randrange(len(cells) + 1)))
+                    for _ in range(3)]
+        for t in enumerate_tilings(board):
+            for sub in subsets:
+                assert closure(board, t, sub) == closure_fixpoint(t, sub), (board, sub)
+                checked += 1
+    assert checked > 1000
+
+
 def test_closure_union_known():
     clo = closure_union(rectangle(2, 2), Board([(1, 1)]))
     assert set(clo) == {(1, 1), (1, 2), (2, 1)}
@@ -108,9 +140,14 @@ def test_periodicity_factor():
     assert periodicity_factor(1) == GaussianInt(0, 1)
     assert periodicity_factor(2) == -1
     assert periodicity_factor(4) == -1
-    for n in range(1, 9):
-        exp = (n * n + 2 * n + (n % 2)) // 4
-        assert periodicity_factor(n) == i_power(exp)
+    for n in range(1, 1001):
+        # the two-branch exponent the single floor((n + 1)^2 / 4) replaced
+        if n % 2 == 0:
+            assert (n * n + 2 * n) % 8 == 0
+            exp = (n * n + 2 * n) // 4
+        else:
+            exp = (n * n + 2 * n + 1) // 4
+        assert periodicity_factor(n) == i_power(exp), n
 
 
 def test_periodicity_identity():

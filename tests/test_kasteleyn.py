@@ -69,12 +69,25 @@ def test_known_matrices():
 
 
 def test_column_structure():
-    # each column holds the -1 neighbor stencil, so its nonzero entries are
-    # -1 or (after folding collisions) -2
+    # each column holds the -1 neighbor stencil; the fold is one-to-one, so
+    # no two neighbors land on one row
     for m, n in [(4, 3), (5, 5), (6, 7), (9, 3)]:
         matrix = build_kasteleyn(m, n)
         for column in matrix.columns:
-            assert all(v in (-1, -2) for v in column.values())
+            assert all(v == -1 for v in column.values())
+
+
+def test_kasteleyn_is_symmetric_with_unit_entries():
+    # the fold preserves adjacency, so K equals its transpose, which is what
+    # lets detk --matrix print each column as its row
+    for n in range(1, 22, 2):
+        for m in range(1, 31):
+            columns = build_kasteleyn(m, n).columns
+            for col, column in enumerate(columns):
+                assert len(column) <= 4, (m, n, col)
+                for row, v in column.items():
+                    assert v == -1, (m, n, row, col)
+                    assert columns[row].get(col) == -1, (m, n, row, col)
 
 
 def test_det_known_values():

@@ -5,6 +5,7 @@ import pytest
 from residue_tilings.board import half_board
 from residue_tilings.lemmas import (
     LEMMAS,
+    _rounds_to,
     _window_pairs,
     decomposition_corpus,
     run_eisenstein,
@@ -22,6 +23,13 @@ def test_registry_names():
         "periodicity", "coprime-vanishing", "y-decomposition",
         "half-board", "parity", "eisenstein", "ktf",
     }
+
+
+def test_rounds_to_is_false_on_non_finite_values():
+    # a lemma case with a non-finite float fails instead of crashing
+    assert _rounds_to(1.0000000001, 1)
+    for value in (float("nan"), float("inf"), float("-inf")):
+        assert not _rounds_to(value, 0)
 
 
 def test_report_shape():

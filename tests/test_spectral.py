@@ -82,6 +82,17 @@ def test_round_signed():
     assert info.value.residual == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_round_signed_refuses_a_non_finite_value(value):
+    # NaN used to raise a plain ValueError, read as a usage error, and an
+    # infinity an OverflowError that ended in a traceback
+    with pytest.raises(ToleranceError, match="is not finite") as info:
+        round_signed(value)
+    assert info.value.value is value
+    assert info.value.residual == math.inf
+
+
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, 0.5, 1.0, float("inf")])
 def test_round_signed_refuses_a_tolerance_outside_the_gate(tol):
     # NaN compares false, so it would pass every value; 1/2 passes every real

@@ -7,8 +7,6 @@ from .board import (
     half_board,
     l_board,
     rectangle,
-    rotate180_within,
-    transpose,
 )
 from .gaussian import GaussianInt, i_power
 from .tiling import (
@@ -27,7 +25,6 @@ from .tiling import (
     signed_sum,
     signed_sum_bruteforce,
     totally_vertical_tiling,
-    transpose_tiling,
 )
 from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
 from .residue import (

@@ -151,20 +151,3 @@ def _half_board_diag(m: int, n: int, diag: Iterable[int] = ()) -> frozenset[int]
     if not marks <= frozenset(range(1, n)):
         raise ValueError("diag must be a subset of 1..n-1")
     return marks
-
-
-def transpose(board: Board) -> Board:
-    """Swap columns and rows."""
-    return Board((j, i) for i, j in board)
-
-
-def rotate180_within(m: int, n: int, board: Board) -> Board:
-    """Image of board under (i, j) -> (m - i, n - j).
-
-    The map is the half-turn of the (m-1) x (n-1) rectangle about its
-    center, so board must lie inside that rectangle.
-    """
-    for i, j in board:
-        if not (1 <= i <= m - 1 and 1 <= j <= n - 1):
-            raise ValueError(f"cell {(i, j)} outside the (m-1) x (n-1) rectangle")
-    return Board((m - i, n - j) for i, j in board)

@@ -175,10 +175,13 @@ def _cmd_verify(args, parser: _Parser) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     if not methods:
         parser.error("--methods names no method")
+    if len(set(methods)) < len(methods):
+        parser.error("--methods names a method twice")
     for method in methods:
         if method not in METHODS:
             parser.error(f"unknown method {method!r}")
     _check_tol(args.tol)  # whatever the methods, so a bad --tol never exits 0
+    _check_range(args)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be a positive int, got {args.jobs}")
     tasks = [
@@ -214,7 +217,15 @@ def _cmd_verify(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
+def _check_range(args) -> None:
+    """Refuse an (m, n) range that holds no case, so it never passes on nothing."""
+    for flag, value in (("--m-max", args.m_max), ("--n-max", args.n_max)):
+        if value < 1:
+            raise ValueError(f"{flag} must be a positive int, got {value}")
+
+
 def _cmd_table(args) -> int:
+    _check_range(args)
     rows = []
     for n in range(1, args.n_max + 1, 2):
         for m in range(1, args.m_max + 1):

@@ -50,14 +50,12 @@ def l_signed_sum_closed(spec: LShapeSpec) -> GaussianInt:
     return i_power(sum(a // 2 for a in spec.a))
 
 
-def closure(board: Board, tiling: Tiling, subset: Board) -> Board:
+def closure(tiling: Tiling, subset: Board) -> Board:
     """The smallest superset of subset such that no domino of tiling
     crosses its boundary.  Dominoes are disjoint, so it is the union of
     the dominoes that meet subset."""
-    if not subset <= board:
+    if not subset <= tiling.board:
         raise ValueError("subset must lie inside the board")
-    if tiling.board != board:
-        raise ValueError("tiling does not cover the given board")
     return Board(cell for d in tiling.dominoes
                  if d.a in subset or d.b in subset for cell in d.cells)
 
@@ -65,9 +63,11 @@ def closure(board: Board, tiling: Tiling, subset: Board) -> Board:
 def closure_union(board: Board, subset: Board) -> Board:
     """Union of the closures of subset over every tiling of board; the
     empty board when board has no tilings."""
+    if not subset <= board:
+        raise ValueError("subset must lie inside the board")
     union: set = set()
     for t in enumerate_tilings(board):
-        union.update(closure(board, t, subset).cells)
+        union.update(closure(t, subset).cells)
     return Board(union)
 
 
@@ -78,7 +78,7 @@ def restricted_sum(subset: Board, board: Board) -> GaussianInt:
         raise ValueError("subset must lie inside the board")
     total = ZERO
     for t in enumerate_tilings(board):
-        if closure(board, t, subset) == board:
+        if closure(t, subset) == board:
             total = total + i_power(horizontal_count(t))
     return total
 

@@ -56,14 +56,6 @@ class GaussianInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "GaussianInt":
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GaussianInt):
             return self.re == other.re and self.im == other.im
@@ -76,10 +68,6 @@ class GaussianInt:
         if self.im == 0:
             return hash(self.re)
         return hash((self.re, self.im))
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def render(self) -> str:
         """Canonical compact rendering: "0", "a", "bi", "a+bi" or "a-bi"."""

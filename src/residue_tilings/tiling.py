@@ -119,7 +119,7 @@ def _check_cell_limit(board: Board, limit: int | None) -> None:
         )
 
 
-def enumerate_tilings(board: Board, limit: int | None = None) -> list[Tiling]:
+def enumerate_tilings(board: Board) -> list[Tiling]:
     """All tilings of board, in deterministic backtracking order.
 
     At each step the lexicographically smallest uncovered cell is matched
@@ -127,7 +127,7 @@ def enumerate_tilings(board: Board, limit: int | None = None) -> list[Tiling]:
     than the cell limit (default 36, overridable via the
     RESIDUE_TILINGS_LIMIT environment variable) are refused.
     """
-    _check_cell_limit(board, limit)
+    _check_cell_limit(board, None)
     order = board.cells
     size = len(order)
     position = {cell: k for k, cell in enumerate(order)}
@@ -407,11 +407,3 @@ def _staircase(tiling: Tiling, origin: Cell, path: list[Tiling]) -> Tiling:
         current = flip_at(current, _staircase_square(origin, idx))
         path.append(current)
     return current
-
-
-def transpose_tiling(tiling: Tiling) -> Tiling:
-    """The same tiling on the transposed board; swaps orientations."""
-    from .board import transpose as transpose_board
-
-    swapped = [Domino.of((d.a[1], d.a[0]), (d.b[1], d.b[0])) for d in tiling.dominoes]
-    return Tiling(transpose_board(tiling.board), swapped)

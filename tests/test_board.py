@@ -6,8 +6,6 @@ from residue_tilings.board import (
     half_board,
     l_board,
     rectangle,
-    rotate180_within,
-    transpose,
 )
 
 
@@ -100,15 +98,3 @@ def test_half_board_validation():
     with pytest.raises(ValueError):
         half_board(5, 3, {3})
 
-
-def test_transpose():
-    assert transpose(rectangle(3, 2)) == rectangle(2, 3)
-    assert transpose(Board([(1, 2)])) == Board([(2, 1)])
-
-
-def test_rotate180_within():
-    r = rectangle(3, 2)
-    assert rotate180_within(4, 3, r) == r
-    assert rotate180_within(4, 3, Board([(1, 1)])) == Board([(3, 2)])
-    with pytest.raises(ValueError):
-        rotate180_within(2, 2, rectangle(3, 3))

@@ -212,6 +212,24 @@ def test_verify_unknown_method(capsys):
     )
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert "names no method" in err
+    # a repeated method used to be run and counted twice: 4 cases for 2
+    code, out, err = run_cli(
+        ["verify", "--m-max", "2", "--n-max", "1", "--methods", "dp,dp"], capsys
+    )
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert "names a method twice" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--m-max", "-3", "--n-max", "3"], "--m-max must be a positive int, got -3"),
+    (["verify", "--m-max", "3", "--n-max", "0"], "--n-max must be a positive int, got 0"),
+    (["table", "--m-max", "-1", "--n-max", "3"], "--m-max must be a positive int, got -1"),
+], ids=["verify-m", "verify-n", "table-m"])
+def test_empty_range_is_a_usage_error(argv, message, capsys):
+    # a range that holds no case used to pass on nothing and exit 0
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"{argv[0]}: {message}\n"
 
 
 def test_verify_failure_exit(monkeypatch, capsys):

@@ -67,7 +67,7 @@ def test_closure_absorbs_crossing_dominoes():
     board = rectangle(2, 2)
     subset = Board([(1, 1)])
     for t in enumerate_tilings(board):
-        clo = closure(board, t, subset)
+        clo = closure(t, subset)
         # both tilings of the 2x2 square pair (1,1) with a neighbor
         assert len(clo) == 2
         assert subset <= clo
@@ -98,7 +98,7 @@ def test_closure_matches_the_fixpoint():
                     for _ in range(3)]
         for t in enumerate_tilings(board):
             for sub in subsets:
-                assert closure(board, t, sub) == closure_fixpoint(t, sub), (board, sub)
+                assert closure(t, sub) == closure_fixpoint(t, sub), (board, sub)
                 checked += 1
     assert checked > 1000
 
@@ -106,6 +106,22 @@ def test_closure_matches_the_fixpoint():
 def test_closure_union_known():
     clo = closure_union(rectangle(2, 2), Board([(1, 1)]))
     assert set(clo) == {(1, 1), (1, 2), (2, 1)}
+
+
+OUTSIDE = Board([(5, 5)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: closure(enumerate_tilings(rectangle(2, 2))[0], OUTSIDE),
+    # an untilable board: closure_union used to return the empty board here,
+    # though it raised on a tilable one
+    lambda: closure_union(Board([(1, 1)]), OUTSIDE),
+    lambda: restricted_sum(OUTSIDE, rectangle(2, 2)),
+    lambda: verify_decomposition(rectangle(2, 2), OUTSIDE),
+], ids=["closure", "closure_union", "restricted_sum", "verify_decomposition"])
+def test_subset_must_lie_inside_the_board(call):
+    with pytest.raises(ValueError, match="subset must lie inside the board"):
+        call()
 
 
 def test_restricted_sum():

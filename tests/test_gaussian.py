@@ -39,22 +39,12 @@ def test_hash_agrees_with_int():
     assert d[7] == "a"
 
 
-def test_pow():
-    assert I ** 0 == ONE
-    assert I ** 1 == I
-    assert I ** 2 == -1
-    assert I ** 3 == -I
-    assert GaussianInt(1, 1) ** 2 == GaussianInt(0, 2)
-
-
 def test_i_power_cycle():
+    # i**k by repeated multiplication by I, starting from i**-8 = 1
+    power = ONE
     for k in range(-8, 9):
-        assert i_power(k) == I ** (k % 4)
-
-
-def test_is_real():
-    assert GaussianInt(5, 0).is_real
-    assert not GaussianInt(5, 1).is_real
+        assert i_power(k) == power
+        power = power * I
 
 
 def test_render():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residue_tilings.board import Board, rectangle, transpose
+from residue_tilings.board import Board, rectangle
 from residue_tilings.gaussian import GaussianInt, i_power
+from residue_tilings.lemmas import run_parity
 from residue_tilings.tiling import (
     Domino,
     SizeLimitError,
@@ -26,7 +27,6 @@ from residue_tilings.tiling import (
     signed_sum,
     signed_sum_bruteforce,
     totally_vertical_tiling,
-    transpose_tiling,
 )
 
 # number of tilings of the 2xN strip is the Fibonacci sequence
@@ -72,8 +72,9 @@ def test_enumerate_small_boards():
 def test_enumeration_limit(monkeypatch):
     with pytest.raises(SizeLimitError):
         enumerate_tilings(rectangle(8, 8))
-    # an explicit limit overrides the default of 36 cells
-    assert len(enumerate_tilings(rectangle(2, 20), limit=40)) == 10946
+    # RESIDUE_TILINGS_LIMIT overrides the default of 36 cells
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "40")
+    assert len(enumerate_tilings(rectangle(2, 20))) == 10946
     monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "3")
     with pytest.raises(SizeLimitError):
         enumerate_tilings(rectangle(2, 2))
@@ -84,14 +85,17 @@ def test_enumeration_limit(monkeypatch):
     pytest.param(-1, id="limit=-1"), pytest.param(0, id="limit=0"),
 ])
 def test_enumeration_limit_must_be_a_positive_int(monkeypatch, value):
-    # a str is set as RESIDUE_TILINGS_LIMIT, an int is passed as the limit
-    limit, source = value, "enumeration limit"
+    # a str is set as RESIDUE_TILINGS_LIMIT, an int is passed as run_parity's
+    # limit, the one caller that sets it
     if isinstance(value, str):
         monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", value)
-        limit, source = None, "RESIDUE_TILINGS_LIMIT"
-    message = f"{source} must be a positive int, got {value!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        enumerate_tilings(rectangle(2, 2), limit)
+        message = f"RESIDUE_TILINGS_LIMIT must be a positive int, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enumerate_tilings(rectangle(2, 2))
+    else:
+        message = f"enumeration limit must be a positive int, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_parity(m_max=3, limit=value)
 
 
 def test_count_matches_enumeration():
@@ -198,13 +202,6 @@ def test_normalize_rejects_odd_height():
         normalize_to_vertical(t, 4, 3)
 
 
-def test_transpose_tiling():
-    for t in enumerate_tilings(rectangle(3, 4)):
-        u = transpose_tiling(t)
-        assert len(u.dominoes) == len(t.dominoes)
-        assert horizontal_count(u) == len(t.dominoes) - horizontal_count(t)
-
-
 @st.composite
 def holey_boards(draw):
     """A rectangle up to 6 x 6 with up to five cells taken out."""
@@ -218,8 +215,8 @@ def holey_boards(draw):
 def assert_kernel_matches_enumeration(board):
     # the board and its transpose, so the weight is checked both on
     # horizontal placements and, on the taller box, on vertical ones
-    for b in (board, transpose(board)):
-        hs = [horizontal_count(t) for t in enumerate_tilings(b, limit=64)]
+    for b in (board, Board((j, i) for i, j in board)):
+        hs = [horizontal_count(t) for t in enumerate_tilings(b)]
         assert count_tilings(b) == len(hs)
         odd = sum(h % 2 for h in hs)
         assert parity_counts(b) == (len(hs) - odd, odd)

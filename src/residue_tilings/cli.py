@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .board import rectangle
 from .decomp import reciprocity_free_sum
@@ -192,6 +191,9 @@ def _cmd_verify(args, parser: _Parser) -> int:
     start = time.perf_counter()
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if jobs > 1:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_verify_case, tasks))
     else:
@@ -270,6 +272,8 @@ def _cmd_lemma(args, parser: _Parser) -> int:
             parser.error(f"lemma {args.name!r} does not take {_lemma_flag(keyword)}")
         kwargs[keyword] = value
     report = runner(**kwargs)
+    if not report["total"]:
+        raise ValueError(f"{args.name!r} checks no case over this range")
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["pass"] else EXIT_FAIL
 

@@ -10,7 +10,10 @@ counts of tilings with h even and odd, found without enumerating them.
 A board that is its own mirror image about the middle column of the
 sweep, such as any rectangle, is swept only up to that column: the right
 half, mirrored, is the left half, so the sum is assembled from the
-profiles of one half sweep.
+profiles of one half sweep.  The states after each whole column of a
+rectangle are kept per profile height, weight and orientation, within
+MAX_STATES in total, so that the next rectangle of that height sweeps only
+the columns past those kept.
 """
 
 from __future__ import annotations
@@ -211,6 +214,11 @@ def _profile_sum(board, weight):
     already counts the crossing dominoes, hence weight**-|p|, which is 1
     when they carry no weight (weight 1, or a transposed board).  The
     parity bits and that factor combine into weight**(e mod 2) and a sign.
+
+    A rectangle takes L_k and L_(w-k) from _rectangle_columns, which keeps
+    the states after each whole column for the next rectangle of the same
+    profile height, weight and orientation; any other board is swept cell
+    by cell.  Both sweeps step through _cell_step.
     """
     cells = board.cells
     if not cells:
@@ -222,50 +230,36 @@ def _profile_sum(board, weight):
     transposed = height > width
     if transposed:
         cells = sorted((j, i) for i, j in cells)
-        min_i, max_i, min_j, height = min_j, max_j, min_i, width
+        min_i, max_i, min_j = min_j, max_j, min_i
+        width, height = height, width
 
     odd_bit = 1 << height
     flip = 0 if weight == 1 else odd_bit
     negate = odd_bit if weight == 1j else 0
     h_flip, h_negate = (0, 0) if transposed else (flip, negate)
-    v_flip, v_negate = (flip, negate) if transposed else (0, 0)
-    present = set(cells)
-    mirror = min_i + max_i
-    folded = all((mirror - i, j) in present for i, j in cells)
-    if folded:
-        cells = [cell for cell in cells if 2 * cell[0] <= mirror]
-    left = None
-    states = {0: 1}
-    for i, j in cells:
-        if folded and left is None and 2 * i == mirror:
+    signs = (h_flip, h_negate) + ((flip, negate) if transposed else (0, 0))
+    if len(cells) == width * height:
+        # a rectangle, at least two columns wide as its cell count is even
+        snaps = _rectangle_columns((height, weight, transposed), (width + 1) // 2, signs)
+        left, states = snaps[width // 2], snaps[(width + 1) // 2]
+    else:
+        present = set(cells)
+        mirror = min_i + max_i
+        folded = all((mirror - i, j) in present for i, j in cells)
+        if folded:
+            cells = [cell for cell in cells if 2 * cell[0] <= mirror]
+        left = None
+        states = {0: 1}
+        for i, j in cells:
+            if folded and left is None and 2 * i == mirror:
+                left = states
+            bit = 1 << (j - min_j)
+            up = bit << 1 if (i, j + 1) in present else 0
+            states = _cell_step(states, bit, (i + 1, j) in present, up, *signs)
+        if not folded:
+            return states.get(0, 0), states.get(odd_bit, 0)
+        if left is None:  # even width, or no middle cell: one cut ends both halves
             left = states
-        bit = 1 << (j - min_j)
-        right = (i + 1, j) in present
-        up = bit << 1 if (i, j + 1) in present else 0
-        new_states: dict[int, int] = {}
-        get = new_states.get
-        for mask, w in states.items():
-            if not w:
-                continue
-            if mask & bit:
-                key = mask ^ bit
-                new_states[key] = get(key, 0) + w
-                continue
-            if right:
-                key = (mask | bit) ^ h_flip
-                new_states[key] = get(key, 0) + (-w if mask & h_negate else w)
-            if up and not mask & up:
-                key = (mask | up) ^ v_flip
-                new_states[key] = get(key, 0) + (-w if mask & v_negate else w)
-        if len(new_states) > MAX_STATES:
-            raise SizeLimitError(
-                f"{len(new_states)} profile states exceed limit {MAX_STATES}"
-            )
-        states = new_states
-    if not folded:
-        return states.get(0, 0), states.get(odd_bit, 0)
-    if left is None:  # even width, or no middle cell: one cut ends both halves
-        left = states
     sums = [0, 0]
     for key, a in left.items():
         p = key & (odd_bit - 1)
@@ -277,6 +271,80 @@ def _profile_sum(board, weight):
                 e = (key != p) + (other != p) - (p.bit_count() if h_flip else 0)
                 sums[e % 2] += -a * c if negate and e % 4 > 1 else a * c
     return sums[0], sums[1]
+
+
+def _cell_step(states, bit, right, up, h_flip, h_negate, v_flip, v_negate):
+    """The states after covering the cell at bit of the profile: bit set
+    means a domino already covers it, else a domino goes to the right
+    neighbour (if right) or to the cell above (the bit up, 0 if none)."""
+    new_states: dict[int, int] = {}
+    get = new_states.get
+    for mask, w in states.items():
+        if not w:
+            continue
+        if mask & bit:
+            key = mask ^ bit
+            new_states[key] = get(key, 0) + w
+            continue
+        if right:
+            key = (mask | bit) ^ h_flip
+            new_states[key] = get(key, 0) + (-w if mask & h_negate else w)
+        if up and not mask & up:
+            key = (mask | up) ^ v_flip
+            new_states[key] = get(key, 0) + (-w if mask & v_negate else w)
+    if len(new_states) > MAX_STATES:
+        raise SizeLimitError(
+            f"{len(new_states)} profile states exceed limit {MAX_STATES}"
+        )
+    return new_states
+
+
+# (profile height, weight, transposed) -> the states after 0, 1, 2, ...
+# whole columns of a rectangle, in a tuple that only ever grows
+_SNAPSHOTS: dict[tuple, tuple[dict[int, int], ...]] = {}
+
+
+def _rectangle_columns(key, columns, signs):
+    """The states after 0, 1, ..., columns whole columns of a rectangle
+    more than columns wide, its profile height, weight and orientation
+    given by key and signs the flips and negations they fix.
+
+    Every column before the last has a right neighbour, so these states do
+    not depend on the width: they are read from _SNAPSHOTS, and the columns
+    past its end are swept and stored there, each once all of its cell
+    steps have passed.  The stored states never pass MAX_STATES in total: a
+    column that would pass it first drops every other key's snapshots, and
+    if it still does not fit, no further column of this call is stored.
+    """
+    height = key[0]
+    snaps = list(_SNAPSHOTS.get(key, ({0: 1},)))
+    storing = True
+    while len(snaps) <= columns:
+        states = snaps[-1]
+        for y in range(height):
+            bit = 1 << y
+            states = _cell_step(states, bit, True, bit << 1 if y + 1 < height else 0, *signs)
+        snaps.append(states)
+        storing = storing and _store(key, snaps)
+    return snaps
+
+
+def _store(key, snaps) -> bool:
+    """Hold snaps under key, dropping every other key's snapshots first if
+    the held states would pass MAX_STATES; False if they still would."""
+    held = sum(map(len, _SNAPSHOTS.get(key, ())))
+    grow = sum(map(len, snaps)) - held
+    if _held_states() + grow > MAX_STATES:
+        for other in [k for k in _SNAPSHOTS if k != key]:
+            del _SNAPSHOTS[other]
+        if held + grow > MAX_STATES:
+            return False
+    _SNAPSHOTS[key] = tuple(snaps)
+    return True
+
+
+def _held_states() -> int:
+    return sum(len(states) for snaps in _SNAPSHOTS.values() for states in snaps)
 
 
 def _flip(tiling: Tiling, cover: dict[Cell, Domino], corner: Cell) -> Tiling | None:

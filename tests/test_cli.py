@@ -348,6 +348,15 @@ def test_lemma_gauss_max_flag(capsys):
     assert json.loads(out)["params"] == {"bound": 21}
 
 
+@pytest.mark.parametrize("argv", [["gauss", "--max", "-5"], ["periodicity", "--m-max", "0"]],
+                         ids=["gauss", "periodicity"])
+def test_lemma_over_an_empty_range_is_a_usage_error(argv, capsys):
+    # a range that holds no case used to pass on nothing and exit 0
+    code, out, err = run_cli(["lemma", *argv], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"lemma: {argv[0]!r} checks no case over this range\n"
+
+
 def test_lemma_unknown(capsys):
     code, _, err = run_cli(["lemma", "unknown"], capsys)
     assert code == 4
@@ -430,6 +439,16 @@ def test_module_entry_point(src_env):
     assert (result.returncode, result.stdout) == (0, "-1\n")
 
 
+def test_import_leaves_the_process_pool_unloaded(src_env):
+    # only verify --jobs above 1 needs multiprocessing; every other command
+    # would pay its import time and memory for nothing
+    script = ("import sys, residue_tilings.cli; "
+              "print('concurrent.futures.process' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, env=src_env)
+    assert (result.returncode, result.stdout) == (0, "False\n")
+
+
 def test_verify_jobs_deterministic(src_env):
     base = [sys.executable, "-c", "from residue_tilings.cli import run; run()",
             "verify", "--m-max", "5", "--n-max", "5"]
@@ -458,7 +477,7 @@ def test_verify_jobs_clamped(monkeypatch, capsys):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
 
     def verify(m_max):

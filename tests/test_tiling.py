@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from residue_tilings import tiling
 from residue_tilings.board import Board, rectangle
 from residue_tilings.gaussian import GaussianInt, i_power
 from residue_tilings.lemmas import run_parity
@@ -284,6 +285,85 @@ def test_folded_sweep_matches_unfolded_reference():
             assert parity_counts(board) == (sum(dist.values()) - odd, odd)
             signed = sum((i_power(h) * c for h, c in dist.items()), GaussianInt(0))
             assert signed_sum(board) == signed, (width, height)
+
+
+WEIGHTS = (1, -1, 1j)
+
+
+@st.composite
+def rectangle_runs(draw):
+    """Up to eight (width, height, weight) triples on a few profile heights,
+    taller than wide as often as not, in drawn order or by falling width."""
+    size = st.integers(1, 12)
+    runs = draw(st.lists(st.tuples(size, st.integers(1, 6), st.sampled_from(WEIGHTS)),
+                         min_size=1, max_size=8))
+    runs = [(w, h, weight) if draw(st.booleans()) else (h, w, weight) for w, h, weight in runs]
+    if draw(st.booleans()):
+        runs.sort(key=lambda run: -run[0])
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(rectangle_runs())
+def test_snapshots_give_the_sums_of_an_empty_cache(runs):
+    tiling._SNAPSHOTS.clear()
+    warm = [tiling._profile_sum(rectangle(w, h), weight) for w, h, weight in runs]
+    cold = []
+    for w, h, weight in runs:
+        tiling._SNAPSHOTS.clear()
+        cold.append(tiling._profile_sum(rectangle(w, h), weight))
+    assert warm == cold
+
+
+def test_snapshots_hold_at_most_max_states(monkeypatch):
+    calls = [(count_tilings, rectangle(20, 4)), (parity_counts, rectangle(16, 5)),
+             (count_tilings, rectangle(40, 6)), (signed_sum, rectangle(9, 30))]
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    expected = []
+    for sweep, board in calls:
+        tiling._SNAPSHOTS.clear()
+        expected.append(sweep(board))
+    tiling._SNAPSHOTS.clear()
+    monkeypatch.setattr(tiling, "MAX_STATES", 100)
+    kept = []
+    for (sweep, board), value in zip(calls, expected):
+        assert sweep(board) == value
+        assert tiling._held_states() <= 100
+        kept.append({key: len(snaps) for key, snaps in tiling._SNAPSHOTS.items()})
+    # 60 states of height 4 fit; the next 79, of height 5, fit only once
+    # those are dropped; height 6 needs 393, so after dropping height 5 it
+    # keeps the 6 snapshots that fit, and the transposed 9 x 30 the first 2
+    assert kept == [{(4, 1, False): 11}, {(5, -1, False): 9}, {(6, 1, False): 6},
+                    {(9, 1j, True): 2}]
+
+
+def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
+    # at profile height 10 the live states reach 241 in column 3 and 251 in
+    # column 4, so with a limit of 245 both rectangles are refused there,
+    # after storing the columns they finished; the wider one then resumes
+    # from those
+    limit = tiling.MAX_STATES
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    expected = count_tilings(rectangle(12, 10))
+    tiling._SNAPSHOTS.clear()
+    monkeypatch.setattr(tiling, "MAX_STATES", 245)
+    with pytest.raises(SizeLimitError) as cold:
+        count_tilings(rectangle(12, 10))
+    tiling._SNAPSHOTS.clear()
+    with pytest.raises(SizeLimitError):
+        count_tilings(rectangle(10, 10))
+    assert len(tiling._SNAPSHOTS[(10, 1, False)]) > 1
+    with pytest.raises(SizeLimitError) as warm:
+        count_tilings(rectangle(12, 10))
+    assert str(warm.value) == str(cold.value) == "246 profile states exceed limit 245"
+    # with a limit of 60 the first column is refused at its last cell, and
+    # nothing of it is kept: with the limit back, the sum is the cold one
+    tiling._SNAPSHOTS.clear()
+    monkeypatch.setattr(tiling, "MAX_STATES", 60)
+    with pytest.raises(SizeLimitError, match="89 profile states exceed limit 60"):
+        count_tilings(rectangle(12, 10))
+    monkeypatch.setattr(tiling, "MAX_STATES", limit)
+    assert count_tilings(rectangle(12, 10)) == expected
 
 
 def test_parity_counts_known():

@@ -151,22 +151,26 @@ def _json_row(entries: dict[int, int], dim: int) -> str:
     return "[" + "".join(parts)[:-2] + "]"
 
 
-def _verify_case(task: tuple[int, int, tuple[str, ...], float]) -> list[dict]:
-    m, n, methods, tol = task
-    rhs = theorem_rhs(m, n)
+def _verify_n(task: tuple[int, int, tuple[str, ...], float]) -> list[dict]:
+    """Every case of one n, for m = 1 .. m_max.  A worker of verify --jobs
+    takes all of an n, so that the DP's kept columns of its profile height
+    are swept by that worker alone."""
+    n, m_max, methods, tol = task
     out = []
-    for method in methods:
-        case = {"m": m, "n": n, "lhs": None, "rhs": rhs,
-                "method": method, "pass": False}
-        try:
-            lhs = ROUTES[method](m, n, tol)
-            case["lhs"], case["pass"] = str(lhs), lhs == rhs
-        except ToleranceError as exc:
-            case["lhs"] = repr(complex(exc.value))  # the published form
-        except SizeLimitError as exc:
-            case["lhs"] = f"limit: {exc}"
-            case["limit"] = True
-        out.append(case)
+    for m in range(1, m_max + 1):
+        rhs = theorem_rhs(m, n)
+        for method in methods:
+            case = {"m": m, "n": n, "lhs": None, "rhs": rhs,
+                    "method": method, "pass": False}
+            try:
+                lhs = ROUTES[method](m, n, tol)
+                case["lhs"], case["pass"] = str(lhs), lhs == rhs
+            except ToleranceError as exc:
+                case["lhs"] = repr(complex(exc.value))  # the published form
+            except SizeLimitError as exc:
+                case["lhs"] = f"limit: {exc}"
+                case["limit"] = True
+            out.append(case)
     return out
 
 
@@ -183,11 +187,9 @@ def _cmd_verify(args, parser: _Parser) -> int:
     _check_range(args)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be a positive int, got {args.jobs}")
-    tasks = [
-        (m, n, methods, args.tol)
-        for n in range(1, args.n_max + 1, 2)
-        for m in range(1, args.m_max + 1)
-    ]
+    # one task per n, widest first, so that the longest task starts first
+    tasks = [(n, args.m_max, methods, args.tol)
+             for n in reversed(range(1, args.n_max + 1, 2))]
     start = time.perf_counter()
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if jobs > 1:
@@ -195,9 +197,9 @@ def _cmd_verify(args, parser: _Parser) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_verify_case, tasks))
+            chunks = list(pool.map(_verify_n, tasks))
     else:
-        chunks = [_verify_case(t) for t in tasks]
+        chunks = [_verify_n(t) for t in tasks]
     elapsed = time.perf_counter() - start
     cases = [case for chunk in chunks for case in chunk]
     cases.sort(key=lambda c: (c["n"], c["m"], METHODS.index(c["method"])))

@@ -11,11 +11,15 @@ its entries, so no malformed input reaches the elimination.
 
 The determinant is exact for any integer matrix.  Hadamard's inequality
 bounds |det| by H, the product of the column norms, so Gaussian elimination
-modulo one prime P > 2H gives det itself as the residue in (-P/2, P/2].
-P is a Mersenne prime 2**q - 1, so reduction needs only shifts and masks.
-The elimination works on sparse columns and pivots on the sparsest column
-left, which keeps the fill-in of K small.  K is symmetric, and each column
-has at most four nonzero entries, all -1, so H <= 2**d in dimension d.
+modulo one prime P > 2H gives det itself as the residue in (-P/2, P/2).
+P is a Mersenne prime 2**q - 1 from a fixed table of proven ones.  The
+elimination works on sparse columns and pivots on the sparsest column
+left, which keeps the fill-in of K small.  It holds each residue in
+[-P/2, P/2] and reduces only a value that leaves that range, so the -1
+entries of K stay -1 and a pivot of +1 or -1 needs no inverse: the cost
+follows the size of the values, not q, while a dense or random matrix
+still pays for full q-bit residues.  K is symmetric, and each column has
+at most four nonzero entries, all -1, so H <= 2**d in dimension d.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ from .tiling import SizeLimitError
 
 # Exponents q of proven Mersenne primes 2**q - 1, in increasing order.  The
 # last one is the resource limit.  K of dimension d needs q >= d + 2 at
-# worst, so K up to d = 11200 is admitted (up to 14148 for 2 x N boards),
-# which took at most 9 s and 100 MB on 2 vCPUs with CPython 3.11; the next
-# prime, 2**19937 - 1, would admit runs of 40 s and 250 MB.
+# worst, so K up to d = 132000 is admitted (up to 166626 for 2 x N boards),
+# and a half board's B up to about the same d.  On 2 vCPUs with CPython
+# 3.11 the largest admitted ones took at most 4.4 s and 180 MB for K, such
+# as (530, 501), and 4.8 s and 225 MB for B, such as (881, 601).  The next
+# prime, 2**216091 - 1, would admit B such as (1601, 541) at 362 MB.
 MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
-                      4253, 4423, 9689, 9941, 11213)
+                      4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
+                      44497, 86243, 110503, 132049)
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,8 @@ def build_kasteleyn(m: int, n: int) -> SparseMatrix:
 
 def det_exact(matrix: SparseMatrix) -> int:
     """Exact determinant, by elimination modulo a prime above twice the
-    Hadamard bound of the matrix's own entries.
+    Hadamard bound of the matrix's own entries: the balanced residue that
+    _det_mod returns is the determinant itself.
 
     Raises SizeLimitError, before any elimination, when the bound needs a
     prime beyond the last of MERSENNE_EXPONENTS.  The empty matrix has
@@ -116,9 +124,7 @@ def det_exact(matrix: SparseMatrix) -> int:
     columns = matrix.columns
     dim = len(columns)
     q = _modulus_exponent(f"a {dim} x {dim} determinant", _bound_sq(columns))
-    p = (1 << q) - 1
-    det = _det_mod(columns, q)
-    return det - p if det > p // 2 else det
+    return _det_mod(columns, q)
 
 
 def _bound_sq(columns: tuple[dict[int, int], ...]) -> int:
@@ -152,16 +158,23 @@ def _refuse_past_table(what: str, floor_bits: int) -> None:
 
 def _det_mod(lines: tuple[dict[int, int], ...], q: int) -> int:
     """Determinant modulo p = 2**q - 1 of the matrix whose rows are lines
-    ({column: entry} dicts); a column list gives the same value, since a
-    matrix and its transpose share the determinant.
+    ({column: entry} dicts), as the residue in [-p // 2, p // 2]; a column
+    list gives the same value, since a matrix and its transpose share the
+    determinant.
 
     Each step takes the column held by the fewest rows left (minimum
     degree), pivots on its shortest row, and clears the column from the
     other rows.  The determinant is the product of the pivots times the
     sign of the permutation that sends each pivot row to its column.
+
+    Every residue is held in [-p // 2, p // 2] and reduced only when a sum
+    or product leaves that range, so a -1 of K stays -1, not p - 1, and a
+    pivot of +1 or -1 is its own inverse.
     """
     p = (1 << q) - 1
-    rows = [{c: v % p for c, v in line.items() if v % p} for line in lines]
+    half = p >> 1
+    rows = [{c: r for c, v in line.items() if (r := _balance(v, p, half))}
+            for line in lines]
     # column -> the rows left with a nonzero there; None once it has pivoted
     holders: list[set[int] | None] = [set() for _ in rows]
     for r, row in enumerate(rows):
@@ -185,17 +198,17 @@ def _det_mod(lines: tuple[dict[int, int], ...], q: int) -> int:
         a = pivot.pop(k)
         for c in pivot:
             holders[c].discard(r)
-        det = det * a % p
-        inv = pow(a, -1, p)
+        det = _balance(det * a, p, half)
+        inv = a if a in (1, -1) else pow(a, -1, p)
         for s in cands:
             row = rows[s]
-            g = (p - row.pop(k)) * inv % p
+            g = _balance(-row.pop(k) * inv, p, half)
             for c, v in pivot.items():
-                # x < p * p, and one fold of the bits above q brings it below 2p
                 x = row.get(c, 0) + g * v
-                x = (x & p) + (x >> q)
-                if x >= p:
-                    x -= p
+                if x > half or x < -half:  # _balance, inlined in the hot loop
+                    x %= p
+                    if x > half:
+                        x -= p
                 if x:
                     if c not in row:
                         holders[c].add(s)
@@ -205,7 +218,16 @@ def _det_mod(lines: tuple[dict[int, int], ...], q: int) -> int:
                     holders[c].discard(s)
         for c in pivot:
             heappush(heap, (len(holders[c]), c))
-    return -det % p if _is_odd(pivot_col) else det
+    return -det if _is_odd(pivot_col) else det
+
+
+def _balance(x: int, p: int, half: int) -> int:
+    """The residue of x modulo p in [-half, half], where half = p // 2;
+    x itself when it is already there."""
+    if -half <= x <= half:
+        return x
+    x %= p
+    return x - p if x > half else x
 
 
 def _is_odd(perm: list[int]) -> bool:

@@ -75,15 +75,16 @@ def test_detk(capsys):
 
 
 def test_detk_matrix_refused_before_the_dense_rows(monkeypatch, capsys):
-    # d = 11385 needs a prime past the table, and the refusal comes before
-    # any elimination and before the first row is printed
+    # d = 133920 needs a prime past the table, and the refusal comes before
+    # any elimination and before the first row is printed; building K to
+    # find that out takes about 0.6 s on 2 vCPUs
     def refuse(lines, q):
         raise AssertionError("elimination started past the size limit")
 
     monkeypatch.setattr(kasteleyn, "_det_mod", refuse)
     start = time.perf_counter()
-    code, out, err = run_cli(["detk", "--m", "760", "--n", "31", "--matrix"], capsys)
-    assert time.perf_counter() - start < 1
+    code, out, err = run_cli(["detk", "--m", "8929", "--n", "31", "--matrix"], capsys)
+    assert time.perf_counter() - start < 3
     assert (code, out) == (cli.EXIT_LIMIT, "")
     assert err.startswith("detk: ")
 
@@ -460,11 +461,12 @@ def test_verify_jobs_deterministic(src_env):
     assert one.stdout == two.stdout
 
 
-def test_verify_jobs_clamped(monkeypatch, capsys):
-    started = []
+def recording_pool(started, groups):
+    """A stand-in for ProcessPoolExecutor that starts no process: it runs
+    each task here, and records the size of each pool and the set of
+    (m, n) of each task's cases."""
 
     class RecordingPool:
-        # stands in for ProcessPoolExecutor, so no process is started
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -475,20 +477,46 @@ def test_verify_jobs_clamped(monkeypatch, capsys):
             return False
 
         def map(self, fn, tasks):
-            return map(fn, tasks)
+            for task in tasks:
+                cases = fn(task)
+                groups.append({(c["m"], c["n"]) for c in cases})
+                yield cases
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_verify_jobs_clamped(monkeypatch, capsys):
+    started = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording_pool(started, []))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
 
-    def verify(m_max):
-        argv = ["verify", "--m-max", str(m_max), "--n-max", "3", "--jobs", "1000"]
+    def verify(n_max):
+        argv = ["verify", "--m-max", "2", "--n-max", str(n_max), "--jobs", "1000"]
         return run_cli(argv, capsys)[0]
 
-    assert verify(4) == 0  # 8 tasks on 3 cpus: 3 workers
-    assert verify(1) == 0  # 2 tasks: 2 workers
+    assert verify(7) == 0  # 4 tasks, one per n, on 3 cpus: 3 workers
+    assert verify(3) == 0  # 2 tasks: 2 workers
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert verify(4) == 0  # unknown cpu count: no pool at all
+    assert verify(7) == 0  # unknown cpu count: no pool at all
     assert started == [3, 2]
+
+
+def test_verify_jobs_give_each_n_to_one_task(monkeypatch, capsys):
+    # each worker keeps the DP columns it sweeps, so an n split across two
+    # tasks would be swept by both workers
+    seen = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording_pool([], seen))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["verify", "--m-max", "6", "--n-max", "9", "--methods", "dp,det", "--jobs", "2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(seen) == 5
+    ns = [{n for _, n in pairs} for pairs in seen]
+    assert all(len(group) == 1 for group in ns)
+    assert sorted(n for group in ns for n in group) == [1, 3, 5, 7, 9]
+    assert set().union(*seen) == {(m, n) for m in range(1, 7) for n in (1, 3, 5, 7, 9)}
+    code, serial, _ = run_cli(argv[:-2], capsys)
+    assert (code, serial) == (0, out)
 
 
 def test_closed_pipe_exits_io_without_traceback(src_env):

@@ -299,16 +299,25 @@ def test_reciprocity_free_matches_theorem_on_windows():
     assert time.perf_counter() - start < 3
 
 
-def test_reciprocity_free_reach():
+def test_reciprocity_free_reach(monkeypatch):
+    from residue_tilings import kasteleyn
+
     # (301, 101) is the largest window board of n = 101: B has d = 7500
     start = time.perf_counter()
     assert reciprocity_free_sum(301, 101) == theorem_rhs(301, 101)
     assert time.perf_counter() - start < 5
-    # at (391, 131), d = 12675, the bound needs a prime past the table
+    # every window is admitted up to n = 421; at (1267, 423), the largest
+    # window of n = 423, d = 133563 and the bound needs a prime past the
+    # table.  B is built to find that out (about 1.6 s on 2 vCPUs), but
+    # no elimination starts
+    def trip(lines, q):
+        raise AssertionError("elimination started past the size limit")
+
+    monkeypatch.setattr(kasteleyn, "_det_mod", trip)
     start = time.perf_counter()
     with pytest.raises(SizeLimitError, match="Hadamard bound"):
-        reciprocity_free_sum(391, 131)
-    assert time.perf_counter() - start < 1
+        reciprocity_free_sum(1267, 423)
+    assert time.perf_counter() - start < 5
 
 
 def test_half_board_refused_before_the_build(monkeypatch):
@@ -326,16 +335,16 @@ def test_half_board_refused_before_the_build(monkeypatch):
             columns = seen[-1].columns
             assert all(columns)
             assert kasteleyn._bound_sq(columns) >= 1 << floors[-1], (m, n)
-    # from n = 303 on it already needs a prime past the table, so neither
+    # from n = 1031 on it already needs a prime past the table, so neither
     # the (n - 1)/2 marks of the diagonal nor the board get built
     def trip(*args, **kwargs):
         raise AssertionError("built past the size limit")
 
     monkeypatch.setattr(decomp, "admissible_diagonal", trip)
     monkeypatch.setattr(decomp, "half_board", trip)
-    for refuse in (lambda: reciprocity_free_sum(907, 303),
-                   lambda: half_board_square(907, 303, ())):
-        with pytest.raises(SizeLimitError, match="half-board determinant at n = 303"):
+    for refuse in (lambda: reciprocity_free_sum(3091, 1031),
+                   lambda: half_board_square(3091, 1031, ())):
+        with pytest.raises(SizeLimitError, match="half-board determinant at n = 1031"):
             refuse()
 
 

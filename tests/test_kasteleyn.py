@@ -163,6 +163,53 @@ def test_det_sparse_matrices_against_fractions(rows):
     assert det_exact(_sparse(rows)) == det_fraction(rows)
 
 
+def balanced(x, p):
+    """The residue of x modulo p in [-(p // 2), p // 2]."""
+    x %= p
+    return x - p if x > p // 2 else x
+
+
+@st.composite
+def wide_residue_matrices(draw):
+    """(rows, q): matrices up to 6 x 6 at the small modulus p = 2**q - 1,
+    with entries of size 1 or 2 (so that unit pivots occur) mixed with
+    entries up to p and up to p * p, which pass p/2 on load and in the
+    updates.  In about half of them one entry is then moved so that p
+    divides the determinant without it being 0: dropping a reduction then
+    leaves a nonzero multiple of p where a zero belongs."""
+    q = draw(st.sampled_from((61, 89)))
+    p = (1 << q) - 1
+    k = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-p, p), st.integers(-p * p, p * p))
+    rows = [[0] * k for _ in range(k)]
+    perm = draw(st.permutations(range(k)))
+    for r, c in enumerate(perm):
+        rows[r][c] = draw(entry.filter(bool))
+    index = st.integers(0, k - 1)
+    for r, c, v in draw(st.lists(st.tuples(index, index, entry), max_size=2 * k)):
+        rows[r][c] = v
+    if draw(st.booleans()):
+        # det is linear in rows[0][c]: det = slope * x + det at x = 0
+        c = perm[0]
+        rows[0][c] = 0
+        base = int(det_fraction(rows))
+        rows[0][c] = 1
+        slope = int(det_fraction(rows)) - base
+        if slope % p:
+            root = -base * pow(slope, -1, p) % p
+            rows[0][c] = root + p * draw(st.integers(-2, 2))
+    return rows, q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wide_residue_matrices())
+def test_det_mod_returns_the_balanced_residue(case):
+    rows, q = case
+    p = (1 << q) - 1
+    lines = tuple({c: v for c, v in enumerate(row) if v} for row in rows)
+    assert kasteleyn._det_mod(lines, q) == balanced(int(det_fraction(rows)), p)
+
+
 def sylvester(order):
     """The Sylvester-Hadamard matrix of a power-of-two order."""
     rows = [[1]]
@@ -221,16 +268,18 @@ def test_det_reach():
 
 
 def test_det_refuses_past_the_last_prime(monkeypatch):
-    # (759, 31), d = 11370, is the last K of width 31 whose bound fits
-    # under the last prime of the table
+    # (8928, 31), d = 133905, is the last K of width 31 whose bound fits
+    # under the last prime of the table.  (8929, 31) is refused once K is
+    # built (about 0.6 s on 2 vCPUs, 1.3 s with both busy), before any
+    # elimination; eliminating it would take about 2 s
     primes = []
     monkeypatch.setattr(kasteleyn, "_det_mod", lambda lines, q: primes.append(q) or 1)
-    signed_sum_via_det(759, 31)
+    signed_sum_via_det(8928, 31)
     assert primes == [kasteleyn.MERSENNE_EXPONENTS[-1]]
     start = time.perf_counter()
     with pytest.raises(SizeLimitError, match="Hadamard bound"):
-        signed_sum_via_det(760, 31)
-    assert time.perf_counter() - start < 1
+        signed_sum_via_det(8929, 31)
+    assert time.perf_counter() - start < 3
     assert len(primes) == 1  # no elimination started
 
 
@@ -255,16 +304,16 @@ def test_grouped_bound_is_the_product_of_the_norms(monkeypatch):
 
 
 def test_long_thin_boards_refused_before_the_build(monkeypatch):
-    # (14149, 3) is the widest 2 x N board whose K (d = 14148) is admitted,
-    # and (377, 61) one of the largest others; the check from (m, n) alone
-    # must not refuse either
+    # (166627, 3) is the widest 2 x N board whose K (d = 166626) is
+    # admitted, and (4433, 61) one of the largest others; the check from
+    # (m, n) alone must not refuse either
     primes = []
     monkeypatch.setattr(kasteleyn, "_det_mod", lambda lines, q: primes.append(q) or 1)
-    signed_sum_via_det(14149, 3)
-    signed_sum_via_det(377, 61)
+    signed_sum_via_det(166627, 3)
+    signed_sum_via_det(4433, 61)
     assert primes == [kasteleyn.MERSENNE_EXPONENTS[-1]] * 2
     with pytest.raises(SizeLimitError):
-        signed_sum_via_det(14150, 3)
+        signed_sum_via_det(166628, 3)
     # d = 999999: refused without building a column; at d near 5e17 the
     # lower bound itself must not be built as an integer
     start = time.perf_counter()

@@ -124,8 +124,12 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_detk(args) -> int:
-    # the size limit applies before anything is printed
+    # the size limits apply before anything is printed
     matrix = build_kasteleyn(args.m, args.n)
+    # each of the d * d dense entries takes at least 3 bytes ("0, ")
+    if args.matrix and 3 * matrix.dim ** 2 > 10**9:
+        raise SizeLimitError(f"the dense JSON of a {matrix.dim} x {matrix.dim} "
+                             f"matrix exceeds 10^9 bytes")
     det = det_exact(matrix)
     if not args.matrix:
         print(det)

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .board import Board, LShapeSpec, _half_board_diag, half_board, rectangle
 from .gaussian import GaussianInt, ZERO, i_power
-from .kasteleyn import SparseMatrix, _refuse_past_table, det_exact
+from .kasteleyn import SparseMatrix, _check_dim, det_exact
 from .residue import _check_pair
 from .tiling import (
     SizeLimitError,
@@ -216,11 +216,15 @@ def half_board_square(m: int, n: int, diag: Iterable[int]) -> int:
     neighbor on the board; a board whose two colour classes differ in size
     has no tiling.  |det B| is at most 1, and nonzero only when diag
     satisfies the support conditions; a value that breaks either fact
-    raises InvariantError.  Raises SizeLimitError when det_exact refuses
-    B, and before the build when n alone shows that it would.
+    raises InvariantError.
+
+    The board has (m-2)(n-1)/2 cells below the anti-diagonal and one on it
+    per mark, so a square B has half as many columns: (m-1)(n-1)/4 at the
+    admissible diagonal.  Raises SizeLimitError, before the build, when
+    that dimension exceeds MAX_DIM.
     """
     marks = _check_window(m, n, diag)
-    _refuse_large_half_board(n)
+    _check_dim(f"B at m = {m}, n = {n}", ((m - 2) * (n - 1) // 2 + len(marks)) // 2)
     board = half_board(m, n, marks)
     even = [(i, j) for i, j in board if (i + j) % 2 == 0]
     odd = {cell: row for row, cell in enumerate(
@@ -236,20 +240,14 @@ def half_board_square(m: int, n: int, diag: Iterable[int]) -> int:
     return (-1) ** half_board_parity(m, n, marks) if det else 0
 
 
-def _refuse_large_half_board(n: int) -> None:
-    """Raise SizeLimitError when every half board of height n - 1 has a B
-    that det_exact would refuse: the cells with i, j >= 2 and i + j <= n
-    lie on each window's half board with their left and lower neighbors,
-    so ((n - 3) / 2)**2 columns of B have squared norm at least 2, and no
-    column is empty."""
-    _refuse_past_table(f"the half-board determinant at n = {n}", ((n - 3) // 2) ** 2)
-
-
 def reciprocity_free_sum(m: int, n: int) -> int:
     """Signed tiling sum of the (m-1) x (n-1) rectangle computed by the
     combinatorial route alone: width periodicity reduces m into the window
     n < m < 3n with m odd, where the sum is the square of the half-board
     sum at the admissible diagonal.  No Jacobi symbols are evaluated.
+
+    Raises SizeLimitError, before the diagonal is built, when B at the
+    window's m, of dimension (m-1)(n-1)/4, exceeds MAX_DIM.
     """
     _check_pair(m, n)
     if math.gcd(m, n) > 1:
@@ -263,7 +261,8 @@ def reciprocity_free_sum(m: int, n: int) -> int:
     # which is real for odd n; steps is negative below the window, so only
     # its parity enters, keeping the sign an int.
     sign = periodicity_factor(n - 1).re ** (steps % 2)
-    _refuse_large_half_board(n)  # before the diagonal, which holds (n - 1)/2 marks
+    # before the diagonal, which holds (n - 1)/2 marks
+    _check_dim(f"B at m = {base}, n = {n}", (base - 1) * (n - 1) // 4)
     return sign * half_board_square(base, n, admissible_diagonal(base, n))
 
 

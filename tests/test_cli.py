@@ -10,6 +10,7 @@ import time
 import tracemalloc
 
 import pytest
+from conftest import Built, trip
 
 from residue_tilings import cli, kasteleyn, spectral
 from residue_tilings.gaussian import GaussianInt
@@ -75,27 +76,43 @@ def test_detk(capsys):
 
 
 def test_detk_matrix_refused_before_the_dense_rows(monkeypatch, capsys):
-    # d = 133920 needs a prime past the table, and the refusal comes before
-    # any elimination and before the first row is printed; building K to
-    # find that out takes about 0.6 s on 2 vCPUs
-    def refuse(lines, q):
-        raise AssertionError("elimination started past the size limit")
-
-    monkeypatch.setattr(kasteleyn, "_det_mod", refuse)
-    start = time.perf_counter()
-    code, out, err = run_cli(["detk", "--m", "8929", "--n", "31", "--matrix"], capsys)
-    assert time.perf_counter() - start < 3
+    # past 10**9 bytes of JSON, at 3 bytes per entry, the dense rows are
+    # refused before the first byte: (18258, 3), d = 18257, is the last K
+    # admitted, and (18259, 3) the first refused.  (377, 61), d = 11280,
+    # writes 381782487 bytes
+    monkeypatch.setattr(cli, "_json_row", trip)
+    for m, n in ((377, 61), (18258, 3)):
+        with pytest.raises(Built):
+            cli.main(["detk", "--m", str(m), "--n", str(n), "--matrix"])
+        capsys.readouterr()
+    code, out, err = run_cli(["detk", "--m", "18259", "--n", "3", "--matrix"], capsys)
     assert (code, out) == (cli.EXIT_LIMIT, "")
-    assert err.startswith("detk: ")
+    assert err == "detk: the dense JSON of a 18258 x 18258 matrix exceeds 10^9 bytes\n"
+    # without --matrix the same K is eliminated
+    code, out, _ = run_cli(["detk", "--m", "18259", "--n", "3"], capsys)
+    assert (code, out) == (0, "1\n")
+    # K past MAX_DIM is refused before it is built, with or without --matrix
+    monkeypatch.setattr(kasteleyn, "range", trip, raising=False)
+    for args in (["--m", "1024", "--n", "529", "--matrix"], ["--m", "1024", "--n", "529"]):
+        code, out, err = run_cli(["detk", *args], capsys)
+        assert (code, out) == (cli.EXIT_LIMIT, "")
+        assert err == ("detk: K at m = 1024, n = 529 has dimension 270072, "
+                       "over the dimension limit 270000\n")
 
 
-def test_detk_refuses_long_thin_boards_at_once(capsys):
-    # d = 999999 took 40 s and 423 MB to refuse when K was built first
+def test_detk_refuses_long_thin_boards_at_once(monkeypatch, capsys):
+    # d = 999999 took 40 s and 423 MB to refuse when K was built first;
+    # (270001, 3), d = 270000, is the widest 2 x N board admitted
+    monkeypatch.setattr(kasteleyn, "range", trip, raising=False)
+    with pytest.raises(Built):
+        cli.main(["detk", "--m", "270001", "--n", "3"])
+    capsys.readouterr()
     start = time.perf_counter()
-    code, out, err = run_cli(["detk", "--m", "1000000", "--n", "3"], capsys)
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (cli.EXIT_LIMIT, "")
-    assert "Hadamard bound" in err
+    for m, n in ((270002, 3), (1000000, 3), (10**9, 10**9 + 1)):
+        code, out, err = run_cli(["detk", "--m", str(m), "--n", str(n)], capsys)
+        assert (code, out) == (cli.EXIT_LIMIT, "")
+        assert "over the dimension limit 270000" in err
+    assert time.perf_counter() - start < 0.1
 
 
 def test_detk_matrix_streams_the_dense_rows(capsys):

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import Built, trip
 
 from residue_tilings.board import Board, LShapeSpec, half_board, l_board, rectangle
 from residue_tilings.decomp import (
@@ -290,62 +291,72 @@ def test_half_board_square_matches_dp():
             assert half_board_square(m, n, diag) == half * half, (m, n, diag)
 
 
-def test_reciprocity_free_matches_theorem_on_windows():
+def test_reciprocity_free_matches_theorem_on_windows(monkeypatch):
+    from residue_tilings import kasteleyn
+
+    # every pivot of these B is +1 or -1, so no Fraction is made
+    fractions = []
+    monkeypatch.setattr(kasteleyn, "Fraction",
+                        lambda *args: fractions.append(args) or Fraction(*args))
     start = time.perf_counter()
     pairs = _window_pairs(31)
     for m, n in pairs:
         assert reciprocity_free_sum(m, n) == theorem_rhs(m, n), (m, n)
     assert len(pairs) == 212
     assert time.perf_counter() - start < 3
+    assert fractions == []
 
 
 def test_reciprocity_free_reach(monkeypatch):
-    from residue_tilings import kasteleyn
+    import residue_tilings.decomp as decomp
 
     # (301, 101) is the largest window board of n = 101: B has d = 7500
     start = time.perf_counter()
     assert reciprocity_free_sum(301, 101) == theorem_rhs(301, 101)
     assert time.perf_counter() - start < 5
-    # every window is admitted up to n = 421; at (1267, 423), the largest
-    # window of n = 423, d = 133563 and the bound needs a prime past the
-    # table.  B is built to find that out (about 1.6 s on 2 vCPUs), but
-    # no elimination starts
-    def trip(lines, q):
-        raise AssertionError("elimination started past the size limit")
-
-    monkeypatch.setattr(kasteleyn, "_det_mod", trip)
+    # B has (m - 1)(n - 1)/4 columns: at n = 1039, (1041, 1039) with
+    # d = 269880 is within MAX_DIM and (1043, 1039) with d = 270399 is
+    # not; (1267, 423), d = 133563, is admitted.  Widths past the window
+    # land in it first, (3119, 1039) on 1041
+    monkeypatch.setattr(decomp, "half_board", trip)
+    for m, n in ((1267, 423), (1041, 1039), (3119, 1039)):
+        with pytest.raises(Built):
+            reciprocity_free_sum(m, n)
     start = time.perf_counter()
-    with pytest.raises(SizeLimitError, match="Hadamard bound"):
-        reciprocity_free_sum(1267, 423)
-    assert time.perf_counter() - start < 5
+    with pytest.raises(SizeLimitError, match="B at m = 1043, n = 1039 has dimension "
+                                             "270399, over the dimension limit 270000"):
+        reciprocity_free_sum(1043, 1039)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_half_board_refused_before_the_build(monkeypatch):
     import residue_tilings.decomp as decomp
-    from residue_tilings import kasteleyn
 
-    # the floor taken from n alone is a lower bound on B's squared
-    # Hadamard bound
-    seen, floors = [], []
+    # the dimension checked from (m, n) and the diagonal, before the build,
+    # is that of the B built, on every window and on diagonals of every size
+    seen = []
     with monkeypatch.context() as patch:
-        patch.setattr(decomp, "det_exact", lambda matrix: seen.append(matrix) or 0)
-        patch.setattr(decomp, "_refuse_past_table", lambda what, bits: floors.append(bits))
+        patch.setattr(decomp, "_check_dim", lambda what, dim: seen.append(dim))
+        patch.setattr(decomp, "det_exact", lambda matrix: seen.append(matrix.dim) or 0)
         for m, n in _window_pairs(31):
             half_board_square(m, n, admissible_diagonal(m, n))
-            columns = seen[-1].columns
-            assert all(columns)
-            assert kasteleyn._bound_sq(columns) >= 1 << floors[-1], (m, n)
-    # from n = 1031 on it already needs a prime past the table, so neither
-    # the (n - 1)/2 marks of the diagonal nor the board get built
-    def trip(*args, **kwargs):
-        raise AssertionError("built past the size limit")
-
+            assert seen[-2:] == [(m - 1) * (n - 1) // 4] * 2, (m, n)
+        for m, n in [(5, 3), (7, 3), (7, 5), (9, 5), (9, 7), (11, 7)]:
+            for diag in _subsets(n):
+                del seen[:]
+                half_board_square(m, n, diag)
+                assert len(seen) == 1 or seen[0] == seen[1], (m, n, diag)
+    # past MAX_DIM neither the (n - 1)/2 marks of the diagonal nor the
+    # board get built, at n = 10**9 + 1 as well
     monkeypatch.setattr(decomp, "admissible_diagonal", trip)
     monkeypatch.setattr(decomp, "half_board", trip)
-    for refuse in (lambda: reciprocity_free_sum(3091, 1031),
-                   lambda: half_board_square(3091, 1031, ())):
-        with pytest.raises(SizeLimitError, match="half-board determinant at n = 1031"):
+    start = time.perf_counter()
+    for refuse in (lambda: reciprocity_free_sum(1043, 1039),
+                   lambda: half_board_square(1043, 1039, range(1, 520)),
+                   lambda: reciprocity_free_sum(10**9, 10**9 + 1)):
+        with pytest.raises(SizeLimitError, match="over the dimension limit 270000"):
             refuse()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_reciprocity_free_stays_independent(monkeypatch):

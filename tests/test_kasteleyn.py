@@ -1,11 +1,11 @@
 """Folded adjacency matrices and the exact determinant."""
 
-import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from conftest import Built, trip
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,51 +163,48 @@ def test_det_sparse_matrices_against_fractions(rows):
     assert det_exact(_sparse(rows)) == det_fraction(rows)
 
 
-def balanced(x, p):
-    """The residue of x modulo p in [-(p // 2), p // 2]."""
-    x %= p
-    return x - p if x > p // 2 else x
-
-
 @st.composite
-def wide_residue_matrices(draw):
-    """(rows, q): matrices up to 6 x 6 at the small modulus p = 2**q - 1,
-    with entries of size 1 or 2 (so that unit pivots occur) mixed with
-    entries up to p and up to p * p, which pass p/2 on load and in the
-    updates.  In about half of them one entry is then moved so that p
-    divides the determinant without it being 0: dropping a reduction then
-    leaves a nonzero multiple of p where a zero belongs."""
-    q = draw(st.sampled_from((61, 89)))
-    p = (1 << q) - 1
+def wide_matrices(draw):
+    """Matrices up to 6 x 6 with entries of size 1 or 2 (so that unit
+    pivots occur) mixed with entries up to 2**90 and 2**180, so that the
+    other pivots bring in Fractions of wide numerators and denominators."""
     k = draw(st.integers(1, 6))
-    entry = st.one_of(st.integers(-2, 2), st.integers(-p, p), st.integers(-p * p, p * p))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-2**90, 2**90),
+                      st.integers(-2**180, 2**180))
     rows = [[0] * k for _ in range(k)]
-    perm = draw(st.permutations(range(k)))
-    for r, c in enumerate(perm):
+    for r, c in enumerate(draw(st.permutations(range(k)))):
         rows[r][c] = draw(entry.filter(bool))
     index = st.integers(0, k - 1)
     for r, c, v in draw(st.lists(st.tuples(index, index, entry), max_size=2 * k)):
         rows[r][c] = v
-    if draw(st.booleans()):
-        # det is linear in rows[0][c]: det = slope * x + det at x = 0
-        c = perm[0]
-        rows[0][c] = 0
-        base = int(det_fraction(rows))
-        rows[0][c] = 1
-        slope = int(det_fraction(rows)) - base
-        if slope % p:
-            root = -base * pow(slope, -1, p) % p
-            rows[0][c] = root + p * draw(st.integers(-2, 2))
-    return rows, q
+    return rows
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(wide_residue_matrices())
-def test_det_mod_returns_the_balanced_residue(case):
-    rows, q = case
-    p = (1 << q) - 1
-    lines = tuple({c: v for c, v in enumerate(row) if v} for row in rows)
-    assert kasteleyn._det_mod(lines, q) == balanced(int(det_fraction(rows)), p)
+@given(wide_matrices())
+def test_det_wide_matrices_against_fractions(rows):
+    assert det_exact(_sparse(rows)) == det_fraction(rows)
+
+
+def _count_fractions(monkeypatch):
+    """Patch kasteleyn.Fraction to count its calls; return the count."""
+    calls = []
+    monkeypatch.setattr(kasteleyn, "Fraction",
+                        lambda *args: calls.append(args) or Fraction(*args))
+    return calls
+
+
+def test_det_of_k_stays_in_ints(monkeypatch):
+    # every pivot of K is +1 or -1, so no Fraction is made (the half
+    # boards' B are checked on their windows in test_decomp); a matrix
+    # with another pivot does make one
+    calls = _count_fractions(monkeypatch)
+    for n in range(1, 16, 2):
+        for m in range(1, 41):
+            assert det_exact(build_kasteleyn(m, n)) in (-1, 0, 1), (m, n)
+    assert calls == []
+    assert det_exact(_sparse(((2,),))) == 2
+    assert calls == [(1, 2)]
 
 
 def sylvester(order):
@@ -225,23 +222,6 @@ def test_det_attains_the_hadamard_bound():
         assert abs(det) == order ** (order // 2)
         if order <= 16:
             assert det == det_fraction(rows)
-
-
-def test_modulus_is_the_first_prime_above_twice_the_bound():
-    # for a 1 x 1 matrix |det| is the bound H; 2**60 - 1 is the largest H
-    # that 2**61 - 1 lifts exactly, and -2**60 would come back as 2**60 - 1
-    # from a modulus that only exceeded H
-    for det in (2**60 - 1, -(2**60 - 1), 2**60, -(2**60)):
-        assert det_exact(_sparse(((det,),))) == det
-    h = 2**60 - 1
-    what = "a 1 x 1 determinant"
-    assert kasteleyn._modulus_exponent(what, h * h) == 61
-    assert kasteleyn._modulus_exponent(what, (h + 1) ** 2) == 89
-    last = kasteleyn.MERSENNE_EXPONENTS[-1]
-    h = ((1 << last) - 1) // 2
-    assert kasteleyn._modulus_exponent(what, h * h) == last
-    with pytest.raises(SizeLimitError):
-        kasteleyn._modulus_exponent(what, (h + 1) ** 2)
 
 
 def test_signed_sum_via_det_matches_dp():
@@ -268,57 +248,37 @@ def test_det_reach():
 
 
 def test_det_refuses_past_the_last_prime(monkeypatch):
-    # (8928, 31), d = 133905, is the last K of width 31 whose bound fits
-    # under the last prime of the table.  (8929, 31) is refused once K is
-    # built (about 0.6 s on 2 vCPUs, 1.3 s with both busy), before any
-    # elimination; eliminating it would take about 2 s
-    primes = []
-    monkeypatch.setattr(kasteleyn, "_det_mod", lambda lines, q: primes.append(q) or 1)
-    signed_sum_via_det(8928, 31)
-    assert primes == [kasteleyn.MERSENNE_EXPONENTS[-1]]
+    # K of width 529 has dimension 264 (m - 1): (1023, 529), d = 269808,
+    # is the last one within MAX_DIM, and (1024, 529), d = 270072, the
+    # first one past it.  The builder's loop is patched to trip, so the
+    # refusal comes from (m, n) alone
+    assert kasteleyn.MAX_DIM == 270000
+    monkeypatch.setattr(kasteleyn, "range", trip, raising=False)
+    with pytest.raises(Built):
+        signed_sum_via_det(1023, 529)
     start = time.perf_counter()
-    with pytest.raises(SizeLimitError, match="Hadamard bound"):
-        signed_sum_via_det(8929, 31)
-    assert time.perf_counter() - start < 3
-    assert len(primes) == 1  # no elimination started
-
-
-def test_grouped_bound_is_the_product_of_the_norms(monkeypatch):
-    floors = []
-    monkeypatch.setattr(kasteleyn, "_refuse_past_table",
-                        lambda what, bits: floors.append(bits))
-    rng = random.Random(5)
-    for _ in range(200):
-        dim = rng.randrange(0, 9)
-        columns = tuple({r: rng.choice((-2, -1, 1, 3)) for r in range(dim)
-                         if rng.random() < 0.4} for _ in range(dim))
-        norms = [sum(v * v for v in column.values()) for column in columns]
-        assert kasteleyn._bound_sq(columns) == math.prod(norms)
-    for n in range(1, 10, 2):
-        for m in range(1, 15):
-            columns = build_kasteleyn(m, n).columns
-            norms = [sum(v * v for v in column.values()) for column in columns]
-            assert kasteleyn._bound_sq(columns) == math.prod(norms)
-            # the floor build_kasteleyn checks before the build
-            assert kasteleyn._bound_sq(columns) >= 1 << max(floors[-1], 0), (m, n)
+    with pytest.raises(SizeLimitError, match="K at m = 1024, n = 529 has dimension "
+                                             "270072, over the dimension limit 270000"):
+        signed_sum_via_det(1024, 529)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_long_thin_boards_refused_before_the_build(monkeypatch):
-    # (166627, 3) is the widest 2 x N board whose K (d = 166626) is
-    # admitted, and (4433, 61) one of the largest others; the check from
-    # (m, n) alone must not refuse either
-    primes = []
-    monkeypatch.setattr(kasteleyn, "_det_mod", lambda lines, q: primes.append(q) or 1)
-    signed_sum_via_det(166627, 3)
-    signed_sum_via_det(4433, 61)
-    assert primes == [kasteleyn.MERSENNE_EXPONENTS[-1]] * 2
-    with pytest.raises(SizeLimitError):
-        signed_sum_via_det(166628, 3)
-    # d = 999999: refused without building a column; at d near 5e17 the
-    # lower bound itself must not be built as an integer
+    # K of a 2 x N board has dimension N: (270001, 3) is the widest one
+    # admitted
+    monkeypatch.setattr(kasteleyn, "range", trip, raising=False)
+    with pytest.raises(Built):
+        build_kasteleyn(270001, 3)
+    # refused without building a column; at d near 5e17 as well
     start = time.perf_counter()
-    for m, n in ((1000000, 3), (10**9, 10**9 + 1)):
-        with pytest.raises(SizeLimitError, match="Hadamard bound"):
+    for m, n in ((270002, 3), (1000000, 3), (10**9, 10**9 + 1)):
+        with pytest.raises(SizeLimitError, match="over the dimension limit"):
             build_kasteleyn(m, n)
     assert time.perf_counter() - start < 0.1
-    assert len(primes) == 2
+
+
+def test_det_refuses_past_max_dim():
+    # a matrix built by hand is held to the same limit, before elimination
+    dim = kasteleyn.MAX_DIM + 1
+    with pytest.raises(SizeLimitError, match="the matrix has dimension 270001"):
+        det_exact(SparseMatrix(({},) * dim))

@@ -148,6 +148,6 @@ def _half_board_diag(m: int, n: int, diag: Iterable[int] = ()) -> frozenset[int]
     if m % 2 == 0 or m <= n:
         raise ValueError("m must be odd and exceed n")
     marks = frozenset(int(a) for a in diag)
-    if not marks <= frozenset(range(1, n)):
+    if not all(0 < a < n for a in marks):
         raise ValueError("diag must be a subset of 1..n-1")
     return marks

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .board import Board, LShapeSpec, _half_board_diag, half_board, rectangle
+from .board import Board, LShapeSpec, _half_board_diag, half_board
 from .gaussian import GaussianInt, ZERO, i_power
 from .kasteleyn import SparseMatrix, _check_dim, det_exact
 from .residue import _check_pair

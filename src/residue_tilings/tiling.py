@@ -7,13 +7,12 @@ broken-profile dynamic program that sweeps the board one cell at a time.
 The DP is one kernel whose only parameter is the weight of a horizontal
 domino: i for the signed sum, 1 for the tiling count and -1 for the
 counts of tilings with h even and odd, found without enumerating them.
-A board that is its own mirror image about the middle column of the
-sweep, such as any rectangle, is swept only up to that column: the right
-half, mirrored, is the left half, so the sum is assembled from the
-profiles of one half sweep.  The states after each whole column of a
-rectangle are kept per profile height, weight and orientation, within
-MAX_STATES in total, so that the next rectangle of that height sweeps only
-the columns past those kept.
+A rectangle is swept only up to its middle column: the right half,
+mirrored, is the left half, so the sum is assembled from the profiles of
+one half sweep.  The states after each whole column of a rectangle are
+kept per profile height, weight and orientation, within MAX_STATES in
+total, so that the next rectangle of that height sweeps only the columns
+past those kept.  Any other board is swept whole, from its short end.
 """
 
 from __future__ import annotations
@@ -204,8 +203,12 @@ def _profile_sum(board, weight):
     moves to vertical placements.  A sweep whose live states outgrow
     MAX_STATES raises SizeLimitError, since time grows with the states.
 
-    Fold: when the cell set equals its mirror image about the middle column
-    of the sweep, the sweep stops after ceil(w/2) of its w columns.  Cut
+    A board that is not a rectangle is swept cell by cell from its short
+    end: when its last column holds fewer cells than its first, it is
+    mirrored (i -> min_i + max_i - i) first.  A mirror keeps every domino's
+    orientation, so it keeps the sum for every weight.
+
+    Fold: a rectangle's sweep stops after ceil(w/2) of its w columns.  Cut
     between columns k and k + 1 and let p be the rows a domino crosses the
     cut in; the right part, mirrored, is a left sweep of w - k columns that
     ends with the same p.  So the sum is sum_p L_k[p] * L_(w-k)[p] *
@@ -215,10 +218,9 @@ def _profile_sum(board, weight):
     when they carry no weight (weight 1, or a transposed board).  The
     parity bits and that factor combine into weight**(e mod 2) and a sign.
 
-    A rectangle takes L_k and L_(w-k) from _rectangle_columns, which keeps
-    the states after each whole column for the next rectangle of the same
-    profile height, weight and orientation; any other board is swept cell
-    by cell.  Both sweeps step through _cell_step.
+    L_k and L_(w-k) come from _rectangle_columns, which keeps the states
+    after each whole column for the next rectangle of the same profile
+    height, weight and orientation.  Both sweeps step through _cell_step.
     """
     cells = board.cells
     if not cells:
@@ -238,28 +240,19 @@ def _profile_sum(board, weight):
     negate = odd_bit if weight == 1j else 0
     h_flip, h_negate = (0, 0) if transposed else (flip, negate)
     signs = (h_flip, h_negate) + ((flip, negate) if transposed else (0, 0))
-    if len(cells) == width * height:
-        # a rectangle, at least two columns wide as its cell count is even
-        snaps = _rectangle_columns((height, weight, transposed), (width + 1) // 2, signs)
-        left, states = snaps[width // 2], snaps[(width + 1) // 2]
-    else:
+    if len(cells) != width * height:
+        if sum(i == max_i for i, _ in cells) < sum(i == min_i for i, _ in cells):
+            cells = sorted((min_i + max_i - i, j) for i, j in cells)
         present = set(cells)
-        mirror = min_i + max_i
-        folded = all((mirror - i, j) in present for i, j in cells)
-        if folded:
-            cells = [cell for cell in cells if 2 * cell[0] <= mirror]
-        left = None
         states = {0: 1}
         for i, j in cells:
-            if folded and left is None and 2 * i == mirror:
-                left = states
             bit = 1 << (j - min_j)
             up = bit << 1 if (i, j + 1) in present else 0
             states = _cell_step(states, bit, (i + 1, j) in present, up, *signs)
-        if not folded:
-            return states.get(0, 0), states.get(odd_bit, 0)
-        if left is None:  # even width, or no middle cell: one cut ends both halves
-            left = states
+        return states.get(0, 0), states.get(odd_bit, 0)
+    # a rectangle, at least two columns wide as its cell count is even
+    snaps = _rectangle_columns((height, weight, transposed), (width + 1) // 2, signs)
+    left, states = snaps[width // 2], snaps[(width + 1) // 2]
     sums = [0, 0]
     for key, a in left.items():
         p = key & (odd_bit - 1)

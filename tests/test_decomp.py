@@ -226,6 +226,15 @@ def test_half_board_parity():
         half_board_parity(5, 3, {1, 2})  # non-integral expression
 
 
+def test_half_board_diag_check_builds_no_range(monkeypatch):
+    # each mark is checked on its own, so a large n costs nothing before
+    # the size checks; a frozenset of 1..n-1 took 89 MB at n = 10**6 + 1
+    from residue_tilings import board
+
+    monkeypatch.setattr(board, "range", trip, raising=False)
+    assert half_board_parity(1000003, 1000001, ()) == 0
+
+
 def test_half_board_parity_matches_the_rational_expression():
     # the closed expression evaluated over the rationals is the oracle
     for m, n in _window_pairs(11):
@@ -275,9 +284,10 @@ def _window_pairs(n_max):
 
 
 def test_half_board_square_matches_dp():
-    # the DP oracle takes most of the time here, about 26 s of it at n = 21
-    pairs = _window_pairs(21)
-    assert len(pairs) == 94
+    # about 1.6 s in all: the DP oracle sweeps each half board from its
+    # short end, and (45, 23) swept from the tall end passes MAX_STATES
+    pairs = _window_pairs(25)
+    assert len(pairs) == 136
     for m, n in pairs:
         diag = admissible_diagonal(m, n)
         half = half_board_sum(m, n, diag)

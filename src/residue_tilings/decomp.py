@@ -56,8 +56,13 @@ def closure(tiling: Tiling, subset: Board) -> Board:
     the dominoes that meet subset."""
     if not subset <= tiling.board:
         raise ValueError("subset must lie inside the board")
-    return Board(cell for d in tiling.dominoes
-                 if d.a in subset or d.b in subset for cell in d.cells)
+    return Board(_closure_cells(tiling, subset))
+
+
+def _closure_cells(tiling: Tiling, subset) -> set:
+    """The cells of closure(tiling, subset); subset is any cell container."""
+    return {cell for d in tiling.dominoes
+            if d.a in subset or d.b in subset for cell in (d.a, d.b)}
 
 
 def closure_union(board: Board, subset: Board) -> Board:
@@ -65,10 +70,9 @@ def closure_union(board: Board, subset: Board) -> Board:
     empty board when board has no tilings."""
     if not subset <= board:
         raise ValueError("subset must lie inside the board")
-    union: set = set()
-    for t in enumerate_tilings(board):
-        union.update(closure(t, subset).cells)
-    return Board(union)
+    inside = set(subset)
+    return Board(set().union(*(_closure_cells(t, inside)
+                               for t in enumerate_tilings(board))))
 
 
 def restricted_sum(subset: Board, board: Board) -> GaussianInt:
@@ -76,9 +80,10 @@ def restricted_sum(subset: Board, board: Board) -> GaussianInt:
     the whole board."""
     if not subset <= board:
         raise ValueError("subset must lie inside the board")
+    inside, whole = set(subset), set(board)
     total = ZERO
     for t in enumerate_tilings(board):
-        if closure(t, subset) == board:
+        if _closure_cells(t, inside) == whole:
             total = total + i_power(horizontal_count(t))
     return total
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .board import Board, Cell, rectangle
@@ -64,16 +65,19 @@ class Tiling:
     __slots__ = ("_board", "_dominoes")
 
     def __init__(self, board: Board, dominoes: Iterable[Domino]):
-        doms = tuple(sorted(dominoes))
-        covered: set[Cell] = set()
-        for d in doms:
-            for cell in d.cells:
+        # the dataclass order, without calling Domino.__lt__ per comparison
+        doms = tuple(sorted(dominoes, key=attrgetter("a", "b")))
+        cells = [cell for d in doms for cell in (d.a, d.b)]
+        covered = set(cells)
+        # one set comparison accepts a cover; the loop only names a fault
+        if not (len(cells) == len(covered) == len(board) and covered.issuperset(board)):
+            covered.clear()
+            for cell in cells:
                 if cell not in board:
                     raise ValueError(f"domino cell {cell} not on the board")
                 if cell in covered:
                     raise ValueError(f"cell {cell} covered twice")
                 covered.add(cell)
-        if len(covered) != len(board):
             raise ValueError("dominoes do not cover the whole board")
         self._board = board
         self._dominoes = doms
@@ -125,46 +129,52 @@ def enumerate_tilings(board: Board) -> list[Tiling]:
     """All tilings of board, in deterministic backtracking order.
 
     At each step the lexicographically smallest uncovered cell is matched
-    with its right neighbor first, then its upper neighbor.  Boards larger
-    than the cell limit (default 36, overridable via the
+    with its right neighbor first, then its upper neighbor, on an explicit
+    stack (no recursion limit); each Domino is made once and shared by the
+    tilings holding it.  A board of odd size has none and is not searched.
+    Boards larger than the cell limit (default 36, overridable via the
     RESIDUE_TILINGS_LIMIT environment variable) are refused.
     """
     _check_cell_limit(board, None)
+    if len(board) % 2:
+        return []
     order = board.cells
     size = len(order)
     position = {cell: k for k, cell in enumerate(order)}
-    # Right and upper neighbors by cell index; both are lex-greater, so the
-    # smallest uncovered cell only ever pairs forward.
+    # Right and upper neighbors by cell index, none for the end at size; both
+    # are lex-greater, so the smallest uncovered cell only ever pairs forward.
     partners = [
-        tuple(
-            position[p]
-            for p in ((i + 1, j), (i, j + 1))
-            if p in position
-        )
+        [position[p] for p in ((i + 1, j), (i, j + 1)) if p in position]
         for i, j in order
-    ]
-    covered = bytearray(size)
-    chosen: list[tuple[int, int]] = []
+    ] + [[]]
+    made: list[Domino | None] = [None] * (2 * size)  # by 2 * index + slot
+    covered = bytearray(size + 1)  # the extra 0 stops the scan at size
+    placed: list[int] = []  # 2 * cell index + partner slot, per domino
     results: list[Tiling] = []
-
-    def backtrack(idx: int) -> None:
-        while idx < size and covered[idx]:
+    idx = slot = 0
+    while True:
+        while covered[idx]:
             idx += 1
+        options = partners[idx]
+        while slot < len(options) and covered[options[slot]]:
+            slot += 1
+        if slot < len(options):
+            code, p = 2 * idx + slot, options[slot]
+            if made[code] is None:
+                made[code] = Domino(order[idx], order[p])
+            covered[idx] = covered[p] = 1
+            placed.append(code)
+            idx, slot = idx + 1, 0
+            continue
         if idx == size:
-            results.append(
-                Tiling(board, (Domino(order[a], order[b]) for a, b in chosen))
-            )
-            return
-        for p in partners[idx]:
-            if not covered[p]:
-                covered[idx] = covered[p] = 1
-                chosen.append((idx, p))
-                backtrack(idx + 1)
-                chosen.pop()
-                covered[idx] = covered[p] = 0
-
-    backtrack(0)
-    return results
+            results.append(Tiling(board, [made[code] for code in placed]))
+        # a tiling or a dead end: take back the last domino, try its next slot
+        if not placed:
+            return results
+        code = placed.pop()
+        idx, slot = code >> 1, code & 1
+        covered[idx] = covered[partners[idx][slot]] = 0
+        slot += 1
 
 
 def signed_sum_bruteforce(board: Board) -> GaussianInt:

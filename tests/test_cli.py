@@ -163,6 +163,10 @@ GOLDEN_DIGESTS = {
         "f52d0e8ce6c75c03d9c10050fcc460e4c1432e55966ccef436e1db32fbadefb8",
     ("lemma", "periodicity"):
         "8980e1f52004582904b1db6f2467d57d43b4a0e2fcc11fa7bfd5714974e77e5b",
+    ("lemma", "l-closed-form"):
+        "97417713d67731a77fbf36c4ecc0e360aef925e3542f49d1d211d335ecfbc635",
+    ("lemma", "flip-connectivity"):
+        "5cab31e40d83284a31151da94660d899a8bcb18a9d3317ad2e49d106334d3ffc",
     ("verify", "--m-max", "20", "--n-max", "13",
      "--methods", "dp,det,reciprocity-free,spectral"):
         "abb7a4516de7ef237f8dc549eecdf7bee4f969e00fb9d34893e078d53f19d865",

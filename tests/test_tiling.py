@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from residue_tilings import tiling
 from residue_tilings.board import Board, rectangle
+from residue_tilings.decomp import closure, closure_union, restricted_sum
 from residue_tilings.gaussian import GaussianInt, i_power
 from residue_tilings.lemmas import run_parity
 from residue_tilings.tiling import (
@@ -55,10 +56,27 @@ def test_tiling_must_cover_board():
     board = rectangle(2, 1)
     good = Tiling(board, [Domino.of((1, 1), (2, 1))])
     assert horizontal_count(good) == 1
-    with pytest.raises(ValueError):
-        Tiling(board, [])
-    with pytest.raises(ValueError):
-        Tiling(rectangle(2, 2), [Domino.of((1, 1), (2, 1))] * 2)
+    square = rectangle(2, 2)
+    low, high = Domino.of((1, 1), (2, 1)), Domino.of((1, 2), (2, 2))
+    faults = [
+        (board, [], "dominoes do not cover the whole board"),
+        (square, [low], "dominoes do not cover the whole board"),
+        (board, [Domino.of((2, 1), (3, 1))], "domino cell (3, 1) not on the board"),
+        # a whole cover plus a domino off the board, and plus a repeated one
+        (square, [low, high, Domino.of((1, 3), (2, 3))], "domino cell (1, 3) not on the board"),
+        (square, [low, high, low], "cell (1, 1) covered twice"),
+        # four cells on a board of four: the count alone does not show these
+        (square, [low, low], "cell (1, 1) covered twice"),
+        (square, [low, Domino.of((1, 1), (1, 2))], "cell (1, 1) covered twice"),
+        # the first fault in domino order is named: the repeat before (3, 2)
+        (square, [Domino.of((2, 2), (3, 2)), low, low], "cell (1, 1) covered twice"),
+    ]
+    for on, dominoes, message in faults:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Tiling(on, dominoes)
+    # dominoes given out of order are stored in the canonical order
+    assert Tiling(square, [high, low]).dominoes == (low, high)
+    assert Tiling(square, (d for d in [high, low])) == Tiling(square, [low, high])
 
 
 def test_enumerate_small_boards():
@@ -79,6 +97,19 @@ def test_enumeration_limit(monkeypatch):
     monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "3")
     with pytest.raises(SizeLimitError):
         enumerate_tilings(rectangle(2, 2))
+
+
+def test_enumeration_of_a_long_board_keeps_its_own_stack(monkeypatch):
+    # 1000 dominoes deep, past Python's default recursion limit of 1000
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "3000")
+    (only,) = enumerate_tilings(rectangle(2000, 1))
+    assert horizontal_count(only) == 1000
+    # and a dead end 998 dominoes deep, at the cell before the hole (1999, 1)
+    assert enumerate_tilings(rectangle(2000, 1) - Board([(3, 1), (1999, 1)])) == []
+    # a board of odd size has no tiling, but the limit still comes first
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "36")
+    with pytest.raises(SizeLimitError):
+        enumerate_tilings(rectangle(37, 1))
 
 
 @pytest.mark.parametrize("value", [
@@ -240,6 +271,31 @@ def assert_kernel_matches_enumeration(board):
 @given(holey_boards())
 def test_profile_kernel_matches_enumeration(board):
     assert_kernel_matches_enumeration(board)
+
+
+@settings(max_examples=100, deadline=None)
+@given(holey_boards(), st.data())
+def test_enumerated_tilings_rebuild_and_close(board, data):
+    tilings = enumerate_tilings(board)
+    for t in tilings:
+        again = Tiling(board, t.dominoes)
+        assert again == t and again.dominoes == t.dominoes
+    assert len(set(tilings)) == len(tilings) == count_tilings(board)
+    # one enumeration makes each domino once: equal dominoes are one object
+    shared = {d: d for t in tilings for d in t.dominoes}
+    assert all(shared[d] is d for t in tilings for d in t.dominoes)
+    cells = board.cells
+    subset = Board(data.draw(st.sets(st.sampled_from(cells))) if cells else ())
+    # oracles from the public closure, one Board per tiling
+    union = set()
+    for t in tilings:
+        union.update(closure(t, subset))
+    assert closure_union(board, subset) == Board(union)
+    expected = GaussianInt(0)
+    for t in tilings:
+        if closure(t, subset) == board:
+            expected = expected + i_power(horizontal_count(t))
+    assert restricted_sum(subset, board) == expected
 
 
 @st.composite

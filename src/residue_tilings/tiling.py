@@ -11,8 +11,9 @@ A rectangle is swept only up to its middle column: the right half,
 mirrored, is the left half, so the sum is assembled from the profiles of
 one half sweep.  The states after each whole column of a rectangle are
 kept per profile height, weight and orientation, within MAX_STATES in
-total, so that the next rectangle of that height sweeps only the columns
-past those kept.  Any other board is swept whole, from its short end.
+total, so that the next rectangle of that height resumes from the last
+kept column at or before its middle.  Any other board is swept whole,
+from its short end.
 """
 
 from __future__ import annotations
@@ -228,9 +229,10 @@ def _profile_sum(board, weight):
     when they carry no weight (weight 1, or a transposed board).  The
     parity bits and that factor combine into weight**(e mod 2) and a sign.
 
-    L_k and L_(w-k) come from _rectangle_columns, which keeps the states
-    after each whole column for the next rectangle of the same profile
-    height, weight and orientation.  Both sweeps step through _cell_step.
+    L_k and L_(w-k) come from _fold_states, which keeps the states after
+    each whole column for the next rectangle of the same profile height,
+    weight and orientation, within MAX_STATES in total.  Both sweeps step
+    through _cell_step.
     """
     cells = board.cells
     if not cells:
@@ -261,8 +263,7 @@ def _profile_sum(board, weight):
             states = _cell_step(states, bit, (i + 1, j) in present, up, *signs)
         return states.get(0, 0), states.get(odd_bit, 0)
     # a rectangle, at least two columns wide as its cell count is even
-    snaps = _rectangle_columns((height, weight, transposed), (width + 1) // 2, signs)
-    left, states = snaps[width // 2], snaps[(width + 1) // 2]
+    left, states = _fold_states((height, weight, transposed), width, signs)
     sums = [0, 0]
     for key, a in left.items():
         p = key & (odd_bit - 1)
@@ -302,52 +303,47 @@ def _cell_step(states, bit, right, up, h_flip, h_negate, v_flip, v_negate):
     return new_states
 
 
-# (profile height, weight, transposed) -> the states after 0, 1, 2, ...
-# whole columns of a rectangle, in a tuple that only ever grows
-_SNAPSHOTS: dict[tuple, tuple[dict[int, int], ...]] = {}
+# (profile height, weight, transposed) -> {c: the states after c whole
+# columns of a rectangle}, filled in place; column 0 always stays
+_SNAPSHOTS: dict[tuple, dict[int, dict[int, int]]] = {}
 
 
-def _rectangle_columns(key, columns, signs):
-    """The states after 0, 1, ..., columns whole columns of a rectangle
-    more than columns wide, its profile height, weight and orientation
+def _fold_states(key, width, signs):
+    """The states after floor(w/2) and after ceil(w/2) whole columns of a
+    rectangle w = width wide, its profile height, weight and orientation
     given by key and signs the flips and negations they fix.
 
-    Every column before the last has a right neighbour, so these states do
-    not depend on the width: they are read from _SNAPSHOTS, and the columns
-    past its end are swept and stored there, each once all of its cell
-    steps have passed.  The stored states never pass MAX_STATES in total: a
-    column that would pass it first drops every other key's snapshots, and
-    if it still does not fit, no further column of this call is stored.
+    Every column before the last has a right neighbour, so the states after
+    c < w columns do not depend on w: _SNAPSHOTS[key] keeps them by c.  Each
+    of the two reads resumes from the last kept column at or before it, so
+    a read whose columns are both kept sweeps nothing, and every column
+    swept is kept once all of its cell steps have passed.  While the held
+    states pass MAX_STATES, every other key's columns are dropped first,
+    then this key's column farthest from the one just finished.
     """
     height = key[0]
-    snaps = list(_SNAPSHOTS.get(key, ({0: 1},)))
-    storing = True
-    while len(snaps) <= columns:
-        states = snaps[-1]
-        for y in range(height):
-            bit = 1 << y
-            states = _cell_step(states, bit, True, bit << 1 if y + 1 < height else 0, *signs)
-        snaps.append(states)
-        storing = storing and _store(key, snaps)
-    return snaps
-
-
-def _store(key, snaps) -> bool:
-    """Hold snaps under key, dropping every other key's snapshots first if
-    the held states would pass MAX_STATES; False if they still would."""
-    held = sum(map(len, _SNAPSHOTS.get(key, ())))
-    grow = sum(map(len, snaps)) - held
-    if _held_states() + grow > MAX_STATES:
-        for other in [k for k in _SNAPSHOTS if k != key]:
-            del _SNAPSHOTS[other]
-        if held + grow > MAX_STATES:
-            return False
-    _SNAPSHOTS[key] = tuple(snaps)
-    return True
+    kept = _SNAPSHOTS.setdefault(key, {0: {0: 1}})
+    folds = []
+    for column in (width // 2, (width + 1) // 2):
+        c = max(k for k in kept if k <= column)
+        states = kept[c]
+        while c < column:
+            for y in range(height):
+                bit = 1 << y
+                states = _cell_step(states, bit, True, bit << 1 if y + 1 < height else 0, *signs)
+            c += 1
+            kept[c] = states
+            if _held_states() > MAX_STATES:
+                _SNAPSHOTS.clear()
+                _SNAPSHOTS[key] = kept
+            while _held_states() > MAX_STATES:
+                del kept[max(kept.keys() - {0}, key=lambda k: (abs(k - c), k))]
+        folds.append(states)
+    return folds
 
 
 def _held_states() -> int:
-    return sum(len(states) for snaps in _SNAPSHOTS.values() for states in snaps)
+    return sum(len(states) for kept in _SNAPSHOTS.values() for states in kept.values())
 
 
 def _flip(tiling: Tiling, cover: dict[Cell, Domino], corner: Cell) -> Tiling | None:

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -369,15 +370,29 @@ def rectangle_runs(draw):
     return runs
 
 
+def profile_outcome(w, h, weight):
+    """The DP's pair for the w x h rectangle, or the text it is refused with."""
+    try:
+        return tiling._profile_sum(rectangle(w, h), weight)
+    except SizeLimitError as error:
+        return str(error)
+
+
 @settings(max_examples=200, deadline=None)
-@given(rectangle_runs())
-def test_snapshots_give_the_sums_of_an_empty_cache(runs):
-    tiling._SNAPSHOTS.clear()
-    warm = [tiling._profile_sum(rectangle(w, h), weight) for w, h, weight in runs]
-    cold = []
-    for w, h, weight in runs:
+@given(rectangle_runs(), st.sampled_from((40, 150, tiling.MAX_STATES)))
+def test_snapshots_give_the_sums_of_an_empty_cache(runs, limit):
+    # under a low limit the kept columns are dropped by random traffic, and
+    # some rectangles are refused: each outcome must still be the cold one
+    with mock.patch.object(tiling, "MAX_STATES", limit):
         tiling._SNAPSHOTS.clear()
-        cold.append(tiling._profile_sum(rectangle(w, h), weight))
+        warm = []
+        for run in runs:
+            warm.append(profile_outcome(*run))
+            assert tiling._held_states() <= limit
+        cold = []
+        for run in runs:
+            tiling._SNAPSHOTS.clear()
+            cold.append(profile_outcome(*run))
     assert warm == cold
 
 
@@ -395,12 +410,34 @@ def test_snapshots_hold_at_most_max_states(monkeypatch):
     for (sweep, board), value in zip(calls, expected):
         assert sweep(board) == value
         assert tiling._held_states() <= 100
-        kept.append({key: len(snaps) for key, snaps in tiling._SNAPSHOTS.items()})
+        kept.append({key: sorted(columns) for key, columns in tiling._SNAPSHOTS.items()})
     # 60 states of height 4 fit; the next 79, of height 5, fit only once
     # those are dropped; height 6 needs 393, so after dropping height 5 it
-    # keeps the 6 snapshots that fit, and the transposed 9 x 30 the first 2
-    assert kept == [{(4, 1, False): 11}, {(5, -1, False): 9}, {(6, 1, False): 6},
-                    {(9, 1j, True): 2}]
+    # drops its own first columns and keeps the last 4 next to column 0,
+    # and the transposed 9 x 30 keeps its last 2
+    assert kept == [{(4, 1, False): list(range(11))}, {(5, -1, False): list(range(9))},
+                    {(6, 1, False): [0, 17, 18, 19, 20]}, {(9, 1j, True): [0, 14, 15]}]
+
+
+def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
+    # columns 0..30 of height 6 hold 593 states, far more than the 150
+    # allowed; widths 2..60 in rising order must still resume from the
+    # columns just swept instead of sweeping again from a frozen prefix
+    widths = range(2, 61)
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    cold = []
+    for w in widths:
+        tiling._SNAPSHOTS.clear()
+        cold.append(count_tilings(rectangle(w, 6)))
+    tiling._SNAPSHOTS.clear()
+    monkeypatch.setattr(tiling, "MAX_STATES", 150)
+    calls = []
+    step = tiling._cell_step
+    monkeypatch.setattr(tiling, "_cell_step", lambda *args: calls.append(1) or step(*args))
+    assert [count_tilings(rectangle(w, 6)) for w in widths] == cold
+    # each cell step covers one of 6 cells of a column: two sweeps of the
+    # 30 columns are 360 steps
+    assert len(calls) <= 2 * 30 * 6
 
 
 def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):

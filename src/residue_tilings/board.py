@@ -32,6 +32,16 @@ class Board:
         self._cells: tuple[Cell, ...] = tuple(sorted(seen))
         self._cellset: frozenset[Cell] = frozenset(seen)
 
+    @classmethod
+    def _of(cls, cells: Iterable[Cell]) -> "Board":
+        """The board of cells known to be valid, built in this module from
+        checked ints or taken from other boards: each is already an (i, j)
+        tuple of ints >= 1, so none is checked again."""
+        board = cls.__new__(cls)
+        board._cellset = frozenset(cells)
+        board._cells = tuple(sorted(board._cellset))
+        return board
+
     @property
     def cells(self) -> tuple[Cell, ...]:
         return self._cells
@@ -57,13 +67,13 @@ class Board:
         return self._cellset <= other._cellset
 
     def __or__(self, other: "Board") -> "Board":
-        return Board(self._cells + other._cells)
+        return Board._of(self._cells + other._cells)
 
     def __sub__(self, other: "Board") -> "Board":
-        return Board(self._cellset - other._cellset)
+        return Board._of(self._cellset - other._cellset)
 
     def __and__(self, other: "Board") -> "Board":
-        return Board(self._cellset & other._cellset)
+        return Board._of(self._cellset & other._cellset)
 
     def __repr__(self) -> str:
         return f"Board({list(self._cells)!r})"
@@ -111,7 +121,7 @@ def rectangle(width: int, height: int) -> Board:
         raise ValueError("width and height must be ints")
     if width < 0 or height < 0:
         raise ValueError("width and height must be non-negative")
-    return Board((i, j) for i in range(1, width + 1) for j in range(1, height + 1))
+    return Board._of((i, j) for i in range(1, width + 1) for j in range(1, height + 1))
 
 
 def l_board(spec: LShapeSpec) -> Board:
@@ -122,7 +132,7 @@ def l_board(spec: LShapeSpec) -> Board:
             continue
         cells.extend((k + i, k + 1) for i in range(1, a + 1))
         cells.extend((k + 1, k + j) for j in range(1, b + 1))
-    return Board(cells)
+    return Board._of(cells)
 
 
 def half_board(m: int, n: int, diag: Iterable[int] = ()) -> Board:
@@ -138,7 +148,7 @@ def half_board(m: int, n: int, diag: Iterable[int] = ()) -> Board:
         (i, j) for i in range(1, m) for j in range(1, n) if i + j < mid
     ]
     cells.extend((mid - a, a) for a in marks)
-    return Board(cells)
+    return Board._of(cells)
 
 
 def _half_board_diag(m: int, n: int, diag: Iterable[int] = ()) -> frozenset[int]:

@@ -3,11 +3,13 @@
 The signed sum of a board X is sum over tilings D of i**h(D), where h(D)
 counts horizontal dominoes.  Two independent evaluation routes live here:
 a backtracking enumerator (the oracle, limited to small boards) and a
-broken-profile dynamic program that sweeps the board one cell at a time.
-The DP is one kernel whose only parameter is the weight of a horizontal
-domino: i for the signed sum, 1 for the tiling count and -1 for the
-counts of tilings with h even and odd, found without enumerating them.
-A rectangle is swept only up to its middle column: the right half,
+broken-profile dynamic program that sweeps the board column by column,
+covering up to WINDOW_ROWS consecutive cells of a column in one pass over
+its states through a table of the window's placements, built once per
+window shape.  The DP is one kernel whose only parameter is the weight of
+a horizontal domino: i for the signed sum, 1 for the tiling count and -1
+for the counts of tilings with h even and odd, found without enumerating
+them.  A rectangle is swept only up to its middle column: the right half,
 mirrored, is the left half, so the sum is assembled from the profiles of
 one half sweep.  The states after each whole column of a rectangle are
 kept per profile height, weight and orientation, within MAX_STATES in
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .board import Board, Cell, rectangle
@@ -29,6 +32,7 @@ from .gaussian import GaussianInt, ZERO, i_power
 DEFAULT_CELL_LIMIT = 36
 ENV_CELL_LIMIT = "RESIDUE_TILINGS_LIMIT"
 MAX_STATES = 1 << 16
+WINDOW_ROWS = 4
 
 
 class SizeLimitError(RuntimeError):
@@ -204,19 +208,23 @@ def _profile_sum(board, weight):
     """Sum of weight**h(D) over the tilings D of board, weight 1, -1 or
     1j, as a pair (even, odd) with the sum equal to even + weight * odd.
 
-    Broken-profile DP, one cell at a time in column order.  Bit y of a
-    state is set when the next cell of row y is already covered.  Unless
-    the weight is 1, the bit above the profile holds h mod 2, and a state
-    carries the int sum of weight**(h - h mod 2) over its partial tilings:
-    a weighted domino flips that bit, and for 1j negates on the way from
-    odd to even.  States whose weight has cancelled to 0 are dropped.  On
-    a bounding box taller than wide the board is transposed and the weight
-    moves to vertical placements.  A sweep whose live states outgrow
-    MAX_STATES raises SizeLimitError, since time grows with the states.
+    Broken-profile DP in column order.  Bit y of a state is set when the
+    next cell of row y is already covered.  Each pass over the states
+    covers a window of up to WINDOW_ROWS consecutive cells of a column
+    (_window_step, its placements from _window_table).  Unless the weight
+    is 1, the bit above the profile holds h mod 2, and a state carries the
+    int sum of weight**(h - h mod 2) over its partial tilings: a weighted
+    domino flips that bit, and for 1j negates on the way from odd to even.
+    States whose weight has cancelled to 0 are skipped, and dropped at the
+    end of each column.  On a bounding box taller than wide the board is
+    transposed and the weight moves to vertical placements.  A window step
+    whose live states outgrow MAX_STATES raises SizeLimitError, since time
+    grows with the states.
 
-    A board that is not a rectangle is swept cell by cell from its short
-    end: when its last column holds fewer cells than its first, it is
-    mirrored (i -> min_i + max_i - i) first.  A mirror keeps every domino's
+    A board that is not a rectangle is swept whole, its windows cut from
+    the runs of consecutive cells in each column, from its short end: when
+    its last column holds fewer cells than its first, it is mirrored
+    (i -> min_i + max_i - i) first.  A mirror keeps every domino's
     orientation, so it keeps the sum for every weight.
 
     Fold: a rectangle's sweep stops after ceil(w/2) of its w columns.  Cut
@@ -232,7 +240,7 @@ def _profile_sum(board, weight):
     L_k and L_(w-k) come from _fold_states, which keeps the states after
     each whole column for the next rectangle of the same profile height,
     weight and orientation, within MAX_STATES in total.  Both sweeps step
-    through _cell_step.
+    through _window_step.
     """
     cells = board.cells
     if not cells:
@@ -250,17 +258,18 @@ def _profile_sum(board, weight):
     odd_bit = 1 << height
     flip = 0 if weight == 1 else odd_bit
     negate = odd_bit if weight == 1j else 0
-    h_flip, h_negate = (0, 0) if transposed else (flip, negate)
-    signs = (h_flip, h_negate) + ((flip, negate) if transposed else (0, 0))
+    h_flip = 0 if transposed else flip
+    signs = (weight != 1, weight == 1j)
+    signs = (False, False) + signs if transposed else signs + (False, False)
     if len(cells) != width * height:
         if sum(i == max_i for i, _ in cells) < sum(i == min_i for i, _ in cells):
             cells = sorted((min_i + max_i - i, j) for i, j in cells)
         present = set(cells)
         states = {0: 1}
-        for i, j in cells:
-            bit = 1 << (j - min_j)
-            up = bit << 1 if (i, j + 1) in present else 0
-            states = _cell_step(states, bit, (i + 1, j) in present, up, *signs)
+        for i, column in groupby(cells, itemgetter(0)):
+            rows = [j - min_j for _, j in column]
+            rights = [(i + 1, y + min_j) in present for y in rows]
+            states = _column_step(states, _column_windows(rows, rights, signs), height)
         return states.get(0, 0), states.get(odd_bit, 0)
     # a rectangle, at least two columns wide as its cell count is even
     left, states = _fold_states((height, weight, transposed), width, signs)
@@ -277,30 +286,95 @@ def _profile_sum(board, weight):
     return sums[0], sums[1]
 
 
-def _cell_step(states, bit, right, up, h_flip, h_negate, v_flip, v_negate):
-    """The states after covering the cell at bit of the profile: bit set
-    means a domino already covers it, else a domino goes to the right
-    neighbour (if right) or to the cell above (the bit up, 0 if none)."""
+def _window_step(states, y, height, table):
+    """The states after covering the window of cells from row y up, whose
+    placements table gives (see _window_table); states whose weight has
+    cancelled to 0 are skipped."""
     new_states: dict[int, int] = {}
     get = new_states.get
+    low = len(table) - 1
     for mask, w in states.items():
         if not w:
             continue
-        if mask & bit:
-            key = mask ^ bit
-            new_states[key] = get(key, 0) + w
-            continue
-        if right:
-            key = (mask | bit) ^ h_flip
-            new_states[key] = get(key, 0) + (-w if mask & h_negate else w)
-        if up and not mask & up:
-            key = (mask | up) ^ v_flip
-            new_states[key] = get(key, 0) + (-w if mask & v_negate else w)
+        for xor, flip, negate in table[(mask >> y) & low][mask >> height]:
+            key = mask ^ (xor << y) ^ (flip << height)
+            new_states[key] = get(key, 0) - w if negate else get(key, 0) + w
+    if len(new_states) > MAX_STATES:
+        # only live states count against the limit
+        new_states = {key: w for key, w in new_states.items() if w}
     if len(new_states) > MAX_STATES:
         raise SizeLimitError(
             f"{len(new_states)} profile states exceed limit {MAX_STATES}"
         )
     return new_states
+
+
+# (rights, up, signs) -> the placements of a window, built on first use
+_WINDOWS: dict[tuple, list] = {}
+
+
+def _window_table(rights, up, signs):
+    """The placements of a window of L = len(rights) cells, one above
+    another: rights[k] tells whether cell k has a right neighbour, up
+    whether a cell sits above the window, and signs which of the four flips
+    and negations (of the parity bit and the weight, by horizontal and by
+    vertical dominoes) are on.
+
+    table[b | a << L][p], for the window's profile bits b, the bit a above
+    it and the parity bit p, lists one (xor, flip, negate) per way to cover
+    the window: xor changes the L + 1 bits from the window's first row up,
+    flip the parity bit, and negate the sign of the weight.  The profile
+    height is not part of the key, so every height shares the tables.
+    """
+    key = (rights, up, signs)
+    table = _WINDOWS.get(key)
+    if table is not None:
+        return table
+    length = len(rights)
+    odd = 2 << length
+    h_flip, h_negate, v_flip, v_negate = (odd if on else 0 for on in signs)
+    table = _WINDOWS[key] = [([], []) for _ in range(odd)]
+    for start in range(2 * odd):
+        # the cell steps of the window, on its own bits, from one start
+        states = {start: False}
+        for k, right in enumerate(rights):
+            bit, new_states = 1 << k, {}
+            above = bit << 1 if k + 1 < length or up else 0
+            for mask, negate in states.items():
+                if mask & bit:
+                    new_states[mask ^ bit] = negate
+                    continue
+                if right:
+                    new_states[(mask | bit) ^ h_flip] = negate ^ bool(mask & h_negate)
+                if above and not mask & above:
+                    new_states[(mask | above) ^ v_flip] = negate ^ bool(mask & v_negate)
+            states = new_states
+        placements = table[start & (odd - 1)][start >> (length + 1)]
+        for end, negate in states.items():
+            placements.append(((end ^ start) & (odd - 1), (end ^ start) >> (length + 1), negate))
+    return table
+
+
+def _column_windows(rows, rights, signs):
+    """(y, table) for each window of one column: its profile rows, in
+    ascending order, cut into runs of consecutive rows of at most
+    WINDOW_ROWS; rights[k] tells whether the cell at rows[k] has a right
+    neighbour."""
+    windows, start = [], 0
+    for k, y in enumerate(rows):
+        up = k + 1 < len(rows) and rows[k + 1] == y + 1
+        if not up or k + 1 - start == WINDOW_ROWS:
+            windows.append((rows[start], _window_table(tuple(rights[start:k + 1]), up, signs)))
+            start = k + 1
+    return windows
+
+
+def _column_step(states, windows, height):
+    """The states after every window of one column, without those whose
+    weight has cancelled to 0."""
+    for y, table in windows:
+        states = _window_step(states, y, height, table)
+    return {key: w for key, w in states.items() if w}
 
 
 # (profile height, weight, transposed) -> {c: the states after c whole
@@ -317,20 +391,19 @@ def _fold_states(key, width, signs):
     c < w columns do not depend on w: _SNAPSHOTS[key] keeps them by c.  Each
     of the two reads resumes from the last kept column at or before it, so
     a read whose columns are both kept sweeps nothing, and every column
-    swept is kept once all of its cell steps have passed.  While the held
+    swept is kept once all of its window steps have passed.  While the held
     states pass MAX_STATES, every other key's columns are dropped first,
     then this key's column farthest from the one just finished.
     """
     height = key[0]
+    windows = _column_windows(range(height), [True] * height, signs)
     kept = _SNAPSHOTS.setdefault(key, {0: {0: 1}})
     folds = []
     for column in (width // 2, (width + 1) // 2):
         c = max(k for k in kept if k <= column)
         states = kept[c]
         while c < column:
-            for y in range(height):
-                bit = 1 << y
-                states = _cell_step(states, bit, True, bit << 1 if y + 1 < height else 0, *signs)
+            states = _column_step(states, windows, height)
             c += 1
             kept[c] = states
             if _held_states() > MAX_STATES:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from residue_tilings.board import (
@@ -42,6 +44,39 @@ def test_board_rejects_bad_cells():
         Board([(1, -2)])
     with pytest.raises(ValueError):
         Board([(1.0, 2)])
+
+
+@pytest.mark.parametrize("bad, message", [
+    # equal to the good cell before it, so a check of the distinct cells alone
+    # would miss it
+    ((1.0, 1), "cell coordinates must be ints, got (1.0, 1)"),
+    ((1, 2, 3), "too many values to unpack (expected 2)"),
+    ((0, 1), "cells are 1-indexed, got (0, 1)"),
+])
+def test_board_names_the_first_bad_cell(bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Board([(1, 1), bad, (2.5, 1)])
+
+
+def test_board_takes_any_pair_of_ints():
+    # a list pair and a bool are taken as they always were
+    assert Board([(1, 1), [1, 2]]) == Board([(1, 1), (1, 2)])
+    assert Board([(1, 1), [1, 2]]).cells == ((1, 1), (1, 2))
+    assert Board([(True, 1)]) == Board([(1, 1)])
+
+
+def test_built_boards_equal_checked_boards():
+    # rectangle, l_board, half_board and the set operations build their
+    # cells from checked ints and skip the per-cell check
+    spec = LShapeSpec((3, 0, 2), (2, 4, 1))
+    built = [rectangle(3, 2), l_board(spec), half_board(9, 5, {2}),
+             rectangle(3, 2) | l_board(spec), rectangle(3, 2) - l_board(spec),
+             rectangle(3, 2) & l_board(spec)]
+    for board in built:
+        again = Board(list(board.cells)[::-1])
+        assert board == again and board.cells == again.cells
+        assert hash(board) == hash(again)
+        assert all(type(i) is int and type(j) is int for i, j in board.cells)
 
 
 def test_bounds():

@@ -274,6 +274,32 @@ def test_profile_kernel_matches_enumeration(board):
     assert_kernel_matches_enumeration(board)
 
 
+@st.composite
+def tall_boards(draw):
+    """A bar one or two cells wide and 9 to 11 tall on a foot one or two
+    cells high and as wide as the bar is tall, the bar anywhere along the
+    foot, with up to five cells taken out: a bounding box no taller than
+    wide, so the sweep's columns along the bar hold 9 to 11 cells, several
+    windows each, in at most 36 cells."""
+    height = draw(st.integers(9, 11))
+    bar = draw(st.integers(1, 2))
+    foot = draw(st.integers(1, 2 if bar * height < 22 else 1))
+    left = draw(st.integers(1, height + 1 - bar))
+    cells = {(i, j) for i in range(left, left + bar) for j in range(1, height + 1)}
+    cells |= {(i, j) for i in range(1, height + 1) for j in range(1, foot + 1)}
+    holes = draw(st.sets(st.sampled_from(sorted(cells)), max_size=5))
+    return Board(cells - holes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_boards())
+def test_tall_windows_match_enumeration(board):
+    # windows cut by holes, cells with and without a right neighbour or a
+    # cell above, each weight, mirrored and transposed
+    assert len(board) <= tiling.DEFAULT_CELL_LIMIT
+    assert_kernel_matches_enumeration(board)
+
+
 @settings(max_examples=100, deadline=None)
 @given(holey_boards(), st.data())
 def test_enumerated_tilings_rebuild_and_close(board, data):
@@ -396,6 +422,58 @@ def test_snapshots_give_the_sums_of_an_empty_cache(runs, limit):
     assert warm == cold
 
 
+def cell_sweep_columns(height, weight, transposed, columns):
+    """{c: the states after c whole columns} of a rectangle of profile
+    height height, as the profile DP made them one cell at a time before it
+    stepped over windows: the reference for its kept columns."""
+    odd = 1 << height
+    flip = 0 if weight == 1 else odd
+    negate = odd if weight == 1j else 0
+    h_flip, h_negate, v_flip, v_negate = (0, 0, flip, negate) if transposed else (flip, negate, 0, 0)
+    states, out = {0: 1}, {0: {0: 1}}
+    for c in range(1, columns + 1):
+        for y in range(height):
+            bit, up, new = 1 << y, 2 << y if y + 1 < height else 0, {}
+            for mask, w in states.items():
+                if mask & bit:
+                    moves = [(mask ^ bit, w)]
+                else:
+                    moves = [((mask | bit) ^ h_flip, -w if mask & h_negate else w)]
+                    if up and not mask & up:
+                        moves.append(((mask | up) ^ v_flip, -w if mask & v_negate else w))
+                for key, v in moves:
+                    new[key] = new.get(key, 0) + v
+            states = {key: w for key, w in new.items() if w}
+        out[c] = states
+    return out
+
+
+def test_kept_columns_equal_the_cell_by_cell_sweep(monkeypatch):
+    # every kept column, cold and after resuming from kept columns, holds the
+    # same states with the same weights as the sweep one cell at a time, and
+    # no state whose weight cancelled to 0
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    for height in range(1, 11):
+        for weight in WEIGHTS:
+            for transposed in (False, True):
+                key = (height, weight, transposed)
+                widths = range(height + transposed, 13)
+                reference = cell_sweep_columns(height, weight, transposed, 6)
+                for cold in (True, False):
+                    checked = set()
+                    for w in widths:
+                        if cold:
+                            tiling._SNAPSHOTS.clear()
+                        board = rectangle(height, w) if transposed else rectangle(w, height)
+                        tiling._profile_sum(board, weight)
+                        for c, states in tiling._SNAPSHOTS.get(key, {}).items():
+                            assert states == reference[c], (key, w, c)
+                            assert all(states.values())
+                            checked.add(c)
+                    assert max(checked) == 6
+                    tiling._SNAPSHOTS.clear()
+
+
 def test_snapshots_hold_at_most_max_states(monkeypatch):
     calls = [(count_tilings, rectangle(20, 4)), (parity_counts, rectangle(16, 5)),
              (count_tilings, rectangle(40, 6)), (signed_sum, rectangle(9, 30))]
@@ -432,19 +510,19 @@ def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
     tiling._SNAPSHOTS.clear()
     monkeypatch.setattr(tiling, "MAX_STATES", 150)
     calls = []
-    step = tiling._cell_step
-    monkeypatch.setattr(tiling, "_cell_step", lambda *args: calls.append(1) or step(*args))
+    step = tiling._window_step
+    monkeypatch.setattr(tiling, "_window_step", lambda *args: calls.append(1) or step(*args))
     assert [count_tilings(rectangle(w, 6)) for w in widths] == cold
-    # each cell step covers one of 6 cells of a column: two sweeps of the
-    # 30 columns are 360 steps
-    assert len(calls) <= 2 * 30 * 6
+    # each window step covers up to WINDOW_ROWS of the 6 cells of a column:
+    # two sweeps of the 30 columns are 2 * 30 * 2 steps
+    assert 0 < len(calls) <= 2 * 30 * math.ceil(6 / tiling.WINDOW_ROWS)
 
 
 def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
-    # at profile height 10 the live states reach 241 in column 3 and 251 in
-    # column 4, so with a limit of 245 both rectangles are refused there,
-    # after storing the columns they finished; the wider one then resumes
-    # from those
+    # at profile height 10 the live states number 241 after column 3, and
+    # the window over rows 4 to 7 of column 4 makes 251, so with a limit of
+    # 245 both rectangles are refused there, after storing the columns they
+    # finished; the wider one then resumes from those
     limit = tiling.MAX_STATES
     monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
     expected = count_tilings(rectangle(12, 10))
@@ -458,8 +536,9 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     assert len(tiling._SNAPSHOTS[(10, 1, False)]) > 1
     with pytest.raises(SizeLimitError) as warm:
         count_tilings(rectangle(12, 10))
-    assert str(warm.value) == str(cold.value) == "246 profile states exceed limit 245"
-    # with a limit of 60 the first column is refused at its last cell, and
+    assert str(warm.value) == str(cold.value) == "251 profile states exceed limit 245"
+    assert sorted(tiling._SNAPSHOTS[(10, 1, False)]) == [0, 3]
+    # with a limit of 60 the first column is refused at its last window, and
     # nothing of it is kept: with the limit back, the sum is the cold one
     tiling._SNAPSHOTS.clear()
     monkeypatch.setattr(tiling, "MAX_STATES", 60)

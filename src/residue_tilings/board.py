@@ -107,8 +107,10 @@ class LShapeSpec:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        object.__setattr__(self, "a", tuple(self.a))
+        object.__setattr__(self, "b", tuple(self.b))
+        if not all(isinstance(x, int) for x in self.a + self.b):
+            raise ValueError("arm lengths must be ints")
         if len(self.a) != len(self.b):
             raise ValueError("arm length lists must have equal length")
         if any(x < 0 for x in self.a + self.b):
@@ -157,7 +159,7 @@ def _half_board_diag(m: int, n: int, diag: Iterable[int] = ()) -> frozenset[int]
     _check_pair(m, n)
     if m % 2 == 0 or m <= n:
         raise ValueError("m must be odd and exceed n")
-    marks = frozenset(int(a) for a in diag)
-    if not all(0 < a < n for a in marks):
+    marks = frozenset(diag)
+    if not all(isinstance(a, int) and 0 < a < n for a in marks):
         raise ValueError("diag must be a subset of 1..n-1")
     return marks

@@ -213,13 +213,26 @@ def half_board_parity(m: int, n: int, diag: Iterable[int]) -> int:
     return (quarters // 4 + sum(1 for a in marks if a % 2)) % 2
 
 
+def biadjacency(board: Board) -> SparseMatrix | None:
+    """B, the 0/1 matrix of board with one column per even cell (i + j
+    even) and an entry 1 at each odd neighbour on board; None when the two
+    colour classes differ in size, as then board has no tiling."""
+    even = [(i, j) for i, j in board if (i + j) % 2 == 0]
+    odd = {cell: row for row, cell in enumerate(
+        (i, j) for i, j in board if (i + j) % 2)}
+    if len(even) != len(odd):
+        return None
+    return SparseMatrix(tuple(
+        {odd[c]: 1 for c in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+         if c in odd}
+        for i, j in even
+    ))
+
+
 def half_board_square(m: int, n: int, diag: Iterable[int]) -> int:
     """Square of the signed sum of the half board with anti-diagonal cells
-    diag, as (-1)**h * det(B)**2 (see the module docstring).
-
-    B has one column per even cell (i + j even) with entry 1 at each odd
-    neighbor on the board; a board whose two colour classes differ in size
-    has no tiling.  |det B| is at most 1, and nonzero only when diag
+    diag, as (-1)**h * det(B)**2 (see the module docstring), with B from
+    biadjacency.  |det B| is at most 1, and nonzero only when diag
     satisfies the support conditions; a value that breaks either fact
     raises InvariantError.
 
@@ -230,17 +243,10 @@ def half_board_square(m: int, n: int, diag: Iterable[int]) -> int:
     """
     marks = _check_window(m, n, diag)
     _check_dim(f"B at m = {m}, n = {n}", ((m - 2) * (n - 1) // 2 + len(marks)) // 2)
-    board = half_board(m, n, marks)
-    even = [(i, j) for i, j in board if (i + j) % 2 == 0]
-    odd = {cell: row for row, cell in enumerate(
-        (i, j) for i, j in board if (i + j) % 2)}
-    if len(even) != len(odd):
+    matrix = biadjacency(half_board(m, n, marks))
+    if matrix is None:
         return 0
-    det = det_exact(SparseMatrix(tuple(
-        {odd[c]: 1 for c in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-         if c in odd}
-        for i, j in even
-    )))
+    det = det_exact(matrix)
     _check_half_board(m, n, marks, "determinant", det, (-1, 0, 1))
     return (-1) ** half_board_parity(m, n, marks) if det else 0
 

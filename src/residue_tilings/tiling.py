@@ -6,16 +6,15 @@ a backtracking enumerator (the oracle, limited to small boards) and a
 broken-profile dynamic program that sweeps the board column by column,
 covering up to WINDOW_ROWS consecutive cells of a column in one pass over
 its states through a table of the window's placements, built once per
-window shape.  The DP is one kernel whose only parameter is the weight of
-a horizontal domino: i for the signed sum, 1 for the tiling count and -1
-for the counts of tilings with h even and odd, found without enumerating
-them.  A rectangle is swept only up to its middle column: the right half,
-mirrored, is the left half, so the sum is assembled from the profiles of
-one half sweep.  The states after each whole column of a rectangle are
-kept per profile height, weight and orientation, within MAX_STATES in
-total, so that the next rectangle of that height resumes from the last
-kept column at or before its middle.  Any other board is swept whole,
-from its short end.
+window shape.  The DP is one kernel with one flag: signed, it gives the
+signed sum; unsigned, the counts of tilings with h even and odd, found
+without enumerating them, whose sum is the tiling count.  A rectangle is
+swept only up to its middle column: the right half, mirrored, is the left
+half, so the sum is assembled from the profiles of one half sweep.  The
+states after each whole column of a rectangle are kept per profile height
+and sign, within MAX_STATES in total, so that the next rectangle of that
+height, upright or turned, resumes from the last kept column at or before
+its middle.  Any other board is swept whole, from its short end.
 """
 
 from __future__ import annotations
@@ -190,57 +189,49 @@ def signed_sum_bruteforce(board: Board) -> GaussianInt:
 
 def signed_sum(board: Board) -> GaussianInt:
     """Sum of i**h(D) over all tilings D of board, computed exactly."""
-    even, odd = _profile_sum(board, 1j)
-    return GaussianInt(even, odd)
+    return GaussianInt(*_profile_sum(board, True))
 
 
 def count_tilings(board: Board) -> int:
-    """Number of tilings of board (the profile sweep with weight 1)."""
-    return _profile_sum(board, 1)[0]
+    """Number of tilings of board (the unsigned profile sweep)."""
+    return sum(parity_counts(board))
 
 
 def parity_counts(board: Board) -> tuple[int, int]:
     """Numbers of tilings D of board with h(D) even and with h(D) odd."""
-    return _profile_sum(board, -1)
+    return _profile_sum(board, False)
 
 
-def _profile_sum(board, weight):
-    """Sum of weight**h(D) over the tilings D of board, weight 1, -1 or
-    1j, as a pair (even, odd) with the sum equal to even + weight * odd.
+def _profile_sum(board, signed):
+    """The pair (even, odd) with even + w * odd the sum of w**h(D) over the
+    tilings D of board, w = i when signed and -1 when not: unsigned, even
+    and odd count the tilings with h(D) even and odd.
 
     Broken-profile DP in column order.  Bit y of a state is set when the
-    next cell of row y is already covered.  Each pass over the states
+    next cell of row y is already covered, and the bit above the profile
+    holds h mod 2.  A state carries the int sum of w**(h - h mod 2) over
+    its partial tilings: a horizontal domino flips the parity bit and,
+    signed, negates on the way from odd to even.  Each pass over the states
     covers a window of up to WINDOW_ROWS consecutive cells of a column
-    (_window_step, its placements from _window_table).  Unless the weight
-    is 1, the bit above the profile holds h mod 2, and a state carries the
-    int sum of weight**(h - h mod 2) over its partial tilings: a weighted
-    domino flips that bit, and for 1j negates on the way from odd to even.
-    States whose weight has cancelled to 0 are skipped, and dropped at the
-    end of each column.  On a bounding box taller than wide the board is
-    transposed and the weight moves to vertical placements.  A window step
-    whose live states outgrow MAX_STATES raises SizeLimitError, since time
-    grows with the states.
+    (_window_step, its placements from _window_table).  States whose
+    weight has cancelled to 0 are skipped, and dropped at the end of each
+    column.  A window step whose live states outgrow MAX_STATES raises
+    SizeLimitError, since time grows with the states.
 
-    A board that is not a rectangle is swept whole, its windows cut from
-    the runs of consecutive cells in each column, from its short end: when
-    its last column holds fewer cells than its first, it is mirrored
-    (i -> min_i + max_i - i) first.  A mirror keeps every domino's
-    orientation, so it keeps the sum for every weight.
+    A bounding box taller than wide is swept turned.  A turn takes h to
+    N/2 - h on a board of N cells, so S(X) = w**(N/2) * conj S(X^T) for
+    the sum S of w**h.  A board that is not a rectangle is swept whole,
+    its windows cut from the runs of consecutive cells in each column,
+    from its short end: when its last column holds fewer cells than its
+    first, it is mirrored (i -> min_i + max_i - i) first, which keeps h.
 
-    Fold: a rectangle's sweep stops after ceil(w/2) of its w columns.  Cut
+    Fold: a rectangle's sweep stops after ceil(W/2) of its W columns.  Cut
     between columns k and k + 1 and let p be the rows a domino crosses the
-    cut in; the right part, mirrored, is a left sweep of w - k columns that
-    ends with the same p.  So the sum is sum_p L_k[p] * L_(w-k)[p] *
-    weight**-|p|, with L_c the states after c columns, k = floor(w/2), and
-    both snapshots from the one sweep (the same dict for even w).  Each side
-    already counts the crossing dominoes, hence weight**-|p|, which is 1
-    when they carry no weight (weight 1, or a transposed board).  The
-    parity bits and that factor combine into weight**(e mod 2) and a sign.
-
-    L_k and L_(w-k) come from _fold_states, which keeps the states after
-    each whole column for the next rectangle of the same profile height,
-    weight and orientation, within MAX_STATES in total.  Both sweeps step
-    through _window_step.
+    cut in; the right part, mirrored, is a left sweep of W - k columns that
+    ends with the same p.  Both count the crossing dominoes, so the sum is
+    sum_p L_k[p] * L_(W-k)[p] * w**-|p|, with L_c the states after c
+    columns from _fold_states, k = floor(W/2) (the same dict for even W).
+    The parity bits and w**-|p| combine into w**(e mod 2) and a sign.
     """
     cells = board.cells
     if not cells:
@@ -249,18 +240,12 @@ def _profile_sum(board, weight):
         return 0, 0
     min_i, min_j, max_i, max_j = board.bounds()
     width, height = max_i - min_i + 1, max_j - min_j + 1
-    transposed = height > width
-    if transposed:
+    turned = height > width
+    if turned:
         cells = sorted((j, i) for i, j in cells)
         min_i, max_i, min_j = min_j, max_j, min_i
         width, height = height, width
-
     odd_bit = 1 << height
-    flip = 0 if weight == 1 else odd_bit
-    negate = odd_bit if weight == 1j else 0
-    h_flip = 0 if transposed else flip
-    signs = (weight != 1, weight == 1j)
-    signs = (False, False) + signs if transposed else signs + (False, False)
     if len(cells) != width * height:
         if sum(i == max_i for i, _ in cells) < sum(i == min_i for i, _ in cells):
             cells = sorted((min_i + max_i - i, j) for i, j in cells)
@@ -269,21 +254,27 @@ def _profile_sum(board, weight):
         for i, column in groupby(cells, itemgetter(0)):
             rows = [j - min_j for _, j in column]
             rights = [(i + 1, y + min_j) in present for y in rows]
-            states = _column_step(states, _column_windows(rows, rights, signs), height)
-        return states.get(0, 0), states.get(odd_bit, 0)
-    # a rectangle, at least two columns wide as its cell count is even
-    left, states = _fold_states((height, weight, transposed), width, signs)
-    sums = [0, 0]
-    for key, a in left.items():
-        p = key & (odd_bit - 1)
-        for other in (p, p | flip) if flip else (p,):
-            c = states.get(other)
-            if a and c:
-                # weight**e for the two parity bits and the crossing
-                # dominoes counted on both sides, as weight**(e % 2) and a sign
-                e = (key != p) + (other != p) - (p.bit_count() if h_flip else 0)
-                sums[e % 2] += -a * c if negate and e % 4 > 1 else a * c
-    return sums[0], sums[1]
+            states = _column_step(states, _column_windows(rows, rights, signed), height)
+        even, odd = states.get(0, 0), states.get(odd_bit, 0)
+    else:
+        # a rectangle, at least two columns wide as its cell count is even
+        left, states = _fold_states((height, signed), width)
+        sums = [0, 0]
+        for key, a in left.items():
+            p = key & (odd_bit - 1)
+            for other in (p, p | odd_bit):
+                c = states.get(other)
+                if c:
+                    # w**e, as w**(e % 2) and a sign
+                    e = (key != p) + (other != p) - p.bit_count()
+                    sums[e % 2] += -a * c if signed and e % 4 > 1 else a * c
+        even, odd = sums
+    if turned:
+        square = -1 if signed else 1  # w * w
+        odd *= square  # the conjugate
+        for _ in range(len(cells) // 2 % 4):
+            even, odd = square * odd, even  # times w
+    return even, odd
 
 
 def _window_step(states, y, height, table):
@@ -309,16 +300,15 @@ def _window_step(states, y, height, table):
     return new_states
 
 
-# (rights, up, signs) -> the placements of a window, built on first use
+# (rights, up, signed) -> the placements of a window, built on first use
 _WINDOWS: dict[tuple, list] = {}
 
 
-def _window_table(rights, up, signs):
+def _window_table(rights, up, signed):
     """The placements of a window of L = len(rights) cells, one above
     another: rights[k] tells whether cell k has a right neighbour, up
-    whether a cell sits above the window, and signs which of the four flips
-    and negations (of the parity bit and the weight, by horizontal and by
-    vertical dominoes) are on.
+    whether a cell sits above the window, and signed whether a horizontal
+    domino, which flips the parity bit, also negates from odd to even.
 
     table[b | a << L][p], for the window's profile bits b, the bit a above
     it and the parity bit p, lists one (xor, flip, negate) per way to cover
@@ -326,13 +316,13 @@ def _window_table(rights, up, signs):
     flip the parity bit, and negate the sign of the weight.  The profile
     height is not part of the key, so every height shares the tables.
     """
-    key = (rights, up, signs)
+    key = (rights, up, signed)
     table = _WINDOWS.get(key)
     if table is not None:
         return table
     length = len(rights)
     odd = 2 << length
-    h_flip, h_negate, v_flip, v_negate = (odd if on else 0 for on in signs)
+    negate_at = odd if signed else 0
     table = _WINDOWS[key] = [([], []) for _ in range(odd)]
     for start in range(2 * odd):
         # the cell steps of the window, on its own bits, from one start
@@ -345,9 +335,9 @@ def _window_table(rights, up, signs):
                     new_states[mask ^ bit] = negate
                     continue
                 if right:
-                    new_states[(mask | bit) ^ h_flip] = negate ^ bool(mask & h_negate)
+                    new_states[(mask | bit) ^ odd] = negate ^ bool(mask & negate_at)
                 if above and not mask & above:
-                    new_states[(mask | above) ^ v_flip] = negate ^ bool(mask & v_negate)
+                    new_states[mask | above] = negate
             states = new_states
         placements = table[start & (odd - 1)][start >> (length + 1)]
         for end, negate in states.items():
@@ -355,7 +345,7 @@ def _window_table(rights, up, signs):
     return table
 
 
-def _column_windows(rows, rights, signs):
+def _column_windows(rows, rights, signed):
     """(y, table) for each window of one column: its profile rows, in
     ascending order, cut into runs of consecutive rows of at most
     WINDOW_ROWS; rights[k] tells whether the cell at rows[k] has a right
@@ -364,7 +354,7 @@ def _column_windows(rows, rights, signs):
     for k, y in enumerate(rows):
         up = k + 1 < len(rows) and rows[k + 1] == y + 1
         if not up or k + 1 - start == WINDOW_ROWS:
-            windows.append((rows[start], _window_table(tuple(rights[start:k + 1]), up, signs)))
+            windows.append((rows[start], _window_table(tuple(rights[start:k + 1]), up, signed)))
             start = k + 1
     return windows
 
@@ -377,15 +367,14 @@ def _column_step(states, windows, height):
     return {key: w for key, w in states.items() if w}
 
 
-# (profile height, weight, transposed) -> {c: the states after c whole
-# columns of a rectangle}, filled in place; column 0 always stays
+# (profile height, signed) -> {c: the states after c whole columns of a
+# rectangle}, filled in place; column 0 always stays
 _SNAPSHOTS: dict[tuple, dict[int, dict[int, int]]] = {}
 
 
-def _fold_states(key, width, signs):
+def _fold_states(key, width):
     """The states after floor(w/2) and after ceil(w/2) whole columns of a
-    rectangle w = width wide, its profile height, weight and orientation
-    given by key and signs the flips and negations they fix.
+    rectangle w = width wide, whose profile height and sign are key.
 
     Every column before the last has a right neighbour, so the states after
     c < w columns do not depend on w: _SNAPSHOTS[key] keeps them by c.  Each
@@ -395,8 +384,8 @@ def _fold_states(key, width, signs):
     states pass MAX_STATES, every other key's columns are dropped first,
     then this key's column farthest from the one just finished.
     """
-    height = key[0]
-    windows = _column_windows(range(height), [True] * height, signs)
+    height, signed = key
+    windows = _column_windows(range(height), [True] * height, signed)
     kept = _SNAPSHOTS.setdefault(key, {0: {0: 1}})
     folds = []
     for column in (width // 2, (width + 1) // 2):

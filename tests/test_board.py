@@ -113,6 +113,14 @@ def test_l_spec_validation():
         LShapeSpec((-1,), (2,))
 
 
+def test_l_spec_refuses_arm_lengths_that_are_not_ints():
+    # refused, not rounded down to the (2, 3) chain
+    for a, b in (((2.7,), (3.2,)), ((2,), (3.0,)), (("2",), (3,))):
+        with pytest.raises(ValueError, match="arm lengths must be ints"):
+            LShapeSpec(a, b)
+    assert LShapeSpec([2], [3]) == LShapeSpec((2,), (3,))
+
+
 def test_half_board_shape():
     # (m, n) = (5, 3): squares of the 4 x 2 rectangle strictly below the
     # anti-diagonal i + j = 4, plus chosen anti-diagonal squares

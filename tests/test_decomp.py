@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import subprocess
 import sys
 import time
@@ -233,6 +234,15 @@ def test_half_board_diag_check_builds_no_range(monkeypatch):
 
     monkeypatch.setattr(board, "range", trip, raising=False)
     assert half_board_parity(1000003, 1000001, ()) == 0
+
+
+def test_half_board_refuses_a_diagonal_that_is_not_ints():
+    # refused, not taken as the diagonal {2, 3}
+    for diag in ([2.5, 3], [2.0], ["1"]):
+        with pytest.raises(ValueError, match=re.escape("diag must be a subset of 1..n-1")):
+            half_board(7, 5, diag)
+        with pytest.raises(ValueError, match=re.escape("diag must be a subset of 1..n-1")):
+            half_board_sum(7, 5, diag)
 
 
 def test_half_board_parity_matches_the_rational_expression():

@@ -73,21 +73,21 @@ def test_parity_sweeps_keep_their_cell_limits(monkeypatch):
 def test_parity_sweeps_make_one_profile_sweep_per_board(monkeypatch):
     import residue_tilings.tiling as tiling
 
-    weights = []
+    signs = []
     sweep = tiling._profile_sum
 
-    def counted(board, weight):
-        weights.append(weight)
-        return sweep(board, weight)
+    def counted(board, signed):
+        signs.append(signed)
+        return sweep(board, signed)
 
     monkeypatch.setattr(tiling, "_profile_sum", counted)
     report = run_h_even()
-    assert (len(weights), set(weights)) == (report["total"], {-1})
-    weights.clear()
+    assert (len(signs), set(signs)) == (report["total"], {False})
+    signs.clear()
     # one board per window pair and subset of 1..n-1, tilable or not
     boards = sum(2 ** (n - 1) for _, n in _window_pairs(9))
     assert run_parity()["pass"]
-    assert (len(weights), set(weights)) == (boards, {-1})
+    assert (len(signs), set(signs)) == (boards, {False})
 
 
 def test_parity_tiling_counts_match_enumeration():

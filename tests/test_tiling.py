@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from residue_tilings import tiling
 from residue_tilings.board import Board, rectangle
-from residue_tilings.decomp import closure, closure_union, restricted_sum
+from residue_tilings.decomp import biadjacency, closure, closure_union, restricted_sum
 from residue_tilings.gaussian import GaussianInt, i_power
+from residue_tilings.kasteleyn import det_exact
 from residue_tilings.lemmas import run_parity
 from residue_tilings.tiling import (
     Domino,
@@ -252,10 +253,10 @@ def mirror(board):
 
 
 def assert_kernel_matches_enumeration(board):
-    # the board and its transpose, so the weight is checked both on
-    # horizontal placements and, on the taller box, on vertical ones; and
-    # the mirror image of each, which the sweep takes from the other end
-    # unless its first and last columns hold as many cells
+    # the board and its transpose, so both the upright sweep and, on the
+    # taller box, the turned one mapped back by S(X) = w**(N/2) conj S(X^T)
+    # are checked; and the mirror image of each, which the sweep takes from
+    # the other end unless its first and last columns hold as many cells
     transpose = Board((j, i) for i, j in board)
     for b in (board, mirror(board), transpose, mirror(transpose)):
         hs = [horizontal_count(t) for t in enumerate_tilings(b)]
@@ -295,9 +296,85 @@ def tall_boards(draw):
 @given(tall_boards())
 def test_tall_windows_match_enumeration(board):
     # windows cut by holes, cells with and without a right neighbour or a
-    # cell above, each weight, mirrored and transposed
+    # cell above, signed and unsigned, mirrored and transposed
     assert len(board) <= tiling.DEFAULT_CELL_LIMIT
     assert_kernel_matches_enumeration(board)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(holey_boards(), tall_boards()))
+def test_the_tilings_of_a_board_share_one_parity(board):
+    # a horizontal domino covers one cell of an even column and one of an
+    # odd column, a vertical one two of the same column, so every tiling
+    # has h = #(cells with even i) mod 2: the unsigned sweep keeps one
+    # parity bit per profile, and the count is the sum of the pair
+    counts = parity_counts(board)
+    assert min(counts) == 0
+    assert counts[sum(i % 2 == 0 for i, _ in board) % 2] == max(counts)
+    assert count_tilings(board) == sum(counts)
+
+
+@st.composite
+def column_pair_boards(draw, staircase=False):
+    """Columns in pairs on rows 1 to height, height 8 to 12, in 100 to 600
+    cells.  One column of a pair is a run of more than height/2 rows, the
+    other the same run grown by an even number of rows at either end, in
+    either order, so each pair has a tiling (verticals, and one horizontal
+    on the run's first row when its length is odd), and h takes either
+    parity.  Any two such runs share a row, so the board is connected and
+    column-convex, which leaves it without holes.  A staircase's pairs are
+    two equal runs from row 1, shrinking to the right."""
+    height = draw(st.integers(8, 12))
+    shortest = height // 2 + 1
+    pairs = draw(st.integers(-(-100 // (2 * shortest)), 600 // (2 * height)))
+    lengths = draw(st.lists(st.integers(shortest, height), min_size=pairs, max_size=pairs))
+    if staircase:
+        lengths.sort(reverse=True)
+    cells = []
+    for k, length in enumerate(lengths):
+        low = 1 if staircase else draw(st.integers(1, height + 1 - length))
+        top = low + length
+        down = 0 if staircase else draw(st.integers(0, (low - 1) // 2))
+        up = 0 if staircase else draw(st.integers(0, (height + 1 - top) // 2))
+        runs = [range(low, top), range(low - 2 * down, top + 2 * up)]
+        if not staircase and draw(st.booleans()):
+            runs.reverse()
+        for i, rows in enumerate(runs, start=2 * k + 1):
+            cells.extend((i, j) for j in rows)
+    return Board(cells)
+
+
+@st.composite
+def l_boards(draw):
+    """A bar c columns wide and d rows tall on the left end of a foot a
+    columns wide and b rows tall, a up to 12, each part of even area, in
+    about 100 to 600 cells: unless the bar is short, a box taller than
+    wide, swept turned."""
+    a, b = draw(st.integers(4, 12)), draw(st.integers(1, 6))
+    b += a * b % 2
+    c = draw(st.integers(1, a))
+    d = draw(st.integers(max(1, -(-(100 - a * b) // c)), (600 - a * b) // c - 1))
+    d += c * d % 2
+    foot = {(i, j) for i in range(1, a + 1) for j in range(1, b + 1)}
+    bar = {(i, j) for i in range(1, c + 1) for j in range(b + 1, b + d + 1)}
+    return Board(foot | bar)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(column_pair_boards(), column_pair_boards(staircase=True), l_boards()))
+def test_profile_sums_square_to_the_determinant(board):
+    # flips join all tilings of a board without holes, and a flip changes
+    # both i**h and the sign of the matching of even cells to odd ones, so
+    # S = c * det(B) with c**2 = (-1)**h, h being the number of cells with
+    # even i, mod 2.  Boards with holes are left out, as flips need not
+    # join their tilings.  Turned, the sweep maps its pair back by
+    # S(X) = w**(N/2) conj S(X^T), far past enumeration's 36 cells
+    det = det_exact(biadjacency(board))
+    transpose = Board((j, i) for i, j in board)
+    for b in (board, mirror(board), transpose, mirror(transpose)):
+        h = sum(i % 2 == 0 for i, _ in b) % 2
+        s = signed_sum(b)
+        assert s * s == (-1) ** h * det * det
 
 
 @settings(max_examples=100, deadline=None)
@@ -341,8 +418,8 @@ def mirror_boards(draw):
 @settings(max_examples=100, deadline=None)
 @given(mirror_boards())
 def test_folded_sweep_matches_enumeration(board):
-    # the transpose of a wide board is folded too, with the weight moved
-    # to vertical placements
+    # the transpose of a wide board is folded too, turned, and its pair
+    # mapped back
     assert_kernel_matches_enumeration(board)
 
 
@@ -380,26 +457,23 @@ def test_folded_sweep_matches_unfolded_reference():
             assert signed_sum(board) == signed, (width, height)
 
 
-WEIGHTS = (1, -1, 1j)
-
-
 @st.composite
 def rectangle_runs(draw):
-    """Up to eight (width, height, weight) triples on a few profile heights,
+    """Up to eight (width, height, signed) triples on a few profile heights,
     taller than wide as often as not, in drawn order or by falling width."""
     size = st.integers(1, 12)
-    runs = draw(st.lists(st.tuples(size, st.integers(1, 6), st.sampled_from(WEIGHTS)),
+    runs = draw(st.lists(st.tuples(size, st.integers(1, 6), st.booleans()),
                          min_size=1, max_size=8))
-    runs = [(w, h, weight) if draw(st.booleans()) else (h, w, weight) for w, h, weight in runs]
+    runs = [(w, h, signed) if draw(st.booleans()) else (h, w, signed) for w, h, signed in runs]
     if draw(st.booleans()):
         runs.sort(key=lambda run: -run[0])
     return runs
 
 
-def profile_outcome(w, h, weight):
+def profile_outcome(w, h, signed):
     """The DP's pair for the w x h rectangle, or the text it is refused with."""
     try:
-        return tiling._profile_sum(rectangle(w, h), weight)
+        return tiling._profile_sum(rectangle(w, h), signed)
     except SizeLimitError as error:
         return str(error)
 
@@ -422,14 +496,12 @@ def test_snapshots_give_the_sums_of_an_empty_cache(runs, limit):
     assert warm == cold
 
 
-def cell_sweep_columns(height, weight, transposed, columns):
+def cell_sweep_columns(height, signed, columns):
     """{c: the states after c whole columns} of a rectangle of profile
     height height, as the profile DP made them one cell at a time before it
     stepped over windows: the reference for its kept columns."""
     odd = 1 << height
-    flip = 0 if weight == 1 else odd
-    negate = odd if weight == 1j else 0
-    h_flip, h_negate, v_flip, v_negate = (0, 0, flip, negate) if transposed else (flip, negate, 0, 0)
+    negate = odd if signed else 0
     states, out = {0: 1}, {0: {0: 1}}
     for c in range(1, columns + 1):
         for y in range(height):
@@ -438,9 +510,9 @@ def cell_sweep_columns(height, weight, transposed, columns):
                 if mask & bit:
                     moves = [(mask ^ bit, w)]
                 else:
-                    moves = [((mask | bit) ^ h_flip, -w if mask & h_negate else w)]
+                    moves = [((mask | bit) ^ odd, -w if mask & negate else w)]
                     if up and not mask & up:
-                        moves.append(((mask | up) ^ v_flip, -w if mask & v_negate else w))
+                        moves.append((mask | up, w))
                 for key, v in moves:
                     new[key] = new.get(key, 0) + v
             states = {key: w for key, w in new.items() if w}
@@ -451,21 +523,22 @@ def cell_sweep_columns(height, weight, transposed, columns):
 def test_kept_columns_equal_the_cell_by_cell_sweep(monkeypatch):
     # every kept column, cold and after resuming from kept columns, holds the
     # same states with the same weights as the sweep one cell at a time, and
-    # no state whose weight cancelled to 0
+    # no state whose weight cancelled to 0; a turned rectangle keeps its
+    # columns under the same key as an upright one
     monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
     for height in range(1, 11):
-        for weight in WEIGHTS:
-            for transposed in (False, True):
-                key = (height, weight, transposed)
-                widths = range(height + transposed, 13)
-                reference = cell_sweep_columns(height, weight, transposed, 6)
+        for signed in (False, True):
+            key = (height, signed)
+            reference = cell_sweep_columns(height, signed, 6)
+            for turned in (False, True):
+                widths = range(height + turned, 13)
                 for cold in (True, False):
                     checked = set()
                     for w in widths:
                         if cold:
                             tiling._SNAPSHOTS.clear()
-                        board = rectangle(height, w) if transposed else rectangle(w, height)
-                        tiling._profile_sum(board, weight)
+                        board = rectangle(height, w) if turned else rectangle(w, height)
+                        tiling._profile_sum(board, signed)
                         for c, states in tiling._SNAPSHOTS.get(key, {}).items():
                             assert states == reference[c], (key, w, c)
                             assert all(states.values())
@@ -493,8 +566,8 @@ def test_snapshots_hold_at_most_max_states(monkeypatch):
     # those are dropped; height 6 needs 393, so after dropping height 5 it
     # drops its own first columns and keeps the last 4 next to column 0,
     # and the transposed 9 x 30 keeps its last 2
-    assert kept == [{(4, 1, False): list(range(11))}, {(5, -1, False): list(range(9))},
-                    {(6, 1, False): [0, 17, 18, 19, 20]}, {(9, 1j, True): [0, 14, 15]}]
+    assert kept == [{(4, False): list(range(11))}, {(5, False): list(range(9))},
+                    {(6, False): [0, 17, 18, 19, 20]}, {(9, True): [0, 14, 15]}]
 
 
 def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
@@ -518,6 +591,24 @@ def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
     assert 0 < len(calls) <= 2 * 30 * math.ceil(6 / tiling.WINDOW_ROWS)
 
 
+def test_a_turned_rectangle_resumes_from_its_upright_twin(monkeypatch):
+    # an 8 x 20 rectangle is swept turned, as the 20 x 8 one, under the same
+    # key, and a count under the key of the parity counts: read after its
+    # twin, each sweeps nothing, and gives the sum of a cold sweep
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    calls = []
+    step = tiling._window_step
+    monkeypatch.setattr(tiling, "_window_step", lambda *args: calls.append(1) or step(*args))
+    for first, then in ((signed_sum, signed_sum), (parity_counts, count_tilings)):
+        tiling._SNAPSHOTS.clear()
+        cold = then(rectangle(8, 20))
+        tiling._SNAPSHOTS.clear()
+        first(rectangle(20, 8))
+        swept = len(calls)
+        assert then(rectangle(8, 20)) == cold
+        assert len(calls) == swept > 0
+
+
 def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     # at profile height 10 the live states number 241 after column 3, and
     # the window over rows 4 to 7 of column 4 makes 251, so with a limit of
@@ -533,11 +624,11 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     tiling._SNAPSHOTS.clear()
     with pytest.raises(SizeLimitError):
         count_tilings(rectangle(10, 10))
-    assert len(tiling._SNAPSHOTS[(10, 1, False)]) > 1
+    assert len(tiling._SNAPSHOTS[(10, False)]) > 1
     with pytest.raises(SizeLimitError) as warm:
         count_tilings(rectangle(12, 10))
     assert str(warm.value) == str(cold.value) == "251 profile states exceed limit 245"
-    assert sorted(tiling._SNAPSHOTS[(10, 1, False)]) == [0, 3]
+    assert sorted(tiling._SNAPSHOTS[(10, False)]) == [0, 3]
     # with a limit of 60 the first column is refused at its last window, and
     # nothing of it is kept: with the limit back, the sum is the cold one
     tiling._SNAPSHOTS.clear()

@@ -42,8 +42,7 @@ ROUTES = {
 METHODS = tuple(ROUTES)
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this artifact reserves 2 for
-    resource limits, so remap to 4."""
+    """argparse's own parse errors exit 4: exit 2 means a resource limit here."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -68,13 +67,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="residue-tilings")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("sum", help="signed tiling sum of a rectangle")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-
-    p = sub.add_parser("count", help="number of tilings of a rectangle")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    for name, text in (("sum", "signed tiling sum of a rectangle"),
+                       ("count", "number of tilings of a rectangle")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--width", type=int, required=True)
+        p.add_argument("--height", type=int, required=True)
 
     p = sub.add_parser("jacobi", help="Jacobi symbol (m / n)")
     p.add_argument("--m", type=int, required=True)
@@ -114,6 +111,9 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    # a count may pass CPython's 4300-digit cap on int-to-str (3.10.7+)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     print(count_tilings(rectangle(args.width, args.height)))
     return EXIT_OK
 
@@ -178,15 +178,15 @@ def _verify_n(task: tuple[int, int, tuple[str, ...], float]) -> list[dict]:
     return out
 
 
-def _cmd_verify(args, parser: _Parser) -> int:
+def _cmd_verify(args) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     if not methods:
-        parser.error("--methods names no method")
+        raise ValueError("--methods names no method")
     if len(set(methods)) < len(methods):
-        parser.error("--methods names a method twice")
+        raise ValueError("--methods names a method twice")
     for method in methods:
         if method not in METHODS:
-            parser.error(f"unknown method {method!r}")
+            raise ValueError(f"unknown method {method!r}")
     _check_tol(args.tol)  # whatever the methods, so a bad --tol never exits 0
     _check_range(args)
     if args.jobs < 1:
@@ -215,14 +215,11 @@ def _cmd_verify(args, parser: _Parser) -> int:
                     "m_max": args.m_max, "n_max": args.n_max,
                     "methods": list(methods)},
     }
-    # wall time goes to stderr so stdout stays byte-deterministic
-    print(json.dumps(report, indent=2))
+    # wall time goes to stderr so stdout stays byte-deterministic; a failed
+    # write to stdout shows before it
+    print(json.dumps(report, indent=2), flush=True)
     print(f"verify: {len(cases)} cases in {elapsed:.2f}s", file=sys.stderr)
-    if failed > limits:
-        return EXIT_FAIL
-    if limits:
-        return EXIT_LIMIT
-    return EXIT_OK
+    return EXIT_FAIL if failed > limits else EXIT_LIMIT if limits else EXIT_OK
 
 
 def _check_range(args) -> None:
@@ -241,14 +238,10 @@ def _cmd_table(args) -> int:
             rhs = theorem_rhs(m, n)
             rows.append((m, n, value.render(), rhs, value == rhs))
     if not args.out:
-        _write_table(sys.stdout, rows, args.format)  # a closed pipe exits via run()
+        _write_table(sys.stdout, rows, args.format)
         return EXIT_OK
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            _write_table(handle, rows, args.format)
-    except OSError as exc:
-        print(f"table: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        _write_table(handle, rows, args.format)
     return EXIT_OK
 
 
@@ -264,10 +257,10 @@ def _write_table(target, rows, fmt: str) -> None:
         target.write("\n")
 
 
-def _cmd_lemma(args, parser: _Parser) -> int:
+def _cmd_lemma(args) -> int:
     runner = LEMMAS.get(args.name)
     if runner is None:
-        parser.error(f"unknown lemma {args.name!r}")
+        raise ValueError(f"unknown lemma {args.name!r}")
     accepted = inspect.signature(runner).parameters
     kwargs = {}
     for keyword in _lemma_keywords():
@@ -275,7 +268,7 @@ def _cmd_lemma(args, parser: _Parser) -> int:
         if value is None:
             continue
         if keyword not in accepted:
-            parser.error(f"lemma {args.name!r} does not take {_lemma_flag(keyword)}")
+            raise ValueError(f"lemma {args.name!r} does not take {_lemma_flag(keyword)}")
         kwargs[keyword] = value
     report = runner(**kwargs)
     if not report["total"]:
@@ -285,32 +278,33 @@ def _cmd_lemma(args, parser: _Parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    simple = {"sum": _cmd_sum, "count": _cmd_count, "jacobi": _cmd_jacobi,
-              "detk": _cmd_detk, "table": _cmd_table}
+    """Run one command; here alone a failure it raises becomes an exit code."""
+    args = _build_parser().parse_args(argv)
+    commands = {"sum": _cmd_sum, "count": _cmd_count, "jacobi": _cmd_jacobi,
+                "detk": _cmd_detk, "verify": _cmd_verify, "table": _cmd_table,
+                "lemma": _cmd_lemma}
     try:
-        if args.command in simple:
-            return simple[args.command](args)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        return _cmd_lemma(args, parser)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a write that fails shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        return EXIT_IO  # the reader has left: there is no one to tell
     except SizeLimitError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+        error, code = exc, EXIT_LIMIT
+    except OSError as exc:
+        error, code = exc, EXIT_IO
     except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, code = exc, EXIT_USAGE
+    print(f"{args.command}: {error}", file=sys.stderr)
+    return code
 
 
 def run() -> None:
-    try:
-        code = main()
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-    except BrokenPipeError:
-        # the reader left: silence the interpreter's final flush as well
+    code = main()
+    if code == EXIT_IO:
+        # drop what stdout could not write, or the interpreter's final
+        # flush fails on it again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_IO
     sys.exit(code)
 
 

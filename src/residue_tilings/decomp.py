@@ -193,7 +193,6 @@ def _check_half_board(m: int, n: int, marks: frozenset[int], what: str,
     lies in allowed and is zero off the support conditions."""
     if value not in allowed:
         raise InvariantError(f"half-board {what} {value} out of range")
-    # value != 0, not a truth test: every GaussianInt is truthy
     if value != 0 and not half_board_support(m, n, marks):
         raise InvariantError(f"nonzero half-board {what} at unsupported diag "
                              f"{sorted(marks)}")

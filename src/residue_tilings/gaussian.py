@@ -69,6 +69,9 @@ class GaussianInt:
             return hash(self.re)
         return hash((self.re, self.im))
 
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
+
     def render(self) -> str:
         """Canonical compact rendering: "0", "a", "bi", "a+bi" or "a-bi"."""
         if self.re == 0 and self.im == 0:

@@ -387,6 +387,7 @@ def _fold_states(key, width):
     height, signed = key
     windows = _column_windows(range(height), [True] * height, signed)
     kept = _SNAPSHOTS.setdefault(key, {0: {0: 1}})
+    held = _held_states()
     folds = []
     for column in (width // 2, (width + 1) // 2):
         c = max(k for k in kept if k <= column)
@@ -395,11 +396,13 @@ def _fold_states(key, width):
             states = _column_step(states, windows, height)
             c += 1
             kept[c] = states
-            if _held_states() > MAX_STATES:
+            held += len(states)
+            if held > MAX_STATES and len(_SNAPSHOTS) > 1:
                 _SNAPSHOTS.clear()
                 _SNAPSHOTS[key] = kept
-            while _held_states() > MAX_STATES:
-                del kept[max(kept.keys() - {0}, key=lambda k: (abs(k - c), k))]
+                held = _held_states()
+            while held > MAX_STATES:
+                held -= len(kept.pop(max(kept.keys() - {0}, key=lambda k: (abs(k - c), k))))
         folds.append(states)
     return folds
 

@@ -58,6 +58,22 @@ def test_count(capsys):
     assert (code, out) == (0, "36\n")
 
 
+def test_count_past_the_int_to_str_cap(src_env):
+    # a count of more digits than the interpreter converts to str used to
+    # exit 4, as if the arguments were at fault; a child interpreter keeps
+    # this process's own cap
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter does not cap int-to-str conversion")
+    result = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "residue_tilings.cli",
+         "count", "--width", "1000", "--height", "6"],
+        capture_output=True, text=True, env=src_env, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert len(result.stdout) == 703 + 1
+    assert result.stdout.strip().isdigit()
+
+
 def test_jacobi(capsys):
     code, out, _ = run_cli(["jacobi", "--m", "3", "--n", "5"], capsys)
     assert (code, out) == (0, "-1\n")
@@ -224,22 +240,27 @@ def test_verify_all_methods(capsys):
 
 
 def test_verify_unknown_method(capsys):
-    assert run_cli(
+    # each message is one line naming verify, not the top-level usage line
+    code, _, err = run_cli(
         ["verify", "--m-max", "2", "--n-max", "1", "--methods", "magic"],
         capsys,
-    )[0] == 4
+    )
+    assert code == 4
+    assert err == "verify: unknown method 'magic'\n"
     # an empty method list used to run 0 cases and exit 0
     code, out, err = run_cli(
         ["verify", "--m-max", "3", "--n-max", "3", "--methods", ","], capsys
     )
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert "names no method" in err
+    assert err.startswith("verify: ") and err.count("\n") == 1
     # a repeated method used to be run and counted twice: 4 cases for 2
     code, out, err = run_cli(
         ["verify", "--m-max", "2", "--n-max", "1", "--methods", "dp,dp"], capsys
     )
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert "names a method twice" in err
+    assert err.startswith("verify: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -383,6 +404,7 @@ def test_lemma_unknown(capsys):
     code, _, err = run_cli(["lemma", "unknown"], capsys)
     assert code == 4
     assert "unknown lemma" in err
+    assert err.startswith("lemma: ") and err.count("\n") == 1
 
 
 def test_lemma_inapplicable_flag(capsys):
@@ -406,6 +428,7 @@ def test_lemma_flag_of_another_runner(capsys):
     code, _, err = run_cli(["lemma", "decomposition", "--limit", "5"], capsys)
     assert code == 4
     assert "lemma 'decomposition' does not take --limit" in err
+    assert err.startswith("lemma: ") and err.count("\n") == 1
 
 
 def test_lemma_env_limit(monkeypatch, capsys):
@@ -558,3 +581,24 @@ def test_closed_pipe_exits_io_without_traceback(src_env):
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (cli.EXIT_IO, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_full_device_exits_io_without_traceback(buffered, src_env):
+    # a write to a full stdout used to exit 1, a verification failure, with
+    # a traceback; buffered, a short answer fails at the flush in main and a
+    # long one inside print, and unbuffered every one fails inside print
+    env = {k: v for k, v in src_env.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (["jacobi", "--m", "3", "--n", "5"],
+                 ["verify", "--m-max", "6", "--n-max", "5"],
+                 ["detk", "--m", "13", "--n", "9", "--matrix"]):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "residue_tilings.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert result.returncode == cli.EXIT_IO, argv
+        assert result.stderr == f"{argv[0]}: [Errno 28] No space left on device\n", argv

@@ -37,6 +37,11 @@ def test_hash_agrees_with_int():
     assert hash(GaussianInt(7, 0)) == hash(7)
     d = {GaussianInt(7, 0): "a"}
     assert d[7] == "a"
+    # and be truthy exactly when that int is; GaussianInt(0, 0) == 0 once
+    # was truthy
+    for k in (-2, 0, 1, 7):
+        assert bool(GaussianInt(k)) == bool(k)
+    assert GaussianInt(0, 1)
 
 
 def test_i_power_cycle():

@@ -591,6 +591,18 @@ def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
     assert 0 < len(calls) <= 2 * 30 * math.ceil(6 / tiling.WINDOW_ROWS)
 
 
+def test_kept_columns_are_counted_as_they_are_stored(monkeypatch):
+    # the held states used to be summed over every kept column twice per
+    # column stored, so a strip 2 high took time quadratic in its width
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    calls = []
+    held = tiling._held_states
+    monkeypatch.setattr(tiling, "_held_states", lambda: calls.append(1) or held())
+    # the 2 x W strip: S(W) = S(W - 1) - S(W - 2), of period 6
+    assert signed_sum(rectangle(2000, 2)) == [1, 1, 0, -1, -1, 0][2000 % 6]
+    assert 0 < len(calls) <= 2
+
+
 def test_a_turned_rectangle_resumes_from_its_upright_twin(monkeypatch):
     # an 8 x 20 rectangle is swept turned, as the 20 x 8 one, under the same
     # key, and a count under the key of the parity counts: read after its

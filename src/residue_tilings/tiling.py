@@ -6,7 +6,8 @@ a backtracking enumerator (the oracle, limited to small boards) and a
 broken-profile dynamic program that sweeps the board column by column,
 covering up to WINDOW_ROWS consecutive cells of a column in one pass over
 its states through a table of the window's placements, built once per
-window shape.  The DP is one kernel with one flag: signed, it gives the
+window shape and position, so that each placement is one int to xor into
+a state.  The DP is one kernel with one flag: signed, it gives the
 signed sum; unsigned, the counts of tilings with h even and odd, found
 without enumerating them, whose sum is the tiling count.  A rectangle is
 swept only up to its middle column: the right half, mirrored, is the left
@@ -20,6 +21,7 @@ its middle.  Any other board is swept whole, from its short end.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -254,7 +256,7 @@ def _profile_sum(board, signed):
         for i, column in groupby(cells, itemgetter(0)):
             rows = [j - min_j for _, j in column]
             rights = [(i + 1, y + min_j) in present for y in rows]
-            states = _column_step(states, _column_windows(rows, rights, signed), height)
+            states = _column_step(states, _column_windows(rows, rights, signed, height), height)
         even, odd = states.get(0, 0), states.get(odd_bit, 0)
     else:
         # a rectangle, at least two columns wide as its cell count is even
@@ -278,18 +280,22 @@ def _profile_sum(board, signed):
 
 
 def _window_step(states, y, height, table):
-    """The states after covering the window of cells from row y up, whose
-    placements table gives (see _window_table); states whose weight has
-    cancelled to 0 are skipped."""
+    """The states after covering the window of cells from row y up of a
+    profile height high, whose placements table gives (see _window_table);
+    states whose weight has cancelled to 0 are skipped."""
     new_states: dict[int, int] = {}
     get = new_states.get
     low = len(table) - 1
     for mask, w in states.items():
         if not w:
             continue
-        for xor, flip, negate in table[(mask >> y) & low][mask >> height]:
-            key = mask ^ (xor << y) ^ (flip << height)
-            new_states[key] = get(key, 0) - w if negate else get(key, 0) + w
+        plus, minus = table[(mask >> y) & low][mask >> height]
+        for x in plus:
+            key = mask ^ x
+            new_states[key] = get(key, 0) + w
+        for x in minus:
+            key = mask ^ x
+            new_states[key] = get(key, 0) - w
     if len(new_states) > MAX_STATES:
         # only live states count against the limit
         new_states = {key: w for key, w in new_states.items() if w}
@@ -300,30 +306,32 @@ def _window_step(states, y, height, table):
     return new_states
 
 
-# (rights, up, signed) -> the placements of a window, built on first use
+# (rights, up, signed, y, height) -> a window's placements, built on first use
 _WINDOWS: dict[tuple, list] = {}
 
 
-def _window_table(rights, up, signed):
+def _window_table(rights, up, signed, y, height):
     """The placements of a window of L = len(rights) cells, one above
-    another: rights[k] tells whether cell k has a right neighbour, up
-    whether a cell sits above the window, and signed whether a horizontal
-    domino, which flips the parity bit, also negates from odd to even.
+    another from row y of a profile height high: rights[k] tells whether
+    cell k has a right neighbour, up whether a cell sits above the window,
+    and signed whether a horizontal domino, which flips the parity bit,
+    also negates from odd to even.
 
     table[b | a << L][p], for the window's profile bits b, the bit a above
-    it and the parity bit p, lists one (xor, flip, negate) per way to cover
-    the window: xor changes the L + 1 bits from the window's first row up,
-    flip the parity bit, and negate the sign of the weight.  The profile
-    height is not part of the key, so every height shares the tables.
+    it and the parity bit p, is a pair (plus, minus) of the ways to cover
+    the window: each is one int x that takes a state's mask to mask ^ x,
+    adding its weight there under plus and subtracting it under minus.  The
+    ways are found on the window's own L + 2 bits and shifted to row y and
+    to the parity bit at height once here, so the kernel shifts nothing.
     """
-    key = (rights, up, signed)
+    key = (rights, up, signed, y, height)
     table = _WINDOWS.get(key)
     if table is not None:
         return table
     length = len(rights)
     odd = 2 << length
     negate_at = odd if signed else 0
-    table = _WINDOWS[key] = [([], []) for _ in range(odd)]
+    table = _WINDOWS[key] = [(([], []), ([], [])) for _ in range(odd)]
     for start in range(2 * odd):
         # the cell steps of the window, on its own bits, from one start
         states = {start: False}
@@ -339,22 +347,25 @@ def _window_table(rights, up, signed):
                 if above and not mask & above:
                     new_states[mask | above] = negate
             states = new_states
-        placements = table[start & (odd - 1)][start >> (length + 1)]
+        plus, minus = table[start & (odd - 1)][start >> (length + 1)]
         for end, negate in states.items():
-            placements.append(((end ^ start) & (odd - 1), (end ^ start) >> (length + 1), negate))
+            change = end ^ start
+            x = ((change & (odd - 1)) << y) ^ ((change >> (length + 1)) << height)
+            (minus if negate else plus).append(x)
     return table
 
 
-def _column_windows(rows, rights, signed):
-    """(y, table) for each window of one column: its profile rows, in
-    ascending order, cut into runs of consecutive rows of at most
-    WINDOW_ROWS; rights[k] tells whether the cell at rows[k] has a right
-    neighbour."""
+def _column_windows(rows, rights, signed, height):
+    """(y, table) for each window of one column of a profile height high:
+    its profile rows, in ascending order, cut into runs of consecutive rows
+    of at most WINDOW_ROWS; rights[k] tells whether the cell at rows[k] has
+    a right neighbour."""
     windows, start = [], 0
     for k, y in enumerate(rows):
         up = k + 1 < len(rows) and rows[k + 1] == y + 1
         if not up or k + 1 - start == WINDOW_ROWS:
-            windows.append((rows[start], _window_table(tuple(rights[start:k + 1]), up, signed)))
+            row = rows[start]
+            windows.append((row, _window_table(tuple(rights[start:k + 1]), up, signed, row, height)))
             start = k + 1
     return windows
 
@@ -379,20 +390,27 @@ def _fold_states(key, width):
     Every column before the last has a right neighbour, so the states after
     c < w columns do not depend on w: _SNAPSHOTS[key] keeps them by c.  Each
     of the two reads resumes from the last kept column at or before it, so
-    a read whose columns are both kept sweeps nothing, and every column
-    swept is kept once all of its window steps have passed.  While the held
-    states pass MAX_STATES, every other key's columns are dropped first,
-    then this key's column farthest from the one just finished.
+    a read whose columns are both kept sweeps nothing and looks up no
+    window table, and every column swept is kept once all of its window
+    steps have passed.  While the held states pass MAX_STATES, every other
+    key's columns are dropped first, then this key's column farthest from
+    the one just finished, the later of two as far.  A sweep fills the gap
+    above the column it resumed from, so that column is the first or last
+    of the kept columns below and above the sweep, sorted once per read
+    that drops any.
     """
     height, signed = key
-    windows = _column_windows(range(height), [True] * height, signed)
     kept = _SNAPSHOTS.setdefault(key, {0: {0: 1}})
     held = _held_states()
+    windows = None
     folds = []
     for column in (width // 2, (width + 1) // 2):
         c = max(k for k in kept if k <= column)
         states = kept[c]
+        below = above = None
         while c < column:
+            if windows is None:
+                windows = _column_windows(range(height), [True] * height, signed, height)
             states = _column_step(states, windows, height)
             c += 1
             kept[c] = states
@@ -401,8 +419,17 @@ def _fold_states(key, width):
                 _SNAPSHOTS.clear()
                 _SNAPSHOTS[key] = kept
                 held = _held_states()
+            if below is not None:
+                below.append(c)
+            elif held > MAX_STATES:
+                below = deque(sorted(k for k in kept if 0 < k <= c))
+                above = deque(sorted(k for k in kept if k > c))
             while held > MAX_STATES:
-                held -= len(kept.pop(max(kept.keys() - {0}, key=lambda k: (abs(k - c), k))))
+                first, last = (below or above)[0], (above or below)[-1]
+                if abs(last - c) >= abs(first - c):
+                    held -= len(kept.pop((above or below).pop()))
+                else:
+                    held -= len(kept.pop((below or above).popleft()))
         folds.append(states)
     return folds
 

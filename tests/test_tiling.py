@@ -1,6 +1,7 @@
 """Tiling enumeration, the profile DP, and flip moves."""
 
 import math
+import random
 import re
 import time
 from unittest import mock
@@ -601,6 +602,67 @@ def test_kept_columns_are_counted_as_they_are_stored(monkeypatch):
     # the 2 x W strip: S(W) = S(W - 1) - S(W - 2), of period 6
     assert signed_sum(rectangle(2000, 2)) == [1, 1, 0, -1, -1, 0][2000 % 6]
     assert 0 < len(calls) <= 2
+
+
+def reference_kept_columns(reads, sizes, limit):
+    """The kept columns by key after each read (key, width), by the store's
+    rule written out plainly: every column swept is kept, and while the held
+    states pass limit the other keys go first, then the key's own column
+    farthest from the one just finished, the later of two as far; column 0
+    stays.  sizes[key][c] is the number of states after c columns."""
+    store, out = {}, []
+    held = lambda: sum(sizes[k][col] for k, cols in store.items() for col in cols)
+    for key, width in reads:
+        kept = store.setdefault(key, {0})
+        for column in (width // 2, (width + 1) // 2):
+            c = max(k for k in kept if k <= column)
+            while c < column:
+                c += 1
+                kept.add(c)
+                if held() > limit and len(store) > 1:
+                    store.clear()
+                    store[key] = kept
+                while held() > limit:
+                    kept.remove(max(kept - {0}, key=lambda k: (abs(k - c), k)))
+        out.append({k: sorted(cols) for k, cols in store.items()})
+    return out
+
+
+def test_past_the_budget_the_farthest_kept_column_is_dropped(monkeypatch):
+    # a seeded shuffle of rectangles on four keys, under a budget that drops
+    # columns on most reads, from both ends of the kept ones and from other
+    # keys: the store keeps the columns the plain rule keeps, read by read
+    keys = [(4, False), (4, True), (6, False), (6, True)]
+    reads = [(key, w) for key in keys for w in range(key[0], 41)]
+    random.Random(0).shuffle(reads)
+    sizes = {key: {c: len(states) for c, states in cell_sweep_columns(*key, 20).items()}
+             for key in keys}
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    monkeypatch.setattr(tiling, "MAX_STATES", 150)
+    kept = []
+    for (height, signed), w in reads:
+        tiling._profile_sum(rectangle(w, height), signed)
+        kept.append({key: sorted(columns) for key, columns in tiling._SNAPSHOTS.items()})
+    assert kept == reference_kept_columns(reads, sizes, 150)
+
+
+def test_a_read_of_kept_columns_looks_up_no_window_table(monkeypatch):
+    # 20 x 8 keeps columns 0..10; read again, and as 19 x 8, whose middle
+    # columns 9 and 10 are kept, it steps no window and looks up no table
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    cold = signed_sum(rectangle(19, 8))
+    tiling._SNAPSHOTS.clear()
+    calls = []
+    for name in ("_window_table", "_window_step"):
+        original = getattr(tiling, name)
+        monkeypatch.setattr(tiling, name,
+                            lambda *args, f=original, name=name: calls.append(name) or f(*args))
+    value = signed_sum(rectangle(20, 8))
+    assert "_window_table" in calls and "_window_step" in calls
+    calls.clear()
+    assert signed_sum(rectangle(20, 8)) == value
+    assert signed_sum(rectangle(19, 8)) == cold
+    assert calls == []
 
 
 def test_a_turned_rectangle_resumes_from_its_upright_twin(monkeypatch):

@@ -82,12 +82,9 @@ class Board:
         """(min_i, min_j, max_i, max_j); raises on the empty board."""
         if not self._cells:
             raise ValueError("empty board has no bounds")
-        return (
-            min(i for i, _ in self._cells),
-            min(j for _, j in self._cells),
-            max(i for i, _ in self._cells),
-            max(j for _, j in self._cells),
-        )
+        # the cells are sorted by i first, so the extreme i lie at the ends
+        rows = [j for _, j in self._cells]
+        return self._cells[0][0], min(rows), self._cells[-1][0], max(rows)
 
     def to_json_obj(self) -> list[list[int]]:
         return [[i, j] for i, j in self._cells]

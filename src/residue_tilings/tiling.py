@@ -13,15 +13,15 @@ without enumerating them, whose sum is the tiling count.  A rectangle is
 swept only up to its middle column: the right half, mirrored, is the left
 half, so the sum is assembled from the profiles of one half sweep.  The
 states after each whole column of a rectangle are kept per profile height
-and sign, within MAX_STATES in total, so that the next rectangle of that
-height, upright or turned, resumes from the last kept column at or before
-its middle.  Any other board is swept whole, from its short end.
+and sign as one run of consecutive columns, within MAX_STATES in total, so
+that the next rectangle of that height, upright or turned, reads its middle
+columns from the run or extends it.  Any other board is swept whole, from
+its short end.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -378,9 +378,18 @@ def _column_step(states, windows, height):
     return {key: w for key, w in states.items() if w}
 
 
-# (profile height, signed) -> {c: the states after c whole columns of a
-# rectangle}, filled in place; column 0 always stays
-_SNAPSHOTS: dict[tuple, dict[int, dict[int, int]]] = {}
+@dataclass(slots=True)
+class _Run:
+    """The states after each whole column c of a rectangle, by c, for c
+    from first up, and the number of states they hold."""
+
+    first: int
+    columns: dict[int, dict[int, int]]
+    held: int
+
+
+# (profile height, signed) -> the run of columns kept for that key
+_SNAPSHOTS: dict[tuple, _Run] = {}
 
 
 def _fold_states(key, width):
@@ -388,54 +397,45 @@ def _fold_states(key, width):
     rectangle w = width wide, whose profile height and sign are key.
 
     Every column before the last has a right neighbour, so the states after
-    c < w columns do not depend on w: _SNAPSHOTS[key] keeps them by c.  Each
-    of the two reads resumes from the last kept column at or before it, so
-    a read whose columns are both kept sweeps nothing and looks up no
-    window table, and every column swept is kept once all of its window
-    steps have passed.  While the held states pass MAX_STATES, every other
-    key's columns are dropped first, then this key's column farthest from
-    the one just finished, the later of two as far.  A sweep fills the gap
-    above the column it resumed from, so that column is the first or last
-    of the kept columns below and above the sweep, sorted once per read
-    that drops any.
+    c < w columns do not depend on w: _SNAPSHOTS[key] keeps them as one run
+    of consecutive columns.  A read inside the run sweeps nothing and looks
+    up no window table, a read past its end extends it, and a read below
+    its first column starts a new run from column 0; when only the later of
+    the two columns is in the run, it is read before the new run drops it.
+    A column is kept once all of its window steps have passed.  While the held states pass
+    MAX_STATES, every other key's run is dropped first, then the run's
+    first column.
     """
     height, signed = key
-    kept = _SNAPSHOTS.setdefault(key, {0: {0: 1}})
-    held = _held_states()
+    run = _SNAPSHOTS.get(key)
+    others = sum(kept.held for k, kept in _SNAPSHOTS.items() if k != key)
+    reads = (width // 2, (width + 1) // 2)
+    if run and reads[0] < run.first <= reads[1]:
+        reads = reads[::-1]
     windows = None
-    folds = []
-    for column in (width // 2, (width + 1) // 2):
-        c = max(k for k in kept if k <= column)
-        states = kept[c]
-        below = above = None
+    folds = {}
+    for column in reads:
+        if run is None or column < run.first:
+            run = _SNAPSHOTS[key] = _Run(0, {0: {0: 1}}, 1)
+        columns = run.columns
+        c = min(column, run.first + len(columns) - 1)
+        states = columns[c]
         while c < column:
             if windows is None:
                 windows = _column_windows(range(height), [True] * height, signed, height)
             states = _column_step(states, windows, height)
             c += 1
-            kept[c] = states
-            held += len(states)
-            if held > MAX_STATES and len(_SNAPSHOTS) > 1:
+            columns[c] = states
+            run.held += len(states)
+            if others + run.held > MAX_STATES and len(_SNAPSHOTS) > 1:
                 _SNAPSHOTS.clear()
-                _SNAPSHOTS[key] = kept
-                held = _held_states()
-            if below is not None:
-                below.append(c)
-            elif held > MAX_STATES:
-                below = deque(sorted(k for k in kept if 0 < k <= c))
-                above = deque(sorted(k for k in kept if k > c))
-            while held > MAX_STATES:
-                first, last = (below or above)[0], (above or below)[-1]
-                if abs(last - c) >= abs(first - c):
-                    held -= len(kept.pop((above or below).pop()))
-                else:
-                    held -= len(kept.pop((below or above).popleft()))
-        folds.append(states)
-    return folds
-
-
-def _held_states() -> int:
-    return sum(len(states) for kept in _SNAPSHOTS.values() for states in kept.values())
+                _SNAPSHOTS[key] = run
+                others = 0
+            while run.held > MAX_STATES:
+                run.held -= len(columns.pop(run.first))
+                run.first += 1
+        folds[column] = states
+    return folds[width // 2], folds[(width + 1) // 2]
 
 
 def _flip(tiling: Tiling, cover: dict[Cell, Domino], corner: Cell) -> Tiling | None:

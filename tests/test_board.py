@@ -83,6 +83,17 @@ def test_bounds():
     assert rectangle(3, 2).bounds() == (1, 1, 3, 2)
     with pytest.raises(ValueError):
         Board().bounds()
+    # holey boards, L chains and half boards, whose extreme rows lie inside
+    # the sorted cells, against min and max over the cells
+    holey = [rectangle(6, 5) - Board([(1, 1), (1, 5), (6, 1), (6, 2), (3, 3)]),
+             Board([(2, 7), (2, 3), (5, 9), (4, 2), (9, 4)]),
+             rectangle(4, 4) - rectangle(4, 1)]
+    chains = [l_board(LShapeSpec(a, b)) for a, b in
+              (((2,), (3,)), ((3, 0, 4), (1, 2, 5)), ((1, 5, 2), (4, 1, 3)))]
+    for board in holey + chains + [half_board(9, 5), half_board(13, 7, {2, 5})]:
+        cells = board.cells
+        assert board.bounds() == (min(i for i, _ in cells), min(j for _, j in cells),
+                                  max(i for i, _ in cells), max(j for _, j in cells))
 
 
 def test_l_board_single_chunk():

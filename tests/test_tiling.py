@@ -471,6 +471,25 @@ def rectangle_runs(draw):
     return runs
 
 
+def kept_columns(key):
+    """{c: the states after c columns} of the run kept for key."""
+    run = tiling._SNAPSHOTS.get(key)
+    return run.columns if run else {}
+
+
+def kept_sets():
+    return {key: sorted(run.columns) for key, run in tiling._SNAPSHOTS.items()}
+
+
+def held_states():
+    """The states held by every run: each run is consecutive columns from
+    its first, and counts the states it holds."""
+    for run in tiling._SNAPSHOTS.values():
+        assert list(run.columns) == list(range(run.first, run.first + len(run.columns)))
+        assert run.held == sum(len(states) for states in run.columns.values())
+    return sum(run.held for run in tiling._SNAPSHOTS.values())
+
+
 def profile_outcome(w, h, signed):
     """The DP's pair for the w x h rectangle, or the text it is refused with."""
     try:
@@ -489,7 +508,7 @@ def test_snapshots_give_the_sums_of_an_empty_cache(runs, limit):
         warm = []
         for run in runs:
             warm.append(profile_outcome(*run))
-            assert tiling._held_states() <= limit
+            assert held_states() <= limit
         cold = []
         for run in runs:
             tiling._SNAPSHOTS.clear()
@@ -540,7 +559,7 @@ def test_kept_columns_equal_the_cell_by_cell_sweep(monkeypatch):
                             tiling._SNAPSHOTS.clear()
                         board = rectangle(height, w) if turned else rectangle(w, height)
                         tiling._profile_sum(board, signed)
-                        for c, states in tiling._SNAPSHOTS.get(key, {}).items():
+                        for c, states in kept_columns(key).items():
                             assert states == reference[c], (key, w, c)
                             assert all(states.values())
                             checked.add(c)
@@ -561,14 +580,14 @@ def test_snapshots_hold_at_most_max_states(monkeypatch):
     kept = []
     for (sweep, board), value in zip(calls, expected):
         assert sweep(board) == value
-        assert tiling._held_states() <= 100
-        kept.append({key: sorted(columns) for key, columns in tiling._SNAPSHOTS.items()})
+        assert held_states() <= 100
+        kept.append(kept_sets())
     # 60 states of height 4 fit; the next 79, of height 5, fit only once
     # those are dropped; height 6 needs 393, so after dropping height 5 it
-    # drops its own first columns and keeps the last 4 next to column 0,
-    # and the transposed 9 x 30 keeps its last 2
+    # drops its own first columns and keeps the last 5, and the transposed
+    # 9 x 30 keeps its last 2
     assert kept == [{(4, False): list(range(11))}, {(5, False): list(range(9))},
-                    {(6, False): [0, 17, 18, 19, 20]}, {(9, True): [0, 14, 15]}]
+                    {(6, False): [16, 17, 18, 19, 20]}, {(9, True): [14, 15]}]
 
 
 def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
@@ -581,60 +600,119 @@ def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
     for w in widths:
         tiling._SNAPSHOTS.clear()
         cold.append(count_tilings(rectangle(w, 6)))
-    tiling._SNAPSHOTS.clear()
     monkeypatch.setattr(tiling, "MAX_STATES", 150)
     calls = []
     step = tiling._window_step
     monkeypatch.setattr(tiling, "_window_step", lambda *args: calls.append(1) or step(*args))
-    assert [count_tilings(rectangle(w, 6)) for w in widths] == cold
     # each window step covers up to WINDOW_ROWS of the 6 cells of a column:
     # two sweeps of the 30 columns are 2 * 30 * 2 steps
-    assert 0 < len(calls) <= 2 * 30 * math.ceil(6 / tiling.WINDOW_ROWS)
+    bound = 2 * 30 * math.ceil(6 / tiling.WINDOW_ROWS)
+    tiling._SNAPSHOTS.clear()
+    assert [count_tilings(rectangle(w, 6)) for w in widths] == cold
+    assert 0 < len(calls) <= bound
+    # falling, the run holds the last 7 columns of 20 states, and a read
+    # below them sweeps again from column 0: 30 + 23 + 16 + 9 + 2 columns,
+    # under twice the bound, where a sweep from column 0 for each width
+    # would take about 15 times it
+    calls.clear()
+    tiling._SNAPSHOTS.clear()
+    assert [count_tilings(rectangle(w, 6)) for w in widths[::-1]] == cold[::-1]
+    assert 0 < len(calls) <= 2 * bound
+
+
+class CountingDict(dict):
+    """A dict that counts the passes over its keys or entries."""
+
+    passes = 0
+
+    def _pass(self, name):
+        self.passes += 1
+        return getattr(super(), name)()
+
+    def __iter__(self):
+        return self._pass("__iter__")
+
+    def keys(self):
+        return self._pass("keys")
+
+    def values(self):
+        return self._pass("values")
+
+    def items(self):
+        return self._pass("items")
+
+
+def strip_sum(width):
+    # the 2 x W strip: S(W) = S(W - 1) - S(W - 2), of period 6
+    return [1, 1, 0, -1, -1, 0][width % 6]
 
 
 def test_kept_columns_are_counted_as_they_are_stored(monkeypatch):
     # the held states used to be summed over every kept column twice per
-    # column stored, so a strip 2 high took time quadratic in its width
+    # column stored, so a strip 2 high took time quadratic in its width:
+    # the run counts them as it stores them, and passes over no column
     monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    columns = CountingDict({0: {0: 1}})
+    tiling._SNAPSHOTS[(2, True)] = tiling._Run(0, columns, 1)
+    assert signed_sum(rectangle(2000, 2)) == strip_sum(2000)
+    assert columns.passes == 0 and len(columns) == 1001
+    assert held_states() == tiling._SNAPSHOTS[(2, True)].held
+
+
+def test_a_read_of_kept_columns_passes_over_none_of_them(monkeypatch):
+    # a read served by kept columns finds them in the run by their number
+    # and passes over none, so its cost does not grow with the number kept
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    assert signed_sum(rectangle(2000, 2)) == strip_sum(2000)
+    run = tiling._SNAPSHOTS[(2, True)]
+    run.columns = CountingDict(run.columns)
     calls = []
-    held = tiling._held_states
-    monkeypatch.setattr(tiling, "_held_states", lambda: calls.append(1) or held())
-    # the 2 x W strip: S(W) = S(W - 1) - S(W - 2), of period 6
-    assert signed_sum(rectangle(2000, 2)) == [1, 1, 0, -1, -1, 0][2000 % 6]
-    assert 0 < len(calls) <= 2
+    step = tiling._window_step
+    monkeypatch.setattr(tiling, "_window_step", lambda *args: calls.append(1) or step(*args))
+    for w in (2, 3, 1000, 1001, 1999, 2000):
+        assert signed_sum(rectangle(w, 2)) == strip_sum(w)
+    assert run.columns.passes == 0 and calls == []
 
 
 def reference_kept_columns(reads, sizes, limit):
     """The kept columns by key after each read (key, width), by the store's
-    rule written out plainly: every column swept is kept, and while the held
-    states pass limit the other keys go first, then the key's own column
-    farthest from the one just finished, the later of two as far; column 0
-    stays.  sizes[key][c] is the number of states after c columns."""
+    rule written out plainly: each key keeps one run of consecutive columns;
+    a read past its end extends it and a read below its first column starts
+    a new run at column 0, and when only the later of the two middle columns
+    is in the run, it is read first.  While the held states pass limit the
+    other keys go first, then the run's first column.  sizes[key][c] is the
+    number of states after c columns."""
     store, out = {}, []
     held = lambda: sum(sizes[k][col] for k, cols in store.items() for col in cols)
     for key, width in reads:
-        kept = store.setdefault(key, {0})
-        for column in (width // 2, (width + 1) // 2):
-            c = max(k for k in kept if k <= column)
-            while c < column:
-                c += 1
-                kept.add(c)
+        middle = [width // 2, (width + 1) // 2]
+        if key in store and middle[0] < store[key][0] <= middle[1]:
+            middle.reverse()
+        for column in middle:
+            if key not in store or column < store[key][0]:
+                store[key] = [0]
+            run = store[key]
+            while run[-1] < column:
+                run.append(run[-1] + 1)
                 if held() > limit and len(store) > 1:
                     store.clear()
-                    store[key] = kept
+                    store[key] = run
                 while held() > limit:
-                    kept.remove(max(kept - {0}, key=lambda k: (abs(k - c), k)))
-        out.append({k: sorted(cols) for k, cols in store.items()})
+                    run.pop(0)
+        out.append({k: list(cols) for k, cols in store.items()})
     return out
 
 
-def test_past_the_budget_the_farthest_kept_column_is_dropped(monkeypatch):
+def test_past_the_budget_a_run_drops_its_first_column(monkeypatch):
     # a seeded shuffle of rectangles on four keys, under a budget that drops
-    # columns on most reads, from both ends of the kept ones and from other
-    # keys: the store keeps the columns the plain rule keeps, read by read
+    # columns on most reads, from the start of a run and from other keys,
+    # and where many reads start a new run, then falling widths, whose two
+    # middle columns lie on both sides of a run's first: the store keeps the
+    # columns the plain rule keeps, read by read
     keys = [(4, False), (4, True), (6, False), (6, True)]
     reads = [(key, w) for key in keys for w in range(key[0], 41)]
     random.Random(0).shuffle(reads)
+    reads += [((6, True), w) for w in range(40, 5, -1)]
     sizes = {key: {c: len(states) for c, states in cell_sweep_columns(*key, 20).items()}
              for key in keys}
     monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
@@ -642,7 +720,8 @@ def test_past_the_budget_the_farthest_kept_column_is_dropped(monkeypatch):
     kept = []
     for (height, signed), w in reads:
         tiling._profile_sum(rectangle(w, height), signed)
-        kept.append({key: sorted(columns) for key, columns in tiling._SNAPSHOTS.items()})
+        assert held_states() <= 150
+        kept.append(kept_sets())
     assert kept == reference_kept_columns(reads, sizes, 150)
 
 
@@ -687,7 +766,8 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     # at profile height 10 the live states number 241 after column 3, and
     # the window over rows 4 to 7 of column 4 makes 251, so with a limit of
     # 245 both rectangles are refused there, after storing the columns they
-    # finished; the wider one then resumes from those
+    # finished, of which only column 3 fits; the wider one then resumes
+    # from it
     limit = tiling.MAX_STATES
     monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
     expected = count_tilings(rectangle(12, 10))
@@ -698,11 +778,11 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     tiling._SNAPSHOTS.clear()
     with pytest.raises(SizeLimitError):
         count_tilings(rectangle(10, 10))
-    assert len(tiling._SNAPSHOTS[(10, False)]) > 1
+    assert list(kept_columns((10, False))) == [3]
     with pytest.raises(SizeLimitError) as warm:
         count_tilings(rectangle(12, 10))
     assert str(warm.value) == str(cold.value) == "251 profile states exceed limit 245"
-    assert sorted(tiling._SNAPSHOTS[(10, False)]) == [0, 3]
+    assert list(kept_columns((10, False))) == [3]
     # with a limit of 60 the first column is refused at its last window, and
     # nothing of it is kept: with the limit back, the sum is the cold one
     tiling._SNAPSHOTS.clear()

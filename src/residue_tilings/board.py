@@ -36,10 +36,12 @@ class Board:
     def _of(cls, cells: Iterable[Cell]) -> "Board":
         """The board of cells known to be valid, built in this module from
         checked ints or taken from other boards: each is already an (i, j)
-        tuple of ints >= 1, so none is checked again."""
+        tuple of ints >= 1, so none is checked again.  The cells are sorted
+        as given, which is linear when they come in order, and then repeats
+        are dropped."""
         board = cls.__new__(cls)
-        board._cellset = frozenset(cells)
-        board._cells = tuple(sorted(board._cellset))
+        board._cells = tuple(dict.fromkeys(sorted(cells)))
+        board._cellset = frozenset(board._cells)
         return board
 
     @property

@@ -12,16 +12,18 @@ signed sum; unsigned, the counts of tilings with h even and odd, found
 without enumerating them, whose sum is the tiling count.  A rectangle is
 swept only up to its middle column: the right half, mirrored, is the left
 half, so the sum is assembled from the profiles of one half sweep.  The
-states after each whole column of a rectangle are kept per profile height
-and sign as one run of consecutive columns, within MAX_STATES in total, so
-that the next rectangle of that height, upright or turned, reads its middle
-columns from the run or extends it.  Any other board is swept whole, from
-its short end.
+states after each whole column of a rectangle are kept in one memo by
+profile height, sign and column, within MAX_STATES in total, the oldest
+column dropped first, so that the next rectangle of that height, upright
+or turned, reads its middle columns from the memo or sweeps on from the
+highest kept column below them.  Any other board is swept whole, from its
+short end.
 """
 
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -260,7 +262,7 @@ def _profile_sum(board, signed):
         even, odd = states.get(0, 0), states.get(odd_bit, 0)
     else:
         # a rectangle, at least two columns wide as its cell count is even
-        left, states = _fold_states((height, signed), width)
+        left, states = _fold_states(height, signed, width)
         sums = [0, 0]
         for key, a in left.items():
             p = key & (odd_bit - 1)
@@ -378,64 +380,42 @@ def _column_step(states, windows, height):
     return {key: w for key, w in states.items() if w}
 
 
-@dataclass(slots=True)
-class _Run:
-    """The states after each whole column c of a rectangle, by c, for c
-    from first up, and the number of states they hold."""
-
-    first: int
-    columns: dict[int, dict[int, int]]
-    held: int
+# (profile height, signed, c) -> the states after c whole columns of a
+# rectangle, oldest first; _held counts the states they hold
+_SNAPSHOTS: OrderedDict[tuple, dict[int, int]] = OrderedDict()
+_held = 0
 
 
-# (profile height, signed) -> the run of columns kept for that key
-_SNAPSHOTS: dict[tuple, _Run] = {}
-
-
-def _fold_states(key, width):
+def _fold_states(height, signed, width):
     """The states after floor(w/2) and after ceil(w/2) whole columns of a
-    rectangle w = width wide, whose profile height and sign are key.
+    rectangle w = width wide, of a profile height high and signed or not.
 
     Every column before the last has a right neighbour, so the states after
-    c < w columns do not depend on w: _SNAPSHOTS[key] keeps them as one run
-    of consecutive columns.  A read inside the run sweeps nothing and looks
-    up no window table, a read past its end extends it, and a read below
-    its first column starts a new run from column 0; when only the later of
-    the two columns is in the run, it is read before the new run drops it.
-    A column is kept once all of its window steps have passed.  While the held states pass
-    MAX_STATES, every other key's run is dropped first, then the run's
-    first column.
+    c < w columns do not depend on w: _SNAPSHOTS keeps them.  A read starts
+    from the highest kept column at or below it, or from column 0, and
+    keeps each column it sweeps once all of its window steps have passed;
+    a kept column is read without stepping a window or looking up a table.
+    While the held states pass MAX_STATES, the oldest kept column is dropped.
     """
-    height, signed = key
-    run = _SNAPSHOTS.get(key)
-    others = sum(kept.held for k, kept in _SNAPSHOTS.items() if k != key)
-    reads = (width // 2, (width + 1) // 2)
-    if run and reads[0] < run.first <= reads[1]:
-        reads = reads[::-1]
+    global _held
     windows = None
-    folds = {}
-    for column in reads:
-        if run is None or column < run.first:
-            run = _SNAPSHOTS[key] = _Run(0, {0: {0: 1}}, 1)
-        columns = run.columns
-        c = min(column, run.first + len(columns) - 1)
-        states = columns[c]
+    folds = []
+    for column in (width // 2, (width + 1) // 2):
+        c = column
+        while c and (height, signed, c) not in _SNAPSHOTS:
+            c -= 1
+        states = _SNAPSHOTS[height, signed, c] if c else {0: 1}
         while c < column:
             if windows is None:
                 windows = _column_windows(range(height), [True] * height, signed, height)
             states = _column_step(states, windows, height)
             c += 1
-            columns[c] = states
-            run.held += len(states)
-            if others + run.held > MAX_STATES and len(_SNAPSHOTS) > 1:
-                _SNAPSHOTS.clear()
-                _SNAPSHOTS[key] = run
-                others = 0
-            while run.held > MAX_STATES:
-                run.held -= len(columns.pop(run.first))
-                run.first += 1
-        folds[column] = states
-    return folds[width // 2], folds[(width + 1) // 2]
+            _SNAPSHOTS[height, signed, c] = states
+            _held += len(states)
+            while _held > MAX_STATES:
+                _held -= len(_SNAPSHOTS.popitem(last=False)[1])
+        folds.append(states)
+    return folds
 
 
 def _flip(tiling: Tiling, cover: dict[Cell, Domino], corner: Cell) -> Tiling | None:

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+from collections import OrderedDict
 from unittest import mock
 
 import pytest
@@ -471,23 +472,44 @@ def rectangle_runs(draw):
     return runs
 
 
+def empty_memo():
+    """Empty the DP's memo of kept columns and reset its count of states."""
+    tiling._SNAPSHOTS.clear()
+    tiling._held = 0
+
+
+def fresh_memo(monkeypatch, memo=None):
+    """Give the DP, for this test, a memo of kept columns, empty unless
+    memo is given, with a count of no held states."""
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", OrderedDict() if memo is None else memo)
+    monkeypatch.setattr(tiling, "_held", 0)
+
+
+def count_calls(monkeypatch, name):
+    """The list that gains one entry per call of tiling.<name> from now on."""
+    calls, original = [], getattr(tiling, name)
+    monkeypatch.setattr(tiling, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
 def kept_columns(key):
-    """{c: the states after c columns} of the run kept for key."""
-    run = tiling._SNAPSHOTS.get(key)
-    return run.columns if run else {}
+    """{c: the states after c columns} kept for key = (height, signed)."""
+    return {c: states for (height, signed, c), states in tiling._SNAPSHOTS.items()
+            if (height, signed) == key}
 
 
 def kept_sets():
-    return {key: sorted(run.columns) for key, run in tiling._SNAPSHOTS.items()}
+    kept = {}
+    for height, signed, c in tiling._SNAPSHOTS:
+        kept.setdefault((height, signed), []).append(c)
+    return {key: sorted(columns) for key, columns in kept.items()}
 
 
 def held_states():
-    """The states held by every run: each run is consecutive columns from
-    its first, and counts the states it holds."""
-    for run in tiling._SNAPSHOTS.values():
-        assert list(run.columns) == list(range(run.first, run.first + len(run.columns)))
-        assert run.held == sum(len(states) for states in run.columns.values())
-    return sum(run.held for run in tiling._SNAPSHOTS.values())
+    """The states held by the memo, which its count must equal."""
+    held = sum(len(states) for states in tiling._SNAPSHOTS.values())
+    assert tiling._held == held
+    return held
 
 
 def profile_outcome(w, h, signed):
@@ -504,14 +526,14 @@ def test_snapshots_give_the_sums_of_an_empty_cache(runs, limit):
     # under a low limit the kept columns are dropped by random traffic, and
     # some rectangles are refused: each outcome must still be the cold one
     with mock.patch.object(tiling, "MAX_STATES", limit):
-        tiling._SNAPSHOTS.clear()
+        empty_memo()
         warm = []
         for run in runs:
             warm.append(profile_outcome(*run))
             assert held_states() <= limit
         cold = []
         for run in runs:
-            tiling._SNAPSHOTS.clear()
+            empty_memo()
             cold.append(profile_outcome(*run))
     assert warm == cold
 
@@ -545,7 +567,7 @@ def test_kept_columns_equal_the_cell_by_cell_sweep(monkeypatch):
     # same states with the same weights as the sweep one cell at a time, and
     # no state whose weight cancelled to 0; a turned rectangle keeps its
     # columns under the same key as an upright one
-    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    fresh_memo(monkeypatch)
     for height in range(1, 11):
         for signed in (False, True):
             key = (height, signed)
@@ -556,7 +578,7 @@ def test_kept_columns_equal_the_cell_by_cell_sweep(monkeypatch):
                     checked = set()
                     for w in widths:
                         if cold:
-                            tiling._SNAPSHOTS.clear()
+                            empty_memo()
                         board = rectangle(height, w) if turned else rectangle(w, height)
                         tiling._profile_sum(board, signed)
                         for c, states in kept_columns(key).items():
@@ -564,64 +586,65 @@ def test_kept_columns_equal_the_cell_by_cell_sweep(monkeypatch):
                             assert all(states.values())
                             checked.add(c)
                     assert max(checked) == 6
-                    tiling._SNAPSHOTS.clear()
+                    empty_memo()
 
 
 def test_snapshots_hold_at_most_max_states(monkeypatch):
     calls = [(count_tilings, rectangle(20, 4)), (parity_counts, rectangle(16, 5)),
              (count_tilings, rectangle(40, 6)), (signed_sum, rectangle(9, 30))]
-    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    fresh_memo(monkeypatch)
     expected = []
     for sweep, board in calls:
-        tiling._SNAPSHOTS.clear()
+        empty_memo()
         expected.append(sweep(board))
-    tiling._SNAPSHOTS.clear()
+    empty_memo()
     monkeypatch.setattr(tiling, "MAX_STATES", 100)
     kept = []
     for (sweep, board), value in zip(calls, expected):
         assert sweep(board) == value
         assert held_states() <= 100
         kept.append(kept_sets())
-    # 60 states of height 4 fit; the next 79, of height 5, fit only once
-    # those are dropped; height 6 needs 393, so after dropping height 5 it
-    # drops its own first columns and keeps the last 5, and the transposed
-    # 9 x 30 keeps its last 2
-    assert kept == [{(4, False): list(range(11))}, {(5, False): list(range(9))},
+    # 59 states of height 4 fit; the next 78, of height 5, push out the
+    # oldest columns of height 4 but its last 3; height 6 needs 392, so it
+    # keeps only its own last 5 columns, and the transposed 9 x 30 its last 2
+    assert kept == [{(4, False): list(range(1, 11))},
+                    {(4, False): [8, 9, 10], (5, False): list(range(1, 9))},
                     {(6, False): [16, 17, 18, 19, 20]}, {(9, True): [14, 15]}]
 
 
+def cold_count(width):
+    """The count of the width x 6 rectangle, swept from an empty memo."""
+    empty_memo()
+    return count_tilings(rectangle(width, 6))
+
+
 def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
-    # columns 0..30 of height 6 hold 593 states, far more than the 150
+    # columns 1..30 of height 6 hold 592 states, far more than the 150
     # allowed; widths 2..60 in rising order must still resume from the
     # columns just swept instead of sweeping again from a frozen prefix
     widths = range(2, 61)
-    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
-    cold = []
-    for w in widths:
-        tiling._SNAPSHOTS.clear()
-        cold.append(count_tilings(rectangle(w, 6)))
+    fresh_memo(monkeypatch)
+    cold = [cold_count(w) for w in widths]
     monkeypatch.setattr(tiling, "MAX_STATES", 150)
-    calls = []
-    step = tiling._window_step
-    monkeypatch.setattr(tiling, "_window_step", lambda *args: calls.append(1) or step(*args))
+    calls = count_calls(monkeypatch, "_window_step")
     # each window step covers up to WINDOW_ROWS of the 6 cells of a column:
     # two sweeps of the 30 columns are 2 * 30 * 2 steps
     bound = 2 * 30 * math.ceil(6 / tiling.WINDOW_ROWS)
-    tiling._SNAPSHOTS.clear()
+    empty_memo()
     assert [count_tilings(rectangle(w, 6)) for w in widths] == cold
     assert 0 < len(calls) <= bound
-    # falling, the run holds the last 7 columns of 20 states, and a read
+    # falling, the memo holds the last 7 columns of 20 states, and a read
     # below them sweeps again from column 0: 30 + 23 + 16 + 9 + 2 columns,
     # under twice the bound, where a sweep from column 0 for each width
     # would take about 15 times it
     calls.clear()
-    tiling._SNAPSHOTS.clear()
+    empty_memo()
     assert [count_tilings(rectangle(w, 6)) for w in widths[::-1]] == cold[::-1]
     assert 0 < len(calls) <= 2 * bound
 
 
-class CountingDict(dict):
-    """A dict that counts the passes over its keys or entries."""
+class CountingDict(OrderedDict):
+    """An OrderedDict that counts the passes over its keys or entries."""
 
     passes = 0
 
@@ -650,87 +673,104 @@ def strip_sum(width):
 def test_kept_columns_are_counted_as_they_are_stored(monkeypatch):
     # the held states used to be summed over every kept column twice per
     # column stored, so a strip 2 high took time quadratic in its width:
-    # the run counts them as it stores them, and passes over no column
-    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
-    columns = CountingDict({0: {0: 1}})
-    tiling._SNAPSHOTS[(2, True)] = tiling._Run(0, columns, 1)
+    # the memo counts them as it stores them, and passes over no column
+    memo = CountingDict()
+    fresh_memo(monkeypatch, memo)
     assert signed_sum(rectangle(2000, 2)) == strip_sum(2000)
-    assert columns.passes == 0 and len(columns) == 1001
-    assert held_states() == tiling._SNAPSHOTS[(2, True)].held
+    assert memo.passes == 0 and len(memo) == 1000
+    assert held_states() == tiling._held
 
 
 def test_a_read_of_kept_columns_passes_over_none_of_them(monkeypatch):
-    # a read served by kept columns finds them in the run by their number
+    # a read served by kept columns finds them in the memo by their number
     # and passes over none, so its cost does not grow with the number kept
-    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    fresh_memo(monkeypatch)
     assert signed_sum(rectangle(2000, 2)) == strip_sum(2000)
-    run = tiling._SNAPSHOTS[(2, True)]
-    run.columns = CountingDict(run.columns)
-    calls = []
-    step = tiling._window_step
-    monkeypatch.setattr(tiling, "_window_step", lambda *args: calls.append(1) or step(*args))
+    memo = CountingDict(tiling._SNAPSHOTS)
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", memo)
+    calls = count_calls(monkeypatch, "_window_step")
     for w in (2, 3, 1000, 1001, 1999, 2000):
         assert signed_sum(rectangle(w, 2)) == strip_sum(w)
-    assert run.columns.passes == 0 and calls == []
+    assert memo.passes == 0 and calls == []
 
 
-def reference_kept_columns(reads, sizes, limit):
-    """The kept columns by key after each read (key, width), by the store's
-    rule written out plainly: each key keeps one run of consecutive columns;
-    a read past its end extends it and a read below its first column starts
-    a new run at column 0, and when only the later of the two middle columns
-    is in the run, it is read first.  While the held states pass limit the
-    other keys go first, then the run's first column.  sizes[key][c] is the
-    number of states after c columns."""
-    store, out = {}, []
-    held = lambda: sum(sizes[k][col] for k, cols in store.items() for col in cols)
+def test_a_short_read_keeps_the_columns_of_a_long_one(monkeypatch):
+    # past the budget the 2 x 2 between two reads of 2000 x 2 sweeps its one
+    # column from column 0 and drops only the oldest kept column, so the
+    # second 2000 x 2 reads column 1000 and sweeps nothing: 1000 + 1 column
+    # steps, where a store that restarted its run for the 2 x 2 took 2000
+    fresh_memo(monkeypatch)
+    monkeypatch.setattr(tiling, "MAX_STATES", 150)
+    steps = count_calls(monkeypatch, "_column_step")
+    for w in (2000, 2, 2000):
+        assert signed_sum(rectangle(w, 2)) == strip_sum(w)
+        assert held_states() <= 150
+    assert len(steps) == 1001
+
+
+def test_a_shuffled_order_resumes_from_the_nearest_kept_column(monkeypatch):
+    # the counts of the 6-high rectangles of widths 2..60 in a seeded shuffle,
+    # 150 states kept of the 592 of columns 1..30: a read sweeps on from the
+    # highest kept column below it, 334 column steps, where a store that
+    # restarted its run from column 0 below its first column took 461
+    widths = list(range(2, 61))
+    random.Random(0).shuffle(widths)
+    fresh_memo(monkeypatch)
+    cold = [cold_count(w) for w in widths]
+    monkeypatch.setattr(tiling, "MAX_STATES", 150)
+    steps = count_calls(monkeypatch, "_column_step")
+    empty_memo()
+    assert [count_tilings(rectangle(w, 6)) for w in widths] == cold
+    assert 0 < len(steps) < 400
+
+
+def reference_memo(reads, sizes, limit):
+    """The memo's keys (height, signed, c), oldest first, after each read
+    (key, width), by its rule written out plainly: a read starts from the
+    highest column of its key kept at or below it, or from column 0, and
+    keeps each column it sweeps; while the held states pass limit, the
+    oldest kept column goes.  sizes[key][c] is the number of states after
+    c columns."""
+    memo, out = [], []
     for key, width in reads:
-        middle = [width // 2, (width + 1) // 2]
-        if key in store and middle[0] < store[key][0] <= middle[1]:
-            middle.reverse()
-        for column in middle:
-            if key not in store or column < store[key][0]:
-                store[key] = [0]
-            run = store[key]
-            while run[-1] < column:
-                run.append(run[-1] + 1)
-                if held() > limit and len(store) > 1:
-                    store.clear()
-                    store[key] = run
-                while held() > limit:
-                    run.pop(0)
-        out.append({k: list(cols) for k, cols in store.items()})
+        for column in (width // 2, (width + 1) // 2):
+            start = max((c for k, c in memo if k == key and c <= column), default=0)
+            for c in range(start + 1, column + 1):
+                memo.append((key, c))
+                while sum(sizes[k][col] for k, col in memo) > limit:
+                    memo.pop(0)
+        out.append([(*k, c) for k, c in memo])
     return out
 
 
-def test_past_the_budget_a_run_drops_its_first_column(monkeypatch):
+def test_past_the_budget_the_memo_drops_its_oldest_column(monkeypatch):
     # a seeded shuffle of rectangles on four keys, under a budget that drops
-    # columns on most reads, from the start of a run and from other keys,
-    # and where many reads start a new run, then falling widths, whose two
-    # middle columns lie on both sides of a run's first: the store keeps the
-    # columns the plain rule keeps, read by read
+    # columns on most reads, where many reads sweep from below the columns
+    # kept, then falling widths, whose two middle columns may lie on both
+    # sides of the oldest kept column: the memo keeps the columns the plain
+    # rule keeps, in the same order, read by read
     keys = [(4, False), (4, True), (6, False), (6, True)]
     reads = [(key, w) for key in keys for w in range(key[0], 41)]
     random.Random(0).shuffle(reads)
     reads += [((6, True), w) for w in range(40, 5, -1)]
     sizes = {key: {c: len(states) for c, states in cell_sweep_columns(*key, 20).items()}
              for key in keys}
-    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    fresh_memo(monkeypatch)
     monkeypatch.setattr(tiling, "MAX_STATES", 150)
     kept = []
     for (height, signed), w in reads:
         tiling._profile_sum(rectangle(w, height), signed)
         assert held_states() <= 150
-        kept.append(kept_sets())
-    assert kept == reference_kept_columns(reads, sizes, 150)
+        kept.append(list(tiling._SNAPSHOTS))
+    assert kept == reference_memo(reads, sizes, 150)
 
 
 def test_a_read_of_kept_columns_looks_up_no_window_table(monkeypatch):
-    # 20 x 8 keeps columns 0..10; read again, and as 19 x 8, whose middle
+    # 20 x 8 keeps columns 1..10; read again, and as 19 x 8, whose middle
     # columns 9 and 10 are kept, it steps no window and looks up no table
-    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    fresh_memo(monkeypatch)
     cold = signed_sum(rectangle(19, 8))
-    tiling._SNAPSHOTS.clear()
+    empty_memo()
     calls = []
     for name in ("_window_table", "_window_step"):
         original = getattr(tiling, name)
@@ -748,14 +788,14 @@ def test_a_turned_rectangle_resumes_from_its_upright_twin(monkeypatch):
     # an 8 x 20 rectangle is swept turned, as the 20 x 8 one, under the same
     # key, and a count under the key of the parity counts: read after its
     # twin, each sweeps nothing, and gives the sum of a cold sweep
-    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    fresh_memo(monkeypatch)
     calls = []
     step = tiling._window_step
     monkeypatch.setattr(tiling, "_window_step", lambda *args: calls.append(1) or step(*args))
     for first, then in ((signed_sum, signed_sum), (parity_counts, count_tilings)):
-        tiling._SNAPSHOTS.clear()
+        empty_memo()
         cold = then(rectangle(8, 20))
-        tiling._SNAPSHOTS.clear()
+        empty_memo()
         first(rectangle(20, 8))
         swept = len(calls)
         assert then(rectangle(8, 20)) == cold
@@ -769,13 +809,13 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     # finished, of which only column 3 fits; the wider one then resumes
     # from it
     limit = tiling.MAX_STATES
-    monkeypatch.setattr(tiling, "_SNAPSHOTS", {})
+    fresh_memo(monkeypatch)
     expected = count_tilings(rectangle(12, 10))
-    tiling._SNAPSHOTS.clear()
+    empty_memo()
     monkeypatch.setattr(tiling, "MAX_STATES", 245)
     with pytest.raises(SizeLimitError) as cold:
         count_tilings(rectangle(12, 10))
-    tiling._SNAPSHOTS.clear()
+    empty_memo()
     with pytest.raises(SizeLimitError):
         count_tilings(rectangle(10, 10))
     assert list(kept_columns((10, False))) == [3]
@@ -785,7 +825,7 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     assert list(kept_columns((10, False))) == [3]
     # with a limit of 60 the first column is refused at its last window, and
     # nothing of it is kept: with the limit back, the sum is the cold one
-    tiling._SNAPSHOTS.clear()
+    empty_memo()
     monkeypatch.setattr(tiling, "MAX_STATES", 60)
     with pytest.raises(SizeLimitError, match="89 profile states exceed limit 60"):
         count_tilings(rectangle(12, 10))

@@ -26,6 +26,8 @@ from .residue import _check_pair
 from .tiling import (
     SizeLimitError,
     Tiling,
+    _check_cell_limit,
+    count_tilings,
     enumerate_tilings,
     horizontal_count,
     signed_sum,
@@ -67,12 +69,28 @@ def _closure_cells(tiling: Tiling, subset) -> set:
 
 def closure_union(board: Board, subset: Board) -> Board:
     """Union of the closures of subset over every tiling of board; the
-    empty board when board has no tilings."""
+    empty board when board has no tilings.
+
+    No tiling is listed.  On a tilable board every cell of subset lies in
+    the union, and a cell c outside it lies there exactly when some tiling
+    holds a domino {s, c} with s in subset, that is, exactly when board
+    minus {s, c} has a tiling: that tiling plus {s, c} tiles board, and
+    any tiling holding {s, c} leaves one of board minus {s, c}.  So it
+    takes one count per edge leaving subset.  Boards above the cell limit
+    of enumerate_tilings are refused all the same.
+    """
     if not subset <= board:
         raise ValueError("subset must lie inside the board")
-    inside = set(subset)
-    return Board(set().union(*(_closure_cells(t, inside)
-                               for t in enumerate_tilings(board))))
+    _check_cell_limit(board, None)
+    if not count_tilings(board):
+        return Board()
+    union = set(subset)
+    for i, j in subset:
+        for c in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if (c in board and c not in union
+                    and count_tilings(board - Board([(i, j), c]))):
+                union.add(c)
+    return Board(union)
 
 
 def restricted_sum(subset: Board, board: Board) -> GaussianInt:

@@ -1,5 +1,6 @@
 """Closure, decomposition, periodicity, and the half-board path."""
 
+import hashlib
 import math
 import random
 import re
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 from conftest import Built, trip
 
+from residue_tilings import decomp
 from residue_tilings.board import Board, LShapeSpec, half_board, l_board, rectangle
 from residue_tilings.decomp import (
     InvariantError,
@@ -108,6 +110,56 @@ def test_closure_matches_the_fixpoint():
 def test_closure_union_known():
     clo = closure_union(rectangle(2, 2), Board([(1, 1)]))
     assert set(clo) == {(1, 1), (1, 2), (2, 1)}
+    # the domino (2,1)-(3,1) would cut (1,1) off, so no tiling holds it
+    clo = closure_union(rectangle(4, 1), Board([(2, 1)]))
+    assert clo == Board([(1, 1), (2, 1)])
+    assert closure_union(rectangle(3, 1), Board([(1, 1)])) == Board()
+
+
+def test_closure_union_keeps_the_enumeration_limit(monkeypatch):
+    board, corner = rectangle(8, 5), Board([(1, 1)])
+    with pytest.raises(SizeLimitError, match="40 cells, enumeration limit is 36"):
+        closure_union(board, corner)
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "40")
+    assert set(closure_union(board, corner)) == {(1, 1), (2, 1), (1, 2)}
+
+
+def test_closure_union_lists_no_tiling(monkeypatch):
+    monkeypatch.setattr(decomp, "enumerate_tilings", trip)
+    clo = closure_union(rectangle(4, 3), Board([(2, 2)]))
+    assert set(clo) == {(2, 2), (1, 2), (3, 2), (2, 1), (2, 3)}
+
+
+def test_closure_union_is_the_union_of_the_closures():
+    # the corpus boards, and each with two cells cut out (31 of the 55 cut
+    # boards still tile), against the union of closures over listed tilings
+    rng = random.Random(2603)
+    checked = 0
+    for _, board, subset in decomposition_corpus():
+        holey = Board(rng.sample(board.cells, max(len(board) - 2, 0)))
+        for whole in (board, holey):
+            tilings = enumerate_tilings(whole)
+            cells = whole.cells
+            subsets = [subset & whole, Board(), whole]
+            subsets += [Board(rng.sample(cells, rng.randrange(len(cells) + 1)))
+                        for _ in range(3)]
+            for sub in subsets:
+                union = set().union(*(closure(t, sub) for t in tilings))
+                assert closure_union(whole, sub) == Board(union), (whole, sub)
+                checked += 1
+    assert checked > 400
+
+
+def test_decomposition_report_is_pinned_with_and_without_optimize(src_env):
+    # sha256 of `lemma decomposition` stdout, which closure_union feeds
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-m", "residue_tilings.cli", "lemma",
+             "decomposition"],
+            capture_output=True, env=src_env, check=True).stdout
+        assert hashlib.sha256(out).hexdigest() == (
+            "0f582dc9d3bbb89e7e26831a4a99eac95455135f591a541ab364af333650d9fd"
+        ), flags
 
 
 OUTSIDE = Board([(5, 5)])

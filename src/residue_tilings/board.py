@@ -7,9 +7,9 @@ equal boards compare and serialize identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
+from .gaussian import _Frozen, _set
 from .residue import _check_pair
 
 Cell = tuple[int, int]
@@ -92,8 +92,7 @@ class Board:
         return [[i, j] for i, j in self._cells]
 
 
-@dataclass(frozen=True)
-class LShapeSpec:
+class LShapeSpec(_Frozen):
     """Arm lengths for a chain of L-shaped chunks.
 
     Chunk k (0-based) is shifted by (k, k) and consists of a horizontal arm
@@ -102,18 +101,18 @@ class LShapeSpec:
     b[k] == 0 is empty.
     """
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        if not all(isinstance(x, int) for x in self.a + self.b):
+    def __init__(self, a: Iterable[int], b: Iterable[int]) -> None:
+        a, b = tuple(a), tuple(b)
+        if not all(isinstance(x, int) for x in a + b):
             raise ValueError("arm lengths must be ints")
-        if len(self.a) != len(self.b):
+        if len(a) != len(b):
             raise ValueError("arm length lists must have equal length")
-        if any(x < 0 for x in self.a + self.b):
+        if any(x < 0 for x in a + b):
             raise ValueError("arm lengths must be non-negative")
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
 def rectangle(width: int, height: int) -> Board:

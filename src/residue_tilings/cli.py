@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import os
 import sys
@@ -55,8 +54,13 @@ def _lemma_keywords() -> list[str]:
     return list(dict.fromkeys(
         name
         for runner in LEMMAS.values()
-        for name in inspect.signature(runner).parameters
+        for name in _parameters(runner)
     ))
+
+
+def _parameters(runner) -> tuple[str, ...]:
+    """The names of a lemma runner's parameters, all positional, in order."""
+    return runner.__code__.co_varnames[:runner.__code__.co_argcount]
 
 
 def _lemma_flag(keyword: str) -> str:
@@ -261,7 +265,7 @@ def _cmd_lemma(args) -> int:
     runner = LEMMAS.get(args.name)
     if runner is None:
         raise ValueError(f"unknown lemma {args.name!r}")
-    accepted = inspect.signature(runner).parameters
+    accepted = _parameters(runner)
     kwargs = {}
     for keyword in _lemma_keywords():
         value = getattr(args, keyword)

@@ -16,11 +16,10 @@ biadjacency matrix and h the common parity of horizontal dominoes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .board import Board, LShapeSpec, _half_board_diag, half_board
-from .gaussian import GaussianInt, ZERO, i_power
+from .gaussian import GaussianInt, ZERO, _Frozen, _set, i_power
 from .kasteleyn import SparseMatrix, _check_dim, det_exact
 from .residue import _check_pair
 from .tiling import (
@@ -106,14 +105,16 @@ def restricted_sum(subset: Board, board: Board) -> GaussianInt:
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionReport:
-    board: Board
-    subset: Board
-    closure: Board
-    lhs: GaussianInt
-    rhs: GaussianInt
-    terms: tuple[tuple[Board, GaussianInt, GaussianInt], ...]
+class DecompositionReport(_Frozen):
+    """The sides and terms of verify_decomposition, compared by identity."""
+
+    __slots__ = ("board", "subset", "closure", "lhs", "rhs", "terms")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, board: Board, subset: Board, closure: Board, lhs: GaussianInt,
+                 rhs: GaussianInt, terms: tuple[tuple[Board, GaussianInt, GaussianInt], ...]) -> None:
+        for name, value in zip(self.__slots__, (board, subset, closure, lhs, rhs, terms)):
+            _set(self, name, value)
 
     @property
     def equal(self) -> bool:

@@ -8,19 +8,51 @@ keeps both components as arbitrary-precision ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class GaussianInt:
+class _Frozen:
+    """An immutable record: its __init__ sets its __slots__ once, through
+    _set, and copy and pickle rebuild it through __init__.  It equals a
+    record of its own class with equal fields, and hashes by its fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+class GaussianInt(_Frozen):
     """An element re + im*i of the Gaussian integers."""
 
-    re: int
-    im: int = 0
+    __slots__ = ("re", "im")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.re, int) or not isinstance(self.im, int):
+    def __init__(self, re: int, im: int = 0) -> None:
+        if not isinstance(re, int) or not isinstance(im, int):
             raise ValueError("components must be ints")
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     def __add__(self, other: "GaussianInt | int") -> "GaussianInt":
         other = _coerce(other)
@@ -65,9 +97,7 @@ class GaussianInt:
 
     def __hash__(self) -> int:
         # Must agree with int hashing because GaussianInt(k, 0) == k.
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
@@ -85,8 +115,7 @@ class GaussianInt:
         coeff = "" if mag == 1 else str(mag)
         return f"{self.re}{sign}{coeff}i"
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
 
 def _coerce(value: "GaussianInt | int") -> "GaussianInt | None":

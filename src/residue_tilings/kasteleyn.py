@@ -21,10 +21,11 @@ it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
+from .gaussian import _Frozen, _set
 from .residue import _check_pair
 from .tiling import SizeLimitError
 
@@ -36,8 +37,7 @@ from .tiling import SizeLimitError
 MAX_DIM = 270000
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(_Frozen):
     """A square integer matrix held as one {row: entry} dict per column,
     with zero entries left out.
 
@@ -45,11 +45,10 @@ class SparseMatrix:
     range(dim) and whose values are ints.
     """
 
-    columns: tuple[dict[int, int], ...]
+    __slots__ = ("columns",)
 
-    def __post_init__(self) -> None:
-        columns = tuple(self.columns)
-        object.__setattr__(self, "columns", columns)
+    def __init__(self, columns: Iterable[dict[int, int]]) -> None:
+        columns = tuple(columns)
         dim = len(columns)
         for column in columns:
             if not isinstance(column, dict):
@@ -59,6 +58,7 @@ class SparseMatrix:
                     raise ValueError(f"row index {row!r} is not an int in range({dim})")
                 if not isinstance(v, int):
                     raise ValueError(f"entry {v!r} is not an int")
+        _set(self, "columns", columns)
 
     @property
     def dim(self) -> int:

@@ -7,7 +7,7 @@ exact integer quantities via round_signed at an explicit tolerance.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .kasteleyn import det_sign
 from .residue import _check_pair

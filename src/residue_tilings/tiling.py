@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from collections.abc import Iterable
+from functools import total_ordering
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Iterable
 
 from .board import Board, Cell, rectangle
-from .gaussian import GaussianInt, ZERO, i_power
+from .gaussian import GaussianInt, ZERO, _Frozen, _set, i_power
 
 DEFAULT_CELL_LIMIT = 36
 ENV_CELL_LIMIT = "RESIDUE_TILINGS_LIMIT"
@@ -42,17 +42,24 @@ class SizeLimitError(RuntimeError):
     """A board exceeded an enumeration or profile-state resource limit."""
 
 
-@dataclass(frozen=True, order=True)
-class Domino:
-    """Two adjacent cells; ``a`` is the lexicographically smaller one."""
+@total_ordering
+class Domino(_Frozen):
+    """Two adjacent cells; ``a`` is the lexicographically smaller one.
+    Dominoes are ordered as their (a, b) pairs."""
 
-    a: Cell
-    b: Cell
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        (ai, aj), (bi, bj) = self.a, self.b
+    def __init__(self, a: Cell, b: Cell) -> None:
+        (ai, aj), (bi, bj) = a, b
         if (bi - ai, bj - aj) not in ((1, 0), (0, 1)):
-            raise ValueError(f"cells {self.a} and {self.b} do not form a domino")
+            raise ValueError(f"cells {a} and {b} do not form a domino")
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) < (other.a, other.b)
+        return NotImplemented
 
     @classmethod
     def of(cls, c1: Cell, c2: Cell) -> "Domino":
@@ -73,7 +80,7 @@ class Tiling:
     __slots__ = ("_board", "_dominoes")
 
     def __init__(self, board: Board, dominoes: Iterable[Domino]):
-        # the dataclass order, without calling Domino.__lt__ per comparison
+        # the Domino order, without calling Domino.__lt__ per comparison
         doms = tuple(sorted(dominoes, key=attrgetter("a", "b")))
         cells = [cell for d in doms for cell in (d.a, d.b)]
         covered = set(cells)

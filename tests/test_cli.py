@@ -414,6 +414,10 @@ def test_lemma_inapplicable_flag(capsys):
 
 
 def test_lemma_flags_match_runner_keywords():
+    # the CLI reads each runner's parameters from its code object; they are
+    # every keyword of the runners' signatures, in order of first use
+    signatures = [inspect.signature(runner).parameters for runner in LEMMAS.values()]
+    assert cli._lemma_keywords() == list(dict.fromkeys(k for s in signatures for k in s))
     # every runner keyword parses as its flag, with the type of its default
     parser = cli._build_parser()
     for name, runner in LEMMAS.items():
@@ -492,6 +496,17 @@ def test_import_leaves_the_process_pool_unloaded(src_env):
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, env=src_env)
     assert (result.returncode, result.stdout) == (0, "False\n")
+
+
+def test_startup_imports_no_dataclasses_inspect_or_typing(src_env):
+    # each of these modules cost milliseconds of every interpreter start;
+    # -S keeps site from importing anything the package does not
+    script = ("import sys, residue_tilings, residue_tilings.cli as cli; "
+              "cli._build_parser(); code = cli.main(['jacobi', '--m', '3', '--n', '5']); "
+              "print(code, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", script],
+                            capture_output=True, text=True, env=src_env)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "-1\n0 []\n", "")
 
 
 def test_verify_jobs_deterministic(src_env):

@@ -1,10 +1,16 @@
-"""The four routes to the rectangle sum agree exactly on random cases and
-share one (m, n) contract."""
+"""The four routes to the rectangle sum agree exactly on random cases,
+share one (m, n) contract, and share no other code than the few pieces
+listed, each with the reason the cross-check still holds."""
+
+import sys
+from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from residue_tilings import board, cli, decomp, gaussian, kasteleyn, lemmas, residue, spectral, tiling
 from residue_tilings.board import rectangle
 from residue_tilings.decomp import reciprocity_free_sum
 from residue_tilings.gaussian import GaussianInt
@@ -33,3 +39,115 @@ def test_four_routes_agree(m, n):
 def test_routes_share_one_contract(route, m, n):
     with pytest.raises(ValueError):
         route(m, n)
+
+
+def test_readme_library_sketch_runs():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    sketch = readme.read_text(encoding="utf-8").split("## Library sketch\n", 1)[1]
+    block = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    # the comment on the DP's line shows the repr of its value
+    assert f"# {namespace['s']!r}\n" in block
+
+
+# The package functions each route calls, as module.qualname, apart from
+# the shared ones below.  A route that starts to call another route's code
+# fails test_routes_call_only_their_own_code until this list is edited.
+OWN_CODE = {
+    "dp": {
+        "board.Board.bounds", "board.Board.cells", "board.rectangle",
+        "gaussian.GaussianInt.__init__",
+        "tiling._column_step", "tiling._column_windows", "tiling._fold_states",
+        "tiling._profile_sum", "tiling._window_step", "tiling._window_table",
+        "tiling.signed_sum",
+    },
+    "det": {"kasteleyn.build_kasteleyn", "kasteleyn.signed_sum_via_det"},
+    "reciprocity-free": {
+        "board.Board.__iter__", "board._half_board_diag", "board.half_board",
+        "decomp._check_half_board", "decomp._check_window", "decomp._window_residue",
+        "decomp.admissible_diagonal", "decomp.biadjacency", "decomp.half_board_parity",
+        "decomp.half_board_square", "decomp.half_board_support",
+        "decomp.periodicity_factor", "decomp.reciprocity_free_sum", "gaussian.i_power",
+    },
+    "spectral": {
+        "spectral._check_tol", "spectral._scaled_product", "spectral._sin_pi",
+        "spectral.norm_product", "spectral.round_signed", "spectral.signed_sum_via_spectral",
+    },
+}
+
+_CHECK = ("det", "reciprocity-free", "spectral"), (
+    "the one (m, n) validator; it only raises, so it can refuse a case "
+    "but cannot move a value")
+_DET = ("det", "reciprocity-free"), (
+    "the exact determinant: reciprocity-free reads det B only as zero or "
+    "not, since |det B| <= 1, so a sign fault moves det alone, and a false "
+    "zero, which moves both, is caught by dp and spectral")
+# each shared function: (the routes that call it, why the cross-check holds)
+SHARED_CODE = {
+    "residue._check_pair": _CHECK,
+    "residue._check_odd_modulus": _CHECK,
+    "kasteleyn.det_exact": _DET,
+    "kasteleyn._is_odd": _DET,
+    "kasteleyn._check_dim": _DET,
+    "kasteleyn.SparseMatrix.__init__": _DET,
+    "kasteleyn.SparseMatrix.dim": _DET,
+    "kasteleyn.det_sign": (("det", "spectral"), (
+        "the sign between det K and the sum, one convention for both "
+        "routes: a wrong sign moves det and spectral together, and dp and "
+        "reciprocity-free, which do not read it, catch it")),
+    "board.Board._of": (("dp", "reciprocity-free"), (
+        "builds a board from cells known to be valid: a wrong board moves "
+        "dp and reciprocity-free together, and det and spectral, which "
+        "build no board, catch it")),
+}
+
+
+def _qualnames():
+    """module.qualname of every function of the package, by its code
+    object; a code object carries no qualname of its own before 3.11."""
+    names = {}
+    for module in (board, cli, decomp, gaussian, kasteleyn, lemmas, residue, spectral, tiling):
+        short = module.__name__.rpartition(".")[2]
+        for value in vars(module).values():
+            for member in vars(value).values() if isinstance(value, type) else (value,):
+                func = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                code = getattr(func, "__code__", None)
+                if code is not None and code.co_filename == module.__file__:
+                    names[code] = f"{short}.{func.__qualname__}"
+    return names
+
+
+def _calls(route, names, files):
+    """The package functions route calls over m < 30 and odd n < 16;
+    lambdas and comprehensions count as part of the function around them."""
+    seen = set()
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename in files and not code.co_name.startswith("<"):
+            seen.add(names.get(code, f"unlisted {code.co_filename}:{code.co_name}"))
+
+    sys.setprofile(record)
+    try:
+        for n in range(1, 16, 2):
+            for m in range(1, 30):
+                route(m, n, 1e-6)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_routes_call_only_their_own_code(monkeypatch):
+    # an empty memo, so that the DP sweeps every column it reads
+    monkeypatch.setattr(tiling, "_SNAPSHOTS", OrderedDict())
+    monkeypatch.setattr(tiling, "_held", 0)
+    names = _qualnames()
+    files = {code.co_filename for code in names}
+    called = {method: _calls(route, names, files) for method, route in cli.ROUTES.items()}
+    for method in cli.ROUTES:
+        shared = {name for name, (routes, _) in SHARED_CODE.items() if method in routes}
+        assert called[method] == OWN_CODE[method] | shared, method
+    # the shared list names exactly what two routes call
+    twice = {name for a in called for b in called if a < b for name in called[a] & called[b]}
+    assert twice == set(SHARED_CODE)

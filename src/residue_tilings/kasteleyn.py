@@ -2,9 +2,11 @@
 
 For odd n the cells of the (m-1) x (n-1) rectangle are folded by the
 relation (i, j) ~ -(i, n-j).  The even-parity cells (i + j even, ordered
-lexicographically) form a basis; the neighbor-sum operator expressed in
-that basis is an integer matrix whose determinant equals the signed tiling
-sum up to the sign det_sign(m, n), which depends on m's parity.
+lexicographically) form a basis: with h = (n-1)/2 of them at each i,
+cell (i, j) is basis vector (i-1)h + (j-1)//2.  The neighbor-sum operator
+expressed in that basis is an integer matrix whose determinant equals the
+signed tiling sum up to the sign det_sign(m, n), which depends on m's
+parity.
 
 Every matrix here has one type, SparseMatrix, whose constructor validates
 its entries, so no malformed input reaches the elimination.
@@ -14,9 +16,13 @@ the rationals gives it as the product of the pivots, with no bound and no
 modulus.  The elimination works on sparse columns and pivots on the
 sparsest column left, which keeps the fill-in of K small.  Every entry of K
 is -1, and its pivots have been +1 or -1 in every case checked, so the
-elimination of K stays in ints; only another pivot brings in a Fraction.  The resource limit is one
-dimension cap, MAX_DIM, which each matrix here checks from (m, n) before
-it is built.
+elimination of K stays in ints; only another pivot brings in a Fraction.
+
+The resource limit is one dimension cap, MAX_DIM, which each matrix here
+checks from (m, n) before it is built, raising SizeLimitError (exit 2 in
+the CLI) past it.  K at (1023, 529), d = 269808, is the largest K of
+n = 529 admitted, and (1024, 529), d = 270072, is refused; a 2 x N board
+is admitted up to (270001, 3).
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from .gaussian import _Frozen, _set
 from .residue import _check_pair
 from .tiling import SizeLimitError
 
-# The largest dimension eliminated, the resource limit.  On 2 vCPUs with
-# CPython 3.11 the largest admitted matrices took at most 6.6 s and 372 MB
-# to build and eliminate: K at (1023, 529), d = 269808, 5.3 s and 343 MB,
-# and B at (1041, 1039), d = 269880.  K at (1002, 1001), d = 500500, took
-# 9.2 s and 469 MB.
+# The largest dimension eliminated, the resource limit: it keeps the build
+# and elimination of every admitted matrix, such as K at (1023, 529),
+# d = 269808, and B at (1041, 1039), d = 269880, within 1 GB of address
+# space.  K at (1024, 529), d = 270072, and B at (1043, 1039), d = 270399,
+# are refused.
 MAX_DIM = 270000
 
 
@@ -82,21 +88,27 @@ def build_kasteleyn(m: int, n: int) -> SparseMatrix:
     """
     _check_pair(m, n)
     _check_dim(f"K at m = {m}, n = {n}", ((m - 1) * (n - 1) + 1) // 2)
-    basis = [
-        (i, j)
-        for i in range(1, m)
-        for j in range(1, n)
-        if (i + j) % 2 == 0
-    ]
-    index = {cell: pos for pos, cell in enumerate(basis)}
+    h = (n - 1) // 2
+    # one int object per matrix row, shared by the up to four columns with
+    # an entry there: a sum per entry would keep four ints per column alive
+    # through det_exact, about 25 MB more at d = MAX_DIM
+    ids = list(range((m - 1) * h))
     columns = []
-    for i, j in basis:
-        column: dict[int, int] = {}
-        for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if ni in (0, m) or nj in (0, n):
-                continue
-            column[index[(ni, n - nj)]] = -1
-        columns.append(column)
+    for i in range(1, m):
+        # the first basis index at i - 1, i and i + 1
+        below, here, above = (i - 2) * h, (i - 1) * h, i * h
+        for j in range(2 - i % 2, n, 2):
+            # (i +- 1, j) folds to (i +- 1, n - j), (i, j -+ 1) to (i, n - j +- 1)
+            column: dict[int, int] = {}
+            if i > 1:
+                column[ids[below + (n - j - 1) // 2]] = -1
+            if i < m - 1:
+                column[ids[above + (n - j - 1) // 2]] = -1
+            if j > 1:
+                column[ids[here + (n - j) // 2]] = -1
+            if j < n - 1:
+                column[ids[here + (n - j - 2) // 2]] = -1
+            columns.append(column)
     return SparseMatrix(tuple(columns))
 
 
@@ -123,19 +135,23 @@ def det_exact(matrix: SparseMatrix) -> int:
     for r, row in enumerate(rows):
         for c in row:
             holders[c].add(r)
-    heap = [(len(rs), c) for c, rs in enumerate(holders)]
+    # a key is count << 32 | column, as dim <= MAX_DIM < 2**32
+    heap = [len(rs) << 32 | c for c, rs in enumerate(holders)]
     heapify(heap)
     pivot_col = [0] * dim
     det = 1
     for _ in rows:
-        count, k = heappop(heap)
-        while holders[k] is None or count != len(holders[k]):
-            count, k = heappop(heap)
-        if count == 0:
-            return 0
+        key = heappop(heap)
+        while holders[k := key & 0xFFFFFFFF] is None or key >> 32 != len(holders[k]):
+            key = heappop(heap)
         cands, holders[k] = holders[k], None
-        r = min(cands, key=lambda s: (len(rows[s]), s))
-        cands.remove(r)
+        if len(cands) == 1:
+            r = cands.pop()
+        elif cands:
+            r = min(cands, key=lambda s: (len(rows[s]), s))
+            cands.remove(r)
+        else:
+            return 0
         pivot_col[r] = k
         pivot = rows[r]
         a = pivot.pop(k)
@@ -156,7 +172,7 @@ def det_exact(matrix: SparseMatrix) -> int:
                     del row[c]
                     holders[c].discard(s)
         for c in pivot:
-            heappush(heap, (len(holders[c]), c))
+            heappush(heap, len(holders[c]) << 32 | c)
     det = int(det)  # exact: up to sign, the product of the pivots is the determinant
     return -det if _is_odd(pivot_col) else det
 

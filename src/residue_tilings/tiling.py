@@ -232,9 +232,10 @@ def _profile_sum(board, signed):
     A bounding box taller than wide is swept turned.  A turn takes h to
     N/2 - h on a board of N cells, so S(X) = w**(N/2) * conj S(X^T) for
     the sum S of w**h.  A board that is not a rectangle is swept whole,
-    its windows cut from the runs of consecutive cells in each column,
-    from its short end: when its last column holds fewer cells than its
-    first, it is mirrored (i -> min_i + max_i - i) first, which keeps h.
+    its windows cut from the runs of consecutive cells in each column and
+    kept by the column's rows and those of the next column swept, from its
+    short end: when its last column holds fewer cells than its first, its
+    columns are walked in reverse, mirrored by i -> -i, which keeps h.
 
     Fold: a rectangle's sweep stops after ceil(W/2) of its W columns.  Cut
     between columns k and k + 1 and let p be the rows a domino crosses the
@@ -254,18 +255,25 @@ def _profile_sum(board, signed):
     turned = height > width
     if turned:
         cells = sorted((j, i) for i, j in cells)
-        min_i, max_i, min_j = min_j, max_j, min_i
+        min_j = min_i
         width, height = height, width
     odd_bit = 1 << height
     if len(cells) != width * height:
-        if sum(i == max_i for i, _ in cells) < sum(i == min_i for i, _ in cells):
-            cells = sorted((min_i + max_i - i, j) for i, j in cells)
-        present = set(cells)
+        columns = [(i, tuple(j - min_j for _, j in column))
+                   for i, column in groupby(cells, itemgetter(0))]
+        if len(columns[-1][1]) < len(columns[0][1]):
+            columns = [(-i, rows) for i, rows in reversed(columns)]
+        columns.append((None, ()))
         states = {0: 1}
-        for i, column in groupby(cells, itemgetter(0)):
-            rows = [j - min_j for _, j in column]
-            rights = [(i + 1, y + min_j) in present for y in rows]
-            states = _column_step(states, _column_windows(rows, rights, signed, height), height)
+        for (i, rows), (after, next_rows) in zip(columns, columns[1:]):
+            if after != i + 1:
+                next_rows = ()
+            key = (rows, next_rows, signed, height)
+            windows = _PLANS.get(key)
+            if windows is None:
+                rights = [y in next_rows for y in rows]
+                windows = _PLANS[key] = _column_windows(rows, rights, signed, height)
+            states = _column_step(states, windows, height)
         even, odd = states.get(0, 0), states.get(odd_bit, 0)
     else:
         # a rectangle, at least two columns wide as its cell count is even
@@ -314,6 +322,11 @@ def _window_step(states, y, height, table):
         )
     return new_states
 
+
+# (rows, rows of the next column swept if it is adjacent, signed, height) ->
+# the windows of a column of a board that is not a rectangle, built on first
+# use
+_PLANS: dict[tuple, list] = {}
 
 # (rights, up, signed, y, height) -> a window's placements, built on first use
 _WINDOWS: dict[tuple, list] = {}

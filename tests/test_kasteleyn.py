@@ -68,6 +68,33 @@ def test_known_matrices():
     assert build_kasteleyn(1, 5).dim == 0
 
 
+def kasteleyn_by_basis(m, n):
+    """K's columns as the builder once made them: the even cells listed
+    lexicographically, a dict from cell to index, and each neighbor folded
+    and looked up there, in the order below, above, left, right."""
+    basis = [(i, j) for i in range(1, m) for j in range(1, n) if (i + j) % 2 == 0]
+    index = {cell: pos for pos, cell in enumerate(basis)}
+    columns = []
+    for i, j in basis:
+        column = {}
+        for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if ni not in (0, m) and nj not in (0, n):
+                column[index[(ni, n - nj)]] = -1
+        columns.append(column)
+    return tuple(columns)
+
+
+def test_index_arithmetic_matches_the_basis_lookup():
+    # the same columns with their keys in the same order, so the
+    # elimination meets the same ties and detk --matrix prints the same bytes
+    for n in range(1, 42, 2):
+        for m in range(1, 61):
+            columns = build_kasteleyn(m, n).columns
+            expected = kasteleyn_by_basis(m, n)
+            assert columns == expected, (m, n)
+            assert [list(c) for c in columns] == [list(c) for c in expected], (m, n)
+
+
 def test_column_structure():
     # each column holds the -1 neighbor stencil; the fold is one-to-one, so
     # no two neighbors land on one row
@@ -183,6 +210,34 @@ def wide_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(wide_matrices())
 def test_det_wide_matrices_against_fractions(rows):
+    assert det_exact(_sparse(rows)) == det_fraction(rows)
+
+
+@st.composite
+def k_like_matrices(draw):
+    """Square matrices up to 30 x 30 shaped like K: each column holds 0 to
+    2 nonzeros, one at permuted rows and maybe a second, so that rows and
+    columns with one nonzero are common, and half of the matrices have an
+    empty column.  Entries are mostly +1 or -1, with some others."""
+    k = draw(st.integers(0, 30))
+    rows = [[0] * k for _ in range(k)]
+    unit = st.sampled_from((1, -1))
+    entry = st.one_of(unit, unit, unit, st.integers(-5, 5).filter(bool))
+    for c, r in enumerate(draw(st.permutations(range(k)))):
+        rows[r][c] = draw(entry)
+        second = draw(st.one_of(st.none(), st.integers(0, k - 1)))
+        if second is not None:
+            rows[second][c] = draw(entry)
+    if k and draw(st.booleans()):
+        empty = draw(st.integers(0, k - 1))
+        for row in rows:
+            row[empty] = 0
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k_like_matrices())
+def test_det_k_like_matrices_against_fractions(rows):
     assert det_exact(_sparse(rows)) == det_fraction(rows)
 
 

@@ -254,6 +254,25 @@ def mirror(board):
     return Board((width + 1 - i, j) for i, j in board)
 
 
+def test_a_mirror_image_reads_the_column_plans_of_its_board(monkeypatch):
+    # a board that is not a rectangle is swept from its short end, so its
+    # mirror image walks the same columns with the same next columns, and
+    # neither it nor the board swept again cuts a column into windows.  The
+    # board's seven columns have three shapes: two cells before a full
+    # column, a full column before another, and the last full column
+    board = rectangle(7, 4) - Board([(1, 1), (1, 4)])
+    monkeypatch.setattr(tiling, "_PLANS", {})
+    calls = []
+    cut = tiling._column_windows
+    monkeypatch.setattr(tiling, "_column_windows", lambda *args: calls.append(1) or cut(*args))
+    value = signed_sum(board)
+    assert value == signed_sum_bruteforce(board) != 0
+    assert len(calls) == 3
+    calls.clear()
+    assert signed_sum(board) == signed_sum(mirror(board)) == value
+    assert calls == []
+
+
 def assert_kernel_matches_enumeration(board):
     # the board and its transpose, so both the upright sweep and, on the
     # taller box, the turned one mapped back by S(X) = w**(N/2) conj S(X^T)

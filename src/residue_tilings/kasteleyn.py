@@ -28,7 +28,6 @@ is admitted up to (270001, 3).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .gaussian import _Frozen, _set
@@ -122,7 +121,7 @@ def det_exact(matrix: SparseMatrix) -> int:
     columns serve as the rows, since a matrix and its transpose share the
     determinant.  A pivot of +1 or -1 is its own inverse, so while every
     pivot is a unit, as on K and on a half board's B, all values stay ints;
-    any other pivot a is inverted as Fraction(1, a).
+    any other pivot a is inverted as Fraction(1, a), by _fraction.
 
     Raises SizeLimitError, before any elimination, when the dimension
     exceeds MAX_DIM.  The empty matrix has determinant 1.
@@ -158,7 +157,7 @@ def det_exact(matrix: SparseMatrix) -> int:
         for c in pivot:
             holders[c].discard(r)
         det *= a
-        inv = a if a in (1, -1) else Fraction(1, a)
+        inv = a if a in (1, -1) else _fraction(1, a)
         for s in cands:
             row = rows[s]
             g = -row.pop(k) * inv
@@ -175,6 +174,13 @@ def det_exact(matrix: SparseMatrix) -> int:
             heappush(heap, len(holders[c]) << 32 | c)
     det = int(det)  # exact: up to sign, the product of the pivots is the determinant
     return -det if _is_odd(pivot_col) else det
+
+
+def _fraction(numerator: int, denominator: int):
+    """Fraction(numerator, denominator); fractions, which imports decimal,
+    is loaded on the first call, since no pivot of K or B needs one."""
+    from fractions import Fraction
+    return Fraction(numerator, denominator)
 
 
 def _check_dim(what: str, dim: int) -> None:

@@ -7,9 +7,10 @@ broken-profile dynamic program that sweeps the board column by column,
 covering up to WINDOW_ROWS consecutive cells of a column in one pass over
 its states through a table of the window's placements, built once per
 window shape and position, so that each placement is one int to xor into
-a state.  The DP is one kernel with one flag: signed, it gives the
-signed sum; unsigned, the counts of tilings with h even and odd, found
-without enumerating them, whose sum is the tiling count.  A rectangle is
+a state.  The DP is one kernel with one flag: signed, it weighs each
+horizontal domino on an even row by -1, which gives the signed sum up to a
+power of i that the board fixes; unsigned, it counts the tilings, all of
+whose h share the parity that power gives.  A rectangle is
 swept only up to its middle column: the right half, mirrored, is the left
 half, so the sum is assembled from the profiles of one half sweep.  The
 states after each whole column of a rectangle are kept in one memo by
@@ -200,50 +201,55 @@ def signed_sum_bruteforce(board: Board) -> GaussianInt:
 
 def signed_sum(board: Board) -> GaussianInt:
     """Sum of i**h(D) over all tilings D of board, computed exactly."""
-    return GaussianInt(*_profile_sum(board, True))
+    value, e = _profile_sum(board, True)
+    value = -value if e & 2 else value  # i**e * value, as i**2 = -1
+    return GaussianInt(0, value) if e & 1 else GaussianInt(value)
 
 
 def count_tilings(board: Board) -> int:
     """Number of tilings of board (the unsigned profile sweep)."""
-    return sum(parity_counts(board))
+    return _profile_sum(board, False)[0]
 
 
 def parity_counts(board: Board) -> tuple[int, int]:
     """Numbers of tilings D of board with h(D) even and with h(D) odd."""
-    return _profile_sum(board, False)
+    count, e = _profile_sum(board, False)
+    return (0, count) if e % 2 else (count, 0)
 
 
 def _profile_sum(board, signed):
-    """The pair (even, odd) with even + w * odd the sum of w**h(D) over the
-    tilings D of board, w = i when signed and -1 when not: unsigned, even
-    and odd count the tilings with h(D) even and odd.
+    """(V, e) with h(D) = e mod 2 for every tiling D of board: unsigned, V
+    is the number of tilings, and signed, the sum of i**h(D) is i**e * V.
+
+    The sign rule: a vertical domino covers a cell of an even row and one
+    of an odd row, a horizontal one two cells of one row, so on N cells, f
+    of them on even rows (counted from the lowest), every tiling has h =
+    N/2 - f + 2 * h_even, h_even its horizontal dominoes on even rows.  So
+    the signed sweep weighs those by -1, and e = N/2 - f.  A bounding box
+    taller than wide is swept turned, as X^T, and a turn takes h to N/2 - h,
+    so there e = f.
 
     Broken-profile DP in column order.  Bit y of a state is set when the
-    next cell of row y is already covered, and the bit above the profile
-    holds h mod 2.  A state carries the int sum of w**(h - h mod 2) over
-    its partial tilings: a horizontal domino flips the parity bit and,
-    signed, negates on the way from odd to even.  Each pass over the states
-    covers a window of up to WINDOW_ROWS consecutive cells of a column
-    (_window_step, its placements from _window_table).  States whose
-    weight has cancelled to 0 are skipped, and dropped at the end of each
-    column.  A window step whose live states outgrow MAX_STATES raises
-    SizeLimitError, since time grows with the states.
+    next cell of row y is already covered, and a state carries the summed
+    weight of its partial tilings.  Each pass over the states covers a
+    window of up to WINDOW_ROWS consecutive cells of a column (_window_step,
+    its placements from _window_table).  States whose weight has cancelled
+    to 0 are skipped, and dropped at the end of each column.  A window step
+    whose live states outgrow MAX_STATES raises SizeLimitError, since time
+    grows with the states.
 
-    A bounding box taller than wide is swept turned.  A turn takes h to
-    N/2 - h on a board of N cells, so S(X) = w**(N/2) * conj S(X^T) for
-    the sum S of w**h.  A board that is not a rectangle is swept whole,
-    its windows cut from the runs of consecutive cells in each column and
-    kept by the column's rows and those of the next column swept, from its
-    short end: when its last column holds fewer cells than its first, its
-    columns are walked in reverse, mirrored by i -> -i, which keeps h.
+    A board that is not a rectangle is swept whole, its windows cut from
+    the runs of consecutive cells in each column and kept by the column's
+    rows and those of the next column swept, from its short end: when its
+    last column holds fewer cells than its first, its columns are walked
+    in reverse, mirrored by i -> -i, which keeps every row.
 
-    Fold: a rectangle's sweep stops after ceil(W/2) of its W columns.  Cut
-    between columns k and k + 1 and let p be the rows a domino crosses the
-    cut in; the right part, mirrored, is a left sweep of W - k columns that
-    ends with the same p.  Both count the crossing dominoes, so the sum is
-    sum_p L_k[p] * L_(W-k)[p] * w**-|p|, with L_c the states after c
-    columns from _fold_states, k = floor(W/2) (the same dict for even W).
-    The parity bits and w**-|p| combine into w**(e mod 2) and a sign.
+    Fold: a rectangle is swept to column ceil(W/2) of its W.  Cut between
+    columns k = floor(W/2) and k + 1, and let p be the rows a domino crosses
+    the cut in: the right part, mirrored, is a left sweep of W - k columns
+    ending in p.  Both weigh the crossing dominoes, so V is sum_p L_k[p] *
+    L_(W-k)[p], signed times -1 per even row of p, L_c being the states
+    after c columns (_fold_states; one dict for even W).
     """
     cells = board.cells
     if not cells:
@@ -254,11 +260,22 @@ def _profile_sum(board, signed):
     width, height = max_i - min_i + 1, max_j - min_j + 1
     turned = height > width
     if turned:
-        cells = sorted((j, i) for i, j in cells)
         min_j = min_i
         width, height = height, width
-    odd_bit = 1 << height
-    if len(cells) != width * height:
+    if len(cells) == width * height:
+        # a rectangle, at least two columns wide as its cell count is even
+        f = width * ((height + 1) // 2)
+        left, right = _fold_states(height, signed, width)
+        evens = sum(1 << y for y in range(0, height, 2)) if signed else 0
+        value = 0
+        for p, a in left.items():
+            c = right.get(p)
+            if c:
+                value += -a * c if (p & evens).bit_count() % 2 else a * c
+    else:
+        if turned:
+            cells = sorted((j, i) for i, j in cells)
+        f = sum((j - min_j) % 2 == 0 for _, j in cells)
         columns = [(i, tuple(j - min_j for _, j in column))
                    for i, column in groupby(cells, itemgetter(0))]
         if len(columns[-1][1]) < len(columns[0][1]):
@@ -268,45 +285,27 @@ def _profile_sum(board, signed):
         for (i, rows), (after, next_rows) in zip(columns, columns[1:]):
             if after != i + 1:
                 next_rows = ()
-            key = (rows, next_rows, signed, height)
+            key = (rows, next_rows, signed)
             windows = _PLANS.get(key)
             if windows is None:
                 rights = [y in next_rows for y in rows]
-                windows = _PLANS[key] = _column_windows(rows, rights, signed, height)
-            states = _column_step(states, windows, height)
-        even, odd = states.get(0, 0), states.get(odd_bit, 0)
-    else:
-        # a rectangle, at least two columns wide as its cell count is even
-        left, states = _fold_states(height, signed, width)
-        sums = [0, 0]
-        for key, a in left.items():
-            p = key & (odd_bit - 1)
-            for other in (p, p | odd_bit):
-                c = states.get(other)
-                if c:
-                    # w**e, as w**(e % 2) and a sign
-                    e = (key != p) + (other != p) - p.bit_count()
-                    sums[e % 2] += -a * c if signed and e % 4 > 1 else a * c
-        even, odd = sums
-    if turned:
-        square = -1 if signed else 1  # w * w
-        odd *= square  # the conjugate
-        for _ in range(len(cells) // 2 % 4):
-            even, odd = square * odd, even  # times w
-    return even, odd
+                windows = _PLANS[key] = _column_windows(rows, rights, signed)
+            states = _column_step(states, windows)
+        value = states.get(0, 0)
+    return value, f if turned else len(cells) // 2 - f
 
 
-def _window_step(states, y, height, table):
-    """The states after covering the window of cells from row y up of a
-    profile height high, whose placements table gives (see _window_table);
-    states whose weight has cancelled to 0 are skipped."""
+def _window_step(states, y, table):
+    """The states after covering the window of cells from row y up whose
+    placements table gives (see _window_table); states whose weight has
+    cancelled to 0 are skipped."""
     new_states: dict[int, int] = {}
     get = new_states.get
     low = len(table) - 1
     for mask, w in states.items():
         if not w:
             continue
-        plus, minus = table[(mask >> y) & low][mask >> height]
+        plus, minus = table[(mask >> y) & low]
         for x in plus:
             key = mask ^ x
             new_states[key] = get(key, 0) + w
@@ -323,80 +322,74 @@ def _window_step(states, y, height, table):
     return new_states
 
 
-# (rows, rows of the next column swept if it is adjacent, signed, height) ->
-# the windows of a column of a board that is not a rectangle, built on first
-# use
+# (rows, rows of the next column swept if it is adjacent, signed) -> the
+# windows of a column of a board that is not a rectangle, built on first use
 _PLANS: dict[tuple, list] = {}
 
-# (rights, up, signed, y, height) -> a window's placements, built on first use
+# (rights, up, signed, y) -> a window's placements, built on first use
 _WINDOWS: dict[tuple, list] = {}
 
 
-def _window_table(rights, up, signed, y, height):
+def _window_table(rights, up, signed, y):
     """The placements of a window of L = len(rights) cells, one above
-    another from row y of a profile height high: rights[k] tells whether
-    cell k has a right neighbour, up whether a cell sits above the window,
-    and signed whether a horizontal domino, which flips the parity bit,
-    also negates from odd to even.
+    another from row y: rights[k] tells whether cell k has a right
+    neighbour, up whether a cell sits above the window, and signed whether
+    a horizontal domino on an even row weighs -1.
 
-    table[b | a << L][p], for the window's profile bits b, the bit a above
-    it and the parity bit p, is a pair (plus, minus) of the ways to cover
-    the window: each is one int x that takes a state's mask to mask ^ x,
-    adding its weight there under plus and subtracting it under minus.  The
-    ways are found on the window's own L + 2 bits and shifted to row y and
-    to the parity bit at height once here, so the kernel shifts nothing.
+    table[b | a << L], for the window's profile bits b and the bit a above
+    it, is a pair (plus, minus) of the ways to cover the window: each is one
+    int x that takes a state's mask to mask ^ x, adding its weight there
+    under plus and subtracting it under minus.  The ways are found on the
+    window's own L + 1 bits and shifted to row y once here, so the kernel
+    shifts nothing.
     """
-    key = (rights, up, signed, y, height)
+    key = (rights, up, signed, y)
     table = _WINDOWS.get(key)
     if table is not None:
         return table
     length = len(rights)
-    odd = 2 << length
-    negate_at = odd if signed else 0
-    table = _WINDOWS[key] = [(([], []), ([], [])) for _ in range(odd)]
-    for start in range(2 * odd):
+    table = _WINDOWS[key] = [([], []) for _ in range(2 << length)]
+    for start, (plus, minus) in enumerate(table):
         # the cell steps of the window, on its own bits, from one start
         states = {start: False}
         for k, right in enumerate(rights):
             bit, new_states = 1 << k, {}
             above = bit << 1 if k + 1 < length or up else 0
+            on_even = signed and (y + k) % 2 == 0
             for mask, negate in states.items():
                 if mask & bit:
                     new_states[mask ^ bit] = negate
                     continue
                 if right:
-                    new_states[(mask | bit) ^ odd] = negate ^ bool(mask & negate_at)
+                    new_states[mask | bit] = negate ^ on_even
                 if above and not mask & above:
                     new_states[mask | above] = negate
             states = new_states
-        plus, minus = table[start & (odd - 1)][start >> (length + 1)]
         for end, negate in states.items():
-            change = end ^ start
-            x = ((change & (odd - 1)) << y) ^ ((change >> (length + 1)) << height)
-            (minus if negate else plus).append(x)
+            (minus if negate else plus).append((end ^ start) << y)
     return table
 
 
-def _column_windows(rows, rights, signed, height):
-    """(y, table) for each window of one column of a profile height high:
-    its profile rows, in ascending order, cut into runs of consecutive rows
-    of at most WINDOW_ROWS; rights[k] tells whether the cell at rows[k] has
-    a right neighbour."""
+def _column_windows(rows, rights, signed):
+    """(y, table) for each window of one column: its profile rows, in
+    ascending order, cut into runs of consecutive rows of at most
+    WINDOW_ROWS; rights[k] tells whether the cell at rows[k] has a right
+    neighbour."""
     windows, start = [], 0
     for k, y in enumerate(rows):
         up = k + 1 < len(rows) and rows[k + 1] == y + 1
         if not up or k + 1 - start == WINDOW_ROWS:
             row = rows[start]
-            windows.append((row, _window_table(tuple(rights[start:k + 1]), up, signed, row, height)))
+            windows.append((row, _window_table(tuple(rights[start:k + 1]), up, signed, row)))
             start = k + 1
     return windows
 
 
-def _column_step(states, windows, height):
+def _column_step(states, windows):
     """The states after every window of one column, without those whose
     weight has cancelled to 0."""
     for y, table in windows:
-        states = _window_step(states, y, height, table)
+        states = _window_step(states, y, table)
     return {key: w for key, w in states.items() if w}
 
 
@@ -427,8 +420,8 @@ def _fold_states(height, signed, width):
         states = _SNAPSHOTS[height, signed, c] if c else {0: 1}
         while c < column:
             if windows is None:
-                windows = _column_windows(range(height), [True] * height, signed, height)
-            states = _column_step(states, windows, height)
+                windows = _column_windows(range(height), [True] * height, signed)
+            states = _column_step(states, windows)
             c += 1
             _SNAPSHOTS[height, signed, c] = states
             _held += len(states)

@@ -500,10 +500,12 @@ def test_import_leaves_the_process_pool_unloaded(src_env):
 
 def test_startup_imports_no_dataclasses_inspect_or_typing(src_env):
     # each of these modules cost milliseconds of every interpreter start;
-    # -S keeps site from importing anything the package does not
+    # fractions, with decimal, is loaded only for a pivot other than +1 or
+    # -1.  -S keeps site from importing anything the package does not
     script = ("import sys, residue_tilings, residue_tilings.cli as cli; "
               "cli._build_parser(); code = cli.main(['jacobi', '--m', '3', '--n', '5']); "
-              "print(code, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+              "print(code, sorted({'dataclasses', 'inspect', 'typing', 'fractions', 'decimal'}"
+              " & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", script],
                             capture_output=True, text=True, env=src_env)
     assert (result.returncode, result.stdout, result.stderr) == (0, "-1\n0 []\n", "")

@@ -242,9 +242,10 @@ def test_det_k_like_matrices_against_fractions(rows):
 
 
 def _count_fractions(monkeypatch):
-    """Patch kasteleyn.Fraction to count its calls; return the count."""
+    """Patch kasteleyn._fraction, which makes each Fraction of the
+    elimination, to count its calls; return the count."""
     calls = []
-    monkeypatch.setattr(kasteleyn, "Fraction",
+    monkeypatch.setattr(kasteleyn, "_fraction",
                         lambda *args: calls.append(args) or Fraction(*args))
     return calls
 

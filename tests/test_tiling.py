@@ -274,10 +274,10 @@ def test_a_mirror_image_reads_the_column_plans_of_its_board(monkeypatch):
 
 
 def assert_kernel_matches_enumeration(board):
-    # the board and its transpose, so both the upright sweep and, on the
-    # taller box, the turned one mapped back by S(X) = w**(N/2) conj S(X^T)
-    # are checked; and the mirror image of each, which the sweep takes from
-    # the other end unless its first and last columns hold as many cells
+    # the board and its transpose, so both the upright sweep, whose exponent
+    # is N/2 - f, and, on the taller box, the turned one, whose exponent is
+    # f, are checked; and the mirror image of each, which the sweep takes
+    # from the other end unless its first and last columns hold as many cells
     transpose = Board((j, i) for i, j in board)
     for b in (board, mirror(board), transpose, mirror(transpose)):
         hs = [horizontal_count(t) for t in enumerate_tilings(b)]
@@ -325,10 +325,22 @@ def test_tall_windows_match_enumeration(board):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(holey_boards(), tall_boards()))
 def test_the_tilings_of_a_board_share_one_parity(board):
-    # a horizontal domino covers one cell of an even column and one of an
-    # odd column, a vertical one two of the same column, so every tiling
-    # has h = #(cells with even i) mod 2: the unsigned sweep keeps one
-    # parity bit per profile, and the count is the sum of the pair
+    # a vertical domino covers a cell of an even row and one of an odd row,
+    # a horizontal one two cells of one row, so on N cells, f of them on
+    # even rows counted from the lowest, every tiling has h = N/2 - f +
+    # 2 * h_even: i**h = i**(N/2 - f) * (-1)**h_even, the DP's sign rule,
+    # checked here on the enumerated tilings alone.  The same count by
+    # columns gives h = #(cells with even i) mod 2, and the unsigned sweep
+    # puts its count on that parity
+    transpose = Board((j, i) for i, j in board)
+    for b in (board, transpose):
+        low = min((j for _, j in b), default=0)
+        e = len(b) // 2 - sum((j - low) % 2 == 0 for _, j in b)
+        for t in enumerate_tilings(b):
+            h = horizontal_count(t)
+            h_even = sum(d.horizontal and (d.a[1] - low) % 2 == 0 for d in t.dominoes)
+            assert i_power(h) == i_power(e) * (-1) ** h_even
+            assert h % 2 == e % 2
     counts = parity_counts(board)
     assert min(counts) == 0
     assert counts[sum(i % 2 == 0 for i, _ in board) % 2] == max(counts)
@@ -388,8 +400,8 @@ def test_profile_sums_square_to_the_determinant(board):
     # both i**h and the sign of the matching of even cells to odd ones, so
     # S = c * det(B) with c**2 = (-1)**h, h being the number of cells with
     # even i, mod 2.  Boards with holes are left out, as flips need not
-    # join their tilings.  Turned, the sweep maps its pair back by
-    # S(X) = w**(N/2) conj S(X^T), far past enumeration's 36 cells
+    # join their tilings.  Turned, the sweep's exponent is f, not N/2 - f,
+    # which this checks far past enumeration's 36 cells
     det = det_exact(biadjacency(board))
     transpose = Board((j, i) for i, j in board)
     for b in (board, mirror(board), transpose, mirror(transpose)):
@@ -559,10 +571,9 @@ def test_snapshots_give_the_sums_of_an_empty_cache(runs, limit):
 
 def cell_sweep_columns(height, signed, columns):
     """{c: the states after c whole columns} of a rectangle of profile
-    height height, as the profile DP made them one cell at a time before it
-    stepped over windows: the reference for its kept columns."""
-    odd = 1 << height
-    negate = odd if signed else 0
+    height height, made one cell at a time with no window and no table, a
+    horizontal domino on an even row weighed -1 when signed: the reference
+    for the DP's kept columns."""
     states, out = {0: 1}, {0: {0: 1}}
     for c in range(1, columns + 1):
         for y in range(height):
@@ -571,7 +582,7 @@ def cell_sweep_columns(height, signed, columns):
                 if mask & bit:
                     moves = [(mask ^ bit, w)]
                 else:
-                    moves = [((mask | bit) ^ odd, -w if mask & negate else w)]
+                    moves = [(mask | bit, -w if signed and y % 2 == 0 else w)]
                     if up and not mask & up:
                         moves.append((mask | up, w))
                 for key, v in moves:
@@ -850,6 +861,22 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
         count_tilings(rectangle(12, 10))
     monkeypatch.setattr(tiling, "MAX_STATES", limit)
     assert count_tilings(rectangle(12, 10)) == expected
+
+
+def test_the_dp_edge_is_refused_with_its_state_count(monkeypatch):
+    # the refusals that README and CI state, at their limit of 65536 live
+    # states: the count of 39 x 20 and the signed sums of 24 x 24 and
+    # 30 x 30 are refused at the first window past it, cold or from kept
+    # columns
+    fresh_memo(monkeypatch)
+    monkeypatch.setattr(tiling, "MAX_STATES", 65536)
+    for sweep, board, text in ((count_tilings, rectangle(39, 20), "70755"),
+                               (signed_sum, rectangle(24, 24), "75025"),
+                               (signed_sum, rectangle(30, 30), "121393")):
+        for _ in range(2):
+            with pytest.raises(SizeLimitError) as refused:
+                sweep(board)
+            assert str(refused.value) == f"{text} profile states exceed limit 65536"
 
 
 def test_parity_counts_known():

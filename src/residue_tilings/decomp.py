@@ -26,9 +26,9 @@ from .tiling import (
     SizeLimitError,
     Tiling,
     _check_cell_limit,
+    _i_power_sum,
+    _tilings,
     count_tilings,
-    enumerate_tilings,
-    horizontal_count,
     signed_sum,
 )
 
@@ -57,13 +57,8 @@ def closure(tiling: Tiling, subset: Board) -> Board:
     the dominoes that meet subset."""
     if not subset <= tiling.board:
         raise ValueError("subset must lie inside the board")
-    return Board(_closure_cells(tiling, subset))
-
-
-def _closure_cells(tiling: Tiling, subset) -> set:
-    """The cells of closure(tiling, subset); subset is any cell container."""
-    return {cell for d in tiling.dominoes
-            if d.a in subset or d.b in subset for cell in (d.a, d.b)}
+    return Board(cell for d in tiling.dominoes
+                 if d.a in subset or d.b in subset for cell in d.cells)
 
 
 def closure_union(board: Board, subset: Board) -> Board:
@@ -94,15 +89,14 @@ def closure_union(board: Board, subset: Board) -> Board:
 
 def restricted_sum(subset: Board, board: Board) -> GaussianInt:
     """Sum of i**h(D) over tilings D of board whose closure of subset is
-    the whole board."""
+    the whole board, that is, each of whose dominoes meets subset; read off
+    the codes of tiling._tilings, flagged by meets[code], building no Tiling."""
     if not subset <= board:
         raise ValueError("subset must lie inside the board")
-    inside, whole = set(subset), set(board)
-    total = ZERO
-    for t in enumerate_tilings(board):
-        if _closure_cells(t, inside) == whole:
-            total = total + i_power(horizontal_count(t))
-    return total
+    meets = [(i, j) in subset or p in subset
+             for i, j in board.cells for p in ((i + 1, j), (i, j + 1))]
+    return _i_power_sum(h for placed, h in _tilings(board)
+                        if all(meets[code] for code in placed))
 
 
 class DecompositionReport(_Frozen):

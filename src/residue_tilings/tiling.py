@@ -2,23 +2,24 @@
 
 The signed sum of a board X is sum over tilings D of i**h(D), where h(D)
 counts horizontal dominoes.  Two independent evaluation routes live here:
-a backtracking enumerator (the oracle, limited to small boards) and a
-broken-profile dynamic program that sweeps the board column by column,
-covering up to WINDOW_ROWS consecutive cells of a column in one pass over
-its states through a table of the window's placements, built once per
-window shape and position, so that each placement is one int to xor into
-a state.  The DP is one kernel with one flag: signed, it weighs each
-horizontal domino on an even row by -1, which gives the signed sum up to a
-power of i that the board fixes; unsigned, it counts the tilings, all of
-whose h share the parity that power gives.  A rectangle is
-swept only up to its middle column: the right half, mirrored, is the left
-half, so the sum is assembled from the profiles of one half sweep.  The
-states after each whole column of a rectangle are kept in one memo by
-profile height, sign and column, within MAX_STATES in total, the oldest
-column dropped first, so that the next rectangle of that height, upright
-or turned, reads its middle columns from the memo or sweeps on from the
-highest kept column below them.  Any other board is swept whole, from its
-short end.
+a backtracking search (the oracle, limited to small boards), whose codes
+and h back enumerate_tilings, the one builder of Tilings,
+signed_sum_bruteforce and decomp.restricted_sum, and a broken-profile
+dynamic program that sweeps the board column by column, covering up to
+WINDOW_ROWS consecutive cells of a column in one pass over its states
+through a table of the window's placements, built once per window shape
+and position, so that each placement is one int to xor into a state.
+The DP is one kernel with one flag: signed, it weighs each horizontal
+domino on an even row by -1, which gives the signed sum up to a power of i
+that the board fixes; unsigned, it counts the tilings, all of whose h
+share the parity that power gives.  A rectangle is swept only up to its
+middle column: the right half, mirrored, is the left half, so the sum is
+assembled from the profiles of one half sweep.  The states after each
+whole column of a rectangle are kept in one memo by profile height, sign
+and column, within MAX_STATES in total, the oldest column dropped first,
+so that the next rectangle of that height, upright or turned, reads its
+middle columns from the memo or sweeps on from the highest kept column
+below them.  Any other board is swept whole, from its short end.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import groupby
 from operator import attrgetter, itemgetter
 
 from .board import Board, Cell, rectangle
-from .gaussian import GaussianInt, ZERO, _Frozen, _set, i_power
+from .gaussian import GaussianInt, _Frozen, _set
 
 DEFAULT_CELL_LIMIT = 36
 ENV_CELL_LIMIT = "RESIDUE_TILINGS_LIMIT"
@@ -141,62 +142,83 @@ def _check_cell_limit(board: Board, limit: int | None) -> None:
         )
 
 
-def enumerate_tilings(board: Board) -> list[Tiling]:
-    """All tilings of board, in deterministic backtracking order.
-
-    At each step the lexicographically smallest uncovered cell is matched
-    with its right neighbor first, then its upper neighbor, on an explicit
-    stack (no recursion limit); each Domino is made once and shared by the
-    tilings holding it.  A board of odd size has none and is not searched.
-    Boards larger than the cell limit (default 36, overridable via the
-    RESIDUE_TILINGS_LIMIT environment variable) are refused.
-    """
+def _tilings(board):
+    """Each tiling of board as (placed, h): placed codes each domino 2 * k
+    + s, k its lower left cell's index in board.cells and s 0 when it is
+    horizontal, 1 when vertical, and h counts the horizontal ones; placed
+    is the search's own stack, so read it before the next tiling.  The
+    smallest uncovered cell takes its right neighbour first, then its upper
+    one, on an explicit stack (no recursion limit).  The cell limit comes
+    first; a board of odd size is not searched."""
     _check_cell_limit(board, None)
-    if len(board) % 2:
-        return []
-    order = board.cells
-    size = len(order)
-    position = {cell: k for k, cell in enumerate(order)}
-    # Right and upper neighbors by cell index, none for the end at size; both
-    # are lex-greater, so the smallest uncovered cell only ever pairs forward.
-    partners = [
-        [position[p] for p in ((i + 1, j), (i, j + 1)) if p in position]
-        for i, j in order
-    ] + [[]]
-    made: list[Domino | None] = [None] * (2 * size)  # by 2 * index + slot
-    covered = bytearray(size + 1)  # the extra 0 stops the scan at size
-    placed: list[int] = []  # 2 * cell index + partner slot, per domino
-    results: list[Tiling] = []
-    idx = slot = 0
+    cells = board.cells
+    size = len(cells)
+    if size % 2:
+        return
+    # ends[code]: the index of the domino's other cell, lex-greater, or the
+    # always covered sentinel off the board and at the scan's end, k = size
+    sentinel = size + 1
+    index = dict(zip(cells, range(size))).get
+    ends = []
+    for i, j in cells:
+        ends += (index((i + 1, j), sentinel), index((i, j + 1), sentinel))
+    ends += (sentinel, sentinel)
+    covered = bytearray(size) + b"\0\1"  # the scan stops at size
+    placed: list[int] = []
+    idx = slot = h = 0
     while True:
         while covered[idx]:
             idx += 1
-        options = partners[idx]
-        while slot < len(options) and covered[options[slot]]:
+        while slot < 2 and covered[ends[2 * idx + slot]]:
             slot += 1
-        if slot < len(options):
-            code, p = 2 * idx + slot, options[slot]
-            if made[code] is None:
-                made[code] = Domino(order[idx], order[p])
-            covered[idx] = covered[p] = 1
+        if slot < 2:
+            code = 2 * idx + slot
+            covered[idx] = covered[ends[code]] = 1
             placed.append(code)
+            h += 1 - slot
             idx, slot = idx + 1, 0
             continue
         if idx == size:
-            results.append(Tiling(board, [made[code] for code in placed]))
+            yield placed, h
         # a tiling or a dead end: take back the last domino, try its next slot
         if not placed:
-            return results
+            return
         code = placed.pop()
         idx, slot = code >> 1, code & 1
-        covered[idx] = covered[partners[idx][slot]] = 0
+        covered[idx] = covered[ends[code]] = 0
+        h -= 1 - slot
         slot += 1
 
 
+def _i_power_sum(hs: Iterable[int]) -> GaussianInt:
+    """The sum of i**h over hs, from the counts of h mod 4."""
+    counts = [0] * 4
+    for h in hs:
+        counts[h & 3] += 1
+    return GaussianInt(counts[0] - counts[2], counts[1] - counts[3])
+
+
+def enumerate_tilings(board: Board) -> list[Tiling]:
+    """All tilings of board, in the order of the search _tilings, each
+    Domino made once and shared by the tilings holding it; of the search's
+    readers only this builds Tilings.  Boards larger than the cell limit
+    (default 36, overridable via RESIDUE_TILINGS_LIMIT) are refused.
+    """
+    cells = board.cells
+    made: list[Domino | None] = [None] * (2 * len(cells))  # by code
+    results = []
+    for placed, _ in _tilings(board):
+        for code in placed:
+            if made[code] is None:
+                i, j = cells[code >> 1]
+                made[code] = Domino((i, j), (i, j + 1) if code & 1 else (i + 1, j))
+        results.append(Tiling(board, [made[code] for code in placed]))
+    return results
+
+
 def signed_sum_bruteforce(board: Board) -> GaussianInt:
-    """Oracle: sum i**h(D) by explicit enumeration."""
-    tilings = enumerate_tilings(board)
-    return sum((i_power(horizontal_count(t)) for t in tilings), ZERO)
+    """Oracle: sum i**h(D) by explicit enumeration, building no Tiling."""
+    return _i_power_sum(h for _, h in _tilings(board))
 
 
 def signed_sum(board: Board) -> GaussianInt:

@@ -181,6 +181,9 @@ GOLDEN_DIGESTS = {
         "8980e1f52004582904b1db6f2467d57d43b4a0e2fcc11fa7bfd5714974e77e5b",
     ("lemma", "l-closed-form"):
         "97417713d67731a77fbf36c4ecc0e360aef925e3542f49d1d211d335ecfbc635",
+    # acceptance criterion 9's L-chain report, over 2380 boards
+    ("lemma", "l-closed-form", "--arms", "3", "--length", "4"):
+        "af2880db6e71d1d16db11371c0dd8e014ad5a3ec3deb2f1dafbe669d7ec98378",
     ("lemma", "flip-connectivity"):
         "5cab31e40d83284a31151da94660d899a8bcb18a9d3317ad2e49d106334d3ffc",
     ("verify", "--m-max", "20", "--n-max", "13",

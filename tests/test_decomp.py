@@ -125,7 +125,8 @@ def test_closure_union_keeps_the_enumeration_limit(monkeypatch):
 
 
 def test_closure_union_lists_no_tiling(monkeypatch):
-    monkeypatch.setattr(decomp, "enumerate_tilings", trip)
+    # the tiling search is the one decomp would list tilings with
+    monkeypatch.setattr(decomp, "_tilings", trip)
     clo = closure_union(rectangle(4, 3), Board([(2, 2)]))
     assert set(clo) == {(2, 2), (1, 2), (3, 2), (2, 1), (2, 3)}
 

@@ -92,6 +92,15 @@ def test_enumerate_small_boards():
         assert len(enumerate_tilings(rectangle(w, 2))) == count
 
 
+# the three readers of the one tiling search, each as a number of one board:
+# restricted to the whole board, restricted_sum is the signed sum
+SEARCHES = {
+    "enumerate_tilings": lambda board: len(enumerate_tilings(board)),
+    "signed_sum_bruteforce": signed_sum_bruteforce,
+    "restricted_sum": lambda board: restricted_sum(board, board),
+}
+
+
 def test_enumeration_limit(monkeypatch):
     with pytest.raises(SizeLimitError):
         enumerate_tilings(rectangle(8, 8))
@@ -103,11 +112,34 @@ def test_enumeration_limit(monkeypatch):
         enumerate_tilings(rectangle(2, 2))
 
 
+@pytest.mark.parametrize("name", SEARCHES)
+def test_every_search_keeps_the_enumeration_limit(monkeypatch, name):
+    search = SEARCHES[name]
+    # refused by default, a board of odd size too, before it is found untilable
+    for board in (rectangle(8, 8), rectangle(37, 1)):
+        with pytest.raises(SizeLimitError, match=f"{len(board)} cells, enumeration limit is 36"):
+            search(board)
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "40")
+    assert search(rectangle(37, 1)) == 0
+    strip = rectangle(2, 20)
+    assert search(strip) == (10946 if name == "enumerate_tilings" else signed_sum(strip))
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "3")
+    with pytest.raises(SizeLimitError, match="4 cells, enumeration limit is 3"):
+        search(rectangle(2, 2))
+    for value in ("abc", "0", "-3", "1.5", "4e1"):
+        monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", value)
+        message = f"RESIDUE_TILINGS_LIMIT must be a positive int, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            search(rectangle(2, 2))
+
+
 def test_enumeration_of_a_long_board_keeps_its_own_stack(monkeypatch):
     # 1000 dominoes deep, past Python's default recursion limit of 1000
     monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "3000")
     (only,) = enumerate_tilings(rectangle(2000, 1))
     assert horizontal_count(only) == 1000
+    # the search keeps h on its stack as well: i**1000 = 1
+    assert signed_sum_bruteforce(rectangle(2000, 1)) == GaussianInt(1)
     # and a dead end 998 dominoes deep, at the cell before the hole (1999, 1)
     assert enumerate_tilings(rectangle(2000, 1) - Board([(3, 1), (1999, 1)])) == []
     # a board of odd size has no tiling, but the limit still comes first
@@ -132,6 +164,49 @@ def test_enumeration_limit_must_be_a_positive_int(monkeypatch, value):
         message = f"enumeration limit must be a positive int, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             run_parity(m_max=3, limit=value)
+
+
+def enumerate_by_partner_lists(board):
+    """The tilings of board as the enumerator once listed them, the
+    reference for the order: each cell's partners a list of its right and
+    upper neighbours on the board, Dominoes made as they are placed, and
+    each tiling built as the search reaches it."""
+    if len(board) % 2:
+        return []
+    order = board.cells
+    size = len(order)
+    position = {cell: k for k, cell in enumerate(order)}
+    partners = [
+        [position[p] for p in ((i + 1, j), (i, j + 1)) if p in position]
+        for i, j in order
+    ] + [[]]
+    made = [None] * (2 * size)
+    covered = bytearray(size + 1)
+    placed = []
+    results = []
+    idx = slot = 0
+    while True:
+        while covered[idx]:
+            idx += 1
+        options = partners[idx]
+        while slot < len(options) and covered[options[slot]]:
+            slot += 1
+        if slot < len(options):
+            code, p = 2 * idx + slot, options[slot]
+            if made[code] is None:
+                made[code] = Domino(order[idx], order[p])
+            covered[idx] = covered[p] = 1
+            placed.append(code)
+            idx, slot = idx + 1, 0
+            continue
+        if idx == size:
+            results.append(Tiling(board, [made[code] for code in placed]))
+        if not placed:
+            return results
+        code = placed.pop()
+        idx, slot = code >> 1, code & 1
+        covered[idx] = covered[partners[idx][slot]] = 0
+        slot += 1
 
 
 def test_count_matches_enumeration():
@@ -433,6 +508,31 @@ def test_enumerated_tilings_rebuild_and_close(board, data):
         if closure(t, subset) == board:
             expected = expected + i_power(horizontal_count(t))
     assert restricted_sum(subset, board) == expected
+
+
+# fewer examples than the other board tests: each enumerates a board and
+# its transpose twice, 26 912 tilings for a full 6 x 6
+@settings(max_examples=50, deadline=None)
+@given(holey_boards(), st.data())
+def test_the_search_matches_the_partner_list_enumerator(board, data):
+    # the one search behind enumerate_tilings, signed_sum_bruteforce and
+    # restricted_sum against the enumerator it replaced, on the board and
+    # its transpose: the same tilings in the same order, their signed sum,
+    # and the closure-based definition of the restricted sum
+    transpose = Board((j, i) for i, j in board)
+    for b in (board, transpose):
+        expected = enumerate_by_partner_lists(b)
+        # as cell pairs, which compare in C, and not Domino by Domino
+        assert ([[d.cells for d in t.dominoes] for t in enumerate_tilings(b)]
+                == [[d.cells for d in t.dominoes] for t in expected])
+        signed = closing = GaussianInt(0)
+        subset = Board(data.draw(st.sets(st.sampled_from(b.cells))) if b.cells else ())
+        for t in expected:
+            signed += i_power(horizontal_count(t))
+            if closure(t, subset) == b:
+                closing += i_power(horizontal_count(t))
+        assert signed_sum_bruteforce(b) == signed
+        assert restricted_sum(subset, b) == closing
 
 
 @st.composite

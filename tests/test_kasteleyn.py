@@ -136,27 +136,30 @@ def test_det_random_matrices_against_cofactor():
         assert det_exact(_sparse(rows)) == expected
 
 
-def det_fraction(rows):
-    """Gaussian elimination over Fraction, the second oracle."""
+def det_bareiss(rows):
+    """Fraction-free Gaussian elimination (Bareiss) over the ints, the
+    second oracle: after step col every entry below and right of the pivot
+    is a minor of rows, so each division by the previous pivot is exact."""
     k = len(rows)
-    work = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
+    work = [list(row) for row in rows]
+    det, previous = 1, 1
     for col in range(k):
-        pivot = next(
-            (r for r in range(col, k) if work[r][col]), None
-        )
+        pivot = next((r for r in range(col, k) if work[r][col]), None)
         if pivot is None:
             return 0
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
             det = -det
-        det *= work[col][col]
-        for r in range(col + 1, k):
-            factor = work[r][col] / work[col][col]
-            for c in range(col, k):
-                work[r][c] -= factor * work[col][c]
-    assert det.denominator == 1
-    return det
+        top = work[col]
+        p = top[col]
+        for row in work[col + 1:]:
+            a = row[col]
+            for c in range(col + 1, k):
+                q, r = divmod(p * row[c] - a * top[c], previous)
+                assert r == 0
+                row[c] = q
+        previous = p
+    return det * previous
 
 
 def test_det_random_matrices_against_fractions():
@@ -164,7 +167,7 @@ def test_det_random_matrices_against_fractions():
     for _ in range(200):
         k = rng.randrange(1, 7)
         rows = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(k)]
-        assert det_exact(_sparse(rows)) == det_fraction(rows)
+        assert det_exact(_sparse(rows)) == det_bareiss(rows)
 
 
 @st.composite
@@ -187,7 +190,7 @@ def sparse_matrices(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(sparse_matrices())
 def test_det_sparse_matrices_against_fractions(rows):
-    assert det_exact(_sparse(rows)) == det_fraction(rows)
+    assert det_exact(_sparse(rows)) == det_bareiss(rows)
 
 
 @st.composite
@@ -210,7 +213,7 @@ def wide_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(wide_matrices())
 def test_det_wide_matrices_against_fractions(rows):
-    assert det_exact(_sparse(rows)) == det_fraction(rows)
+    assert det_exact(_sparse(rows)) == det_bareiss(rows)
 
 
 @st.composite
@@ -238,7 +241,7 @@ def k_like_matrices(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(k_like_matrices())
 def test_det_k_like_matrices_against_fractions(rows):
-    assert det_exact(_sparse(rows)) == det_fraction(rows)
+    assert det_exact(_sparse(rows)) == det_bareiss(rows)
 
 
 def _count_fractions(monkeypatch):
@@ -277,7 +280,7 @@ def test_det_attains_the_hadamard_bound():
         det = det_exact(_sparse(rows))
         assert abs(det) == order ** (order // 2)
         if order <= 16:
-            assert det == det_fraction(rows)
+            assert det == det_bareiss(rows)
 
 
 def test_signed_sum_via_det_matches_dp():

@@ -59,7 +59,8 @@ OWN_CODE = {
         "board.Board.bounds", "board.Board.cells", "board.rectangle",
         "gaussian.GaussianInt.__init__",
         "tiling._column_step", "tiling._column_windows", "tiling._fold_states",
-        "tiling._profile_sum", "tiling._window_step", "tiling._window_table",
+        "tiling._profile_sum", "tiling._reversals", "tiling._window_step",
+        "tiling._window_table",
         "tiling.signed_sum",
     },
     "det": {"kasteleyn.build_kasteleyn", "kasteleyn.signed_sum_via_det"},

@@ -623,10 +623,31 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def upside_down(p, height):
+    """The state p of a profile height high turned upside down: its height
+    bits reversed."""
+    return int(f"{p:0{height}b}"[::-1], 2)
+
+
 def kept_columns(key):
-    """{c: the states after c columns} kept for key = (height, signed)."""
-    return {c: states for (height, signed, c), states in tiling._SNAPSHOTS.items()
-            if (height, signed) == key}
+    """{c: the states after c columns} kept for key = (height, signed): each
+    kept orbit {p, upside_down p}, held by its smaller state with the orbit's
+    total weight, expanded back to both of its states."""
+    height = key[0]
+    kept = {}
+    for (h, signed, c), orbits in tiling._SNAPSHOTS.items():
+        if (h, signed) != key:
+            continue
+        states = kept[c] = {}
+        for q, w in orbits.items():
+            r = upside_down(q, height)
+            assert q <= r, (key, c, q)
+            if q == r:
+                states[q] = w
+            else:
+                assert w % 2 == 0, (key, c, q)
+                states[q] = states[r] = w // 2
+    return kept
 
 
 def kept_sets():
@@ -692,6 +713,17 @@ def cell_sweep_columns(height, signed, columns):
     return out
 
 
+def test_the_states_of_whole_columns_are_their_own_mirror_image():
+    # turning a rectangle upside down keeps h, and so, by the sign rule, each
+    # state's weight: after c whole columns a state p and its mirror image
+    # weigh the same, so the DP keeps one state per orbit {p, upside_down p}
+    for height in range(1, 13):
+        for signed in (False, True):
+            for c, states in cell_sweep_columns(height, signed, 6).items():
+                for p, w in states.items():
+                    assert states.get(upside_down(p, height)) == w, (height, signed, c, p)
+
+
 def test_kept_columns_equal_the_cell_by_cell_sweep(monkeypatch):
     # every kept column, cold and after resuming from kept columns, holds the
     # same states with the same weights as the sweep one cell at a time, and
@@ -728,18 +760,18 @@ def test_snapshots_hold_at_most_max_states(monkeypatch):
         empty_memo()
         expected.append(sweep(board))
     empty_memo()
-    monkeypatch.setattr(tiling, "MAX_STATES", 100)
+    monkeypatch.setattr(tiling, "MAX_STATES", 80)
     kept = []
     for (sweep, board), value in zip(calls, expected):
         assert sweep(board) == value
-        assert held_states() <= 100
+        assert held_states() <= 80
         kept.append(kept_sets())
-    # 59 states of height 4 fit; the next 78, of height 5, push out the
-    # oldest columns of height 4 but its last 3; height 6 needs 392, so it
-    # keeps only its own last 5 columns, and the transposed 9 x 30 its last 2
+    # the 49 orbits of height 4 fit; the next 47, of height 5, push out the
+    # oldest columns of height 4 but its last 6; height 6 needs 274, so it
+    # keeps only its own last 5 columns, and the transposed 9 x 30 its last 3
     assert kept == [{(4, False): list(range(1, 11))},
-                    {(4, False): [8, 9, 10], (5, False): list(range(1, 9))},
-                    {(6, False): [16, 17, 18, 19, 20]}, {(9, True): [14, 15]}]
+                    {(4, False): [5, 6, 7, 8, 9, 10], (5, False): list(range(1, 9))},
+                    {(6, False): [16, 17, 18, 19, 20]}, {(9, True): [13, 14, 15]}]
 
 
 def cold_count(width):
@@ -749,7 +781,7 @@ def cold_count(width):
 
 
 def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
-    # columns 1..30 of height 6 hold 592 states, far more than the 150
+    # columns 1..30 of height 6 hold 414 orbits, far more than the 150
     # allowed; widths 2..60 in rising order must still resume from the
     # columns just swept instead of sweeping again from a frozen prefix
     widths = range(2, 61)
@@ -763,9 +795,9 @@ def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
     empty_memo()
     assert [count_tilings(rectangle(w, 6)) for w in widths] == cold
     assert 0 < len(calls) <= bound
-    # falling, the memo holds the last 7 columns of 20 states, and a read
-    # below them sweeps again from column 0: 30 + 23 + 16 + 9 + 2 columns,
-    # under twice the bound, where a sweep from column 0 for each width
+    # falling, the memo holds the last 10 columns of 14 orbits, and a read
+    # below them sweeps again from column 0: 30 + 21 + 12 columns, under
+    # twice the bound, where a sweep from column 0 for each width
     # would take about 15 times it
     calls.clear()
     empty_memo()
@@ -840,9 +872,9 @@ def test_a_short_read_keeps_the_columns_of_a_long_one(monkeypatch):
 
 def test_a_shuffled_order_resumes_from_the_nearest_kept_column(monkeypatch):
     # the counts of the 6-high rectangles of widths 2..60 in a seeded shuffle,
-    # 150 states kept of the 592 of columns 1..30: a read sweeps on from the
-    # highest kept column below it, 334 column steps, where a store that
-    # restarted its run from column 0 below its first column took 461
+    # 150 orbits kept of the 414 of columns 1..30: a read sweeps on from the
+    # highest kept column below it, 285 column steps, where restarting from
+    # column 0 on each read whose column is not kept takes 1239
     widths = list(range(2, 61))
     random.Random(0).shuffle(widths)
     fresh_memo(monkeypatch)
@@ -883,7 +915,8 @@ def test_past_the_budget_the_memo_drops_its_oldest_column(monkeypatch):
     reads = [(key, w) for key in keys for w in range(key[0], 41)]
     random.Random(0).shuffle(reads)
     reads += [((6, True), w) for w in range(40, 5, -1)]
-    sizes = {key: {c: len(states) for c, states in cell_sweep_columns(*key, 20).items()}
+    sizes = {key: {c: len({min(p, upside_down(p, key[0])) for p in states})
+                   for c, states in cell_sweep_columns(*key, 20).items()}
              for key in keys}
     fresh_memo(monkeypatch)
     monkeypatch.setattr(tiling, "MAX_STATES", 150)
@@ -933,16 +966,16 @@ def test_a_turned_rectangle_resumes_from_its_upright_twin(monkeypatch):
 
 
 def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
-    # at profile height 10 the live states number 241 after column 3, and
-    # the window over rows 4 to 7 of column 4 makes 251, so with a limit of
-    # 245 both rectangles are refused there, after storing the columns they
-    # finished, of which only column 3 fits; the wider one then resumes
-    # from it
+    # at profile height 10 the orbits number 110 after column 2 and 135
+    # after column 3, and the window over rows 8 and 9 of column 4 makes 222
+    # states, so with a limit of 220 both rectangles are refused there,
+    # after storing the columns they finished, of which only column 3 fits
+    # (110 + 135 > 220); the wider one then resumes from it
     limit = tiling.MAX_STATES
     fresh_memo(monkeypatch)
     expected = count_tilings(rectangle(12, 10))
     empty_memo()
-    monkeypatch.setattr(tiling, "MAX_STATES", 245)
+    monkeypatch.setattr(tiling, "MAX_STATES", 220)
     with pytest.raises(SizeLimitError) as cold:
         count_tilings(rectangle(12, 10))
     empty_memo()
@@ -951,7 +984,7 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     assert list(kept_columns((10, False))) == [3]
     with pytest.raises(SizeLimitError) as warm:
         count_tilings(rectangle(12, 10))
-    assert str(warm.value) == str(cold.value) == "251 profile states exceed limit 245"
+    assert str(warm.value) == str(cold.value) == "222 profile states exceed limit 220"
     assert list(kept_columns((10, False))) == [3]
     # with a limit of 60 the first column is refused at its last window, and
     # nothing of it is kept: with the limit back, the sum is the cold one
@@ -965,14 +998,15 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
 
 def test_the_dp_edge_is_refused_with_its_state_count(monkeypatch):
     # the refusals that README and CI state, at their limit of 65536 live
-    # states: the count of 39 x 20 and the signed sums of 24 x 24 and
-    # 30 x 30 are refused at the first window past it, cold or from kept
-    # columns
+    # states: the count of 39 x 20 and the signed sums of 24 x 24, 30 x 30
+    # and 48 x 21 are refused at the first window past it, cold or from
+    # kept columns
     fresh_memo(monkeypatch)
     monkeypatch.setattr(tiling, "MAX_STATES", 65536)
-    for sweep, board, text in ((count_tilings, rectangle(39, 20), "70755"),
+    for sweep, board, text in ((count_tilings, rectangle(39, 20), "68805"),
                                (signed_sum, rectangle(24, 24), "75025"),
-                               (signed_sum, rectangle(30, 30), "121393")):
+                               (signed_sum, rectangle(30, 30), "121393"),
+                               (signed_sum, rectangle(48, 21), "73855")):
         for _ in range(2):
             with pytest.raises(SizeLimitError) as refused:
                 sweep(board)

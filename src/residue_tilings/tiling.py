@@ -14,14 +14,13 @@ domino on an even row by -1, which gives the signed sum up to a power of i
 that the board fixes; unsigned, it counts the tilings, all of whose h
 share the parity that power gives.  A rectangle is swept only up to its
 middle column: the right half, mirrored, is the left half, so the sum is
-assembled from the profiles of one half sweep.  Turned upside down, a
-rectangle keeps h, so after each whole column the sweep keeps one state
-per row mirror orbit, holding its total weight, in one memo by profile
-height, sign and column, within MAX_STATES in total, the oldest column
-dropped first, so that the next rectangle of that height, upright or
-turned, reads its middle columns from the memo or sweeps on from the
-highest kept column below them.  Any other board is swept whole, from
-its short end.
+assembled from the profiles of one half sweep.  The states after each
+whole column of a rectangle, one per row mirror orbit since turning it
+upside down keeps h, are kept in one memo by profile height, sign and
+column, within MAX_STATES in total, the oldest column dropped first, so
+that the next rectangle of that height, upright or turned, reads its
+middle columns from the memo or sweeps on from the highest kept column
+below them.  Any other board is swept whole, from its short end.
 """
 
 from __future__ import annotations
@@ -273,10 +272,11 @@ def _profile_sum(board, signed):
     the cut in: the right part, mirrored, is a left sweep of W - k columns
     ending in p.  Both weigh the crossing dominoes, so V is sum_p L_k[p] *
     L_(W-k)[p], signed times -1 per even row of p, L_c being the states
-    after c columns.  Turned upside down, a rectangle keeps h: L_c[p] =
-    L_c[rev p], rev p with as many rows of either parity as p.  The sweep
-    holds orbit sums a_q, c_q at q = min(p, rev p) (_fold_states; one dict
-    for even W): V sums a_q * c_q for a palindrome q, else a_q * c_q / 2.
+    after c columns.  Turned upside down, a rectangle keeps h, so L_c[p] =
+    L_c[rev p], of one sign: rev keeps row parity for odd h, and p has an
+    even number of bits for even h.  With orbit sums a_q, c_q at q = min(p,
+    rev p) (_fold_states; one dict for even W), V sums a_q * c_q, halved
+    unless q is a palindrome.
     """
     cells = board.cells
     if not cells:
@@ -414,14 +414,33 @@ def _column_windows(rows, rights, signed):
     return windows
 
 
-def _column_step(states, windows, height=None):
+def _column_step(states, windows):
     """The states after every window of one column, without those whose
-    weight has cancelled to 0; given a rectangle's profile height, one per
-    row mirror orbit {p, rev p}: its total weight, at min(p, rev p)."""
+    weight has cancelled to 0."""
     for y, table in windows:
         states = _window_step(states, y, table)
-    if height is None:
-        return {key: w for key, w in states.items() if w}
+    return {key: w for key, w in states.items() if w}
+
+
+def _orbit_step(orbits, windows, height):
+    """The orbit sums after one more whole column of a rectangle of a
+    profile height high: the windows step one state per orbit, and each
+    state p left adds its weight at min(p, rev p).  As p and rev p cancel
+    only there, a window that passes MAX_STATES is stepped again from the
+    whole states, each orbit's sum halved, which refuse only what they did."""
+    try:
+        states = orbits
+        for y, table in windows:
+            states = _window_step(states, y, table)
+    except SizeLimitError:
+        if orbits == {0: 1}:
+            raise  # column 1, whose whole states are these
+        half, mask, low, high = _reversals(height)
+        states = {}
+        for q, w in orbits.items():
+            r = low[q & mask] | high[q >> half]
+            states[q] = states[r] = w if q == r else w // 2
+        states = _column_step(states, windows)
     half, mask, low, high = _reversals(height)
     get = states.get
     orbits = {}
@@ -441,14 +460,13 @@ _REVERSALS: dict[int, tuple] = {}
 
 
 def _reversals(height):
-    """The tables of _REVERSALS for height, built at its first kept column."""
-    tables = _REVERSALS.get(height)
-    if tables is None:
+    """The tables of _REVERSALS for height, built once a column of it fits."""
+    if height not in _REVERSALS:
         half, top = height // 2, height - height // 2
-        tables = _REVERSALS[height] = (half, (1 << half) - 1,
+        _REVERSALS[height] = (half, (1 << half) - 1,
             [int(f"{x:0{half}b}"[::-1], 2) << top for x in range(1 << half)],
             [int(f"{x:0{top}b}"[::-1], 2) for x in range(1 << top)])
-    return tables
+    return _REVERSALS[height]
 
 
 # (profile height, signed, c) -> the states after c whole columns of a
@@ -461,15 +479,13 @@ def _fold_states(height, signed, width):
     """The orbit sums after floor(w/2) and after ceil(w/2) whole columns of
     a rectangle w = width wide, of a profile height high and signed or not.
 
-    The windows of a column commute with the row mirror, so collapsing the
-    states after each whole column to orbit sums (_column_step) steps them
-    exactly: no weight is halved mid-sweep.  Every column before the last
-    has a right neighbour, so the orbits after c < w columns do not depend
-    on w: _SNAPSHOTS keeps them.  A read starts from the highest kept
-    column at or below it, or from column 0, and keeps each column it
-    sweeps once all of its window steps have passed; a kept column is read
-    without stepping a window or looking up a table.  While the held
-    states pass MAX_STATES, the oldest kept column is dropped.
+    A column commutes with the row mirror, so _orbit_step is exact.  Every
+    column before the last has a right neighbour, so the orbit sums after
+    c < w columns do not depend on w: _SNAPSHOTS keeps them.  A read starts
+    from the highest kept column at or below it, or from column 0, and
+    keeps each column it sweeps once all of its window steps have passed;
+    a kept column is read without stepping a window or looking up a table.
+    While the held states pass MAX_STATES, the oldest kept column is dropped.
     """
     global _held
     windows = None
@@ -482,7 +498,7 @@ def _fold_states(height, signed, width):
         while c < column:
             if windows is None:
                 windows = _column_windows(range(height), [True] * height, signed)
-            states = _column_step(states, windows, height)
+            states = _orbit_step(states, windows, height)
             c += 1
             _SNAPSHOTS[height, signed, c] = states
             _held += len(states)

@@ -58,7 +58,7 @@ OWN_CODE = {
     "dp": {
         "board.Board.bounds", "board.Board.cells", "board.rectangle",
         "gaussian.GaussianInt.__init__",
-        "tiling._column_step", "tiling._column_windows", "tiling._fold_states",
+        "tiling._column_windows", "tiling._fold_states", "tiling._orbit_step",
         "tiling._profile_sum", "tiling._reversals", "tiling._window_step",
         "tiling._window_table",
         "tiling.signed_sum",

@@ -863,7 +863,7 @@ def test_a_short_read_keeps_the_columns_of_a_long_one(monkeypatch):
     # steps, where a store that restarted its run for the 2 x 2 took 2000
     fresh_memo(monkeypatch)
     monkeypatch.setattr(tiling, "MAX_STATES", 150)
-    steps = count_calls(monkeypatch, "_column_step")
+    steps = count_calls(monkeypatch, "_orbit_step")
     for w in (2000, 2, 2000):
         assert signed_sum(rectangle(w, 2)) == strip_sum(w)
         assert held_states() <= 150
@@ -873,17 +873,18 @@ def test_a_short_read_keeps_the_columns_of_a_long_one(monkeypatch):
 def test_a_shuffled_order_resumes_from_the_nearest_kept_column(monkeypatch):
     # the counts of the 6-high rectangles of widths 2..60 in a seeded shuffle,
     # 150 orbits kept of the 414 of columns 1..30: a read sweeps on from the
-    # highest kept column below it, 285 column steps, where restarting from
-    # column 0 on each read whose column is not kept takes 1239
+    # highest kept column below it, 285 column steps, where a store that
+    # restarted its run from column 0 below its first column takes 412, and
+    # restarting from column 0 on each read whose column is not kept 1239
     widths = list(range(2, 61))
     random.Random(0).shuffle(widths)
     fresh_memo(monkeypatch)
     cold = [cold_count(w) for w in widths]
     monkeypatch.setattr(tiling, "MAX_STATES", 150)
-    steps = count_calls(monkeypatch, "_column_step")
+    steps = count_calls(monkeypatch, "_orbit_step")
     empty_memo()
     assert [count_tilings(rectangle(w, 6)) for w in widths] == cold
-    assert 0 < len(steps) < 400
+    assert 0 < len(steps) < 350
 
 
 def reference_memo(reads, sizes, limit):
@@ -967,10 +968,12 @@ def test_a_turned_rectangle_resumes_from_its_upright_twin(monkeypatch):
 
 def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     # at profile height 10 the orbits number 110 after column 2 and 135
-    # after column 3, and the window over rows 8 and 9 of column 4 makes 222
-    # states, so with a limit of 220 both rectangles are refused there,
-    # after storing the columns they finished, of which only column 3 fits
-    # (110 + 135 > 220); the wider one then resumes from it
+    # after column 3; column 4 steps them to 222 live states at its window
+    # over rows 8 and 9, and stepped again from the 241 whole states it
+    # makes 245 at its window over rows 0 to 3, so with a limit of 220 both
+    # rectangles are refused there, after storing the columns they
+    # finished, of which only column 3 fits (110 + 135 > 220); the wider
+    # one then resumes from it
     limit = tiling.MAX_STATES
     fresh_memo(monkeypatch)
     expected = count_tilings(rectangle(12, 10))
@@ -984,7 +987,7 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     assert list(kept_columns((10, False))) == [3]
     with pytest.raises(SizeLimitError) as warm:
         count_tilings(rectangle(12, 10))
-    assert str(warm.value) == str(cold.value) == "222 profile states exceed limit 220"
+    assert str(warm.value) == str(cold.value) == "245 profile states exceed limit 220"
     assert list(kept_columns((10, False))) == [3]
     # with a limit of 60 the first column is refused at its last window, and
     # nothing of it is kept: with the limit back, the sum is the cold one
@@ -998,19 +1001,53 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
 
 def test_the_dp_edge_is_refused_with_its_state_count(monkeypatch):
     # the refusals that README and CI state, at their limit of 65536 live
-    # states: the count of 39 x 20 and the signed sums of 24 x 24, 30 x 30
-    # and 48 x 21 are refused at the first window past it, cold or from
-    # kept columns
+    # states: the count of 39 x 20 and the signed sums of 24 x 24 and
+    # 30 x 30 are refused at the first window of whole states past it,
+    # cold or from kept columns; the signed sum of 48 x 21, whose orbits
+    # alone pass it at 73855 live states, is still computed
     fresh_memo(monkeypatch)
     monkeypatch.setattr(tiling, "MAX_STATES", 65536)
-    for sweep, board, text in ((count_tilings, rectangle(39, 20), "68805"),
+    for sweep, board, text in ((count_tilings, rectangle(39, 20), "75400"),
                                (signed_sum, rectangle(24, 24), "75025"),
-                               (signed_sum, rectangle(30, 30), "121393"),
-                               (signed_sum, rectangle(48, 21), "73855")):
+                               (signed_sum, rectangle(30, 30), "121393")):
         for _ in range(2):
             with pytest.raises(SizeLimitError) as refused:
                 sweep(board)
             assert str(refused.value) == f"{text} profile states exceed limit 65536"
+    assert signed_sum(rectangle(48, 21)) == GaussianInt(1, 0)
+
+
+def test_a_column_is_refused_only_where_its_whole_states_are(monkeypatch):
+    # stepping one state per orbit, p and rev p cancel only at a column's
+    # end: column 2 of the signed 14 x 13 steps its orbits to 702 live
+    # states, where the whole states peak at 559 in the sweep, so under a
+    # limit of 559 that column is stepped again from the whole states and
+    # the sum is the one under the default limit; under 558 it is refused
+    # at the whole states' 559, cold or from kept columns
+    fresh_memo(monkeypatch)
+    expected = signed_sum(rectangle(14, 13))
+    empty_memo()
+    monkeypatch.setattr(tiling, "MAX_STATES", 559)
+    assert signed_sum(rectangle(14, 13)) == expected == GaussianInt(0, 1)
+    empty_memo()
+    monkeypatch.setattr(tiling, "MAX_STATES", 558)
+    for _ in range(2):
+        with pytest.raises(SizeLimitError, match="^559 profile states exceed limit 558$"):
+            signed_sum(rectangle(14, 13))
+
+
+def test_a_height_refused_in_its_first_column_builds_no_reversal_table(monkeypatch):
+    # the first column's whole states are its orbits, so a refusal there is
+    # final, and the tables of rev, 2 ** (h/2) entries each, are built only
+    # once a column fits: 26 x 26 builds none, 12 x 10 those of height 10
+    fresh_memo(monkeypatch)
+    monkeypatch.setattr(tiling, "_REVERSALS", {})
+    for sweep in (count_tilings, signed_sum):
+        with pytest.raises(SizeLimitError):
+            sweep(rectangle(26, 26))
+    assert tiling._REVERSALS == {}
+    count_tilings(rectangle(12, 10))
+    assert list(tiling._REVERSALS) == [10]
 
 
 def test_parity_counts_known():

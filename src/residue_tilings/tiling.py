@@ -273,8 +273,8 @@ def _profile_sum(board, signed):
     ending in p.  Both weigh the crossing dominoes, so V is sum_p L_k[p] *
     L_(W-k)[p], signed times -1 per even row of p, L_c being the states
     after c columns.  Turned upside down, a rectangle keeps h, so L_c[p] =
-    L_c[rev p], of one sign: rev keeps row parity for odd h, and p has an
-    even number of bits for even h.  With orbit sums a_q, c_q at q = min(p,
+    L_c[rev p], and both take one sign: rev keeps row parity for odd h,
+    and p has an even number of bits for even h.  With orbit sums a_q, c_q at q = min(p,
     rev p) (_fold_states; one dict for even W), V sums a_q * c_q, halved
     unless q is a palindrome.
     """
@@ -426,8 +426,8 @@ def _orbit_step(orbits, windows, height):
     """The orbit sums after one more whole column of a rectangle of a
     profile height high: the windows step one state per orbit, and each
     state p left adds its weight at min(p, rev p).  As p and rev p cancel
-    only there, a window that passes MAX_STATES is stepped again from the
-    whole states, each orbit's sum halved, which refuse only what they did."""
+    only there, a column whose window passes MAX_STATES is stepped again
+    from the whole states, each orbit's sum halved between its members."""
     try:
         states = orbits
         for y, table in windows:

@@ -9,9 +9,9 @@ from .board import (
     rectangle,
 )
 from .gaussian import GaussianInt, i_power
+from .limits import SizeLimitError
 from .tiling import (
     Domino,
-    SizeLimitError,
     Tiling,
     count_tilings,
     enumerate_tilings,

@@ -19,9 +19,10 @@ from .board import rectangle
 from .decomp import reciprocity_free_sum
 from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
 from .lemmas import LEMMAS
+from .limits import MAX_JSON_BYTES, SizeLimitError, check
 from .residue import jacobi, theorem_rhs
 from .spectral import ToleranceError, _check_tol, signed_sum_via_spectral
-from .tiling import SizeLimitError, count_tilings, signed_sum
+from .tiling import count_tilings, signed_sum
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -131,9 +132,9 @@ def _cmd_detk(args) -> int:
     # the size limits apply before anything is printed
     matrix = build_kasteleyn(args.m, args.n)
     # each of the d * d dense entries takes at least 3 bytes ("0, ")
-    if args.matrix and 3 * matrix.dim ** 2 > 10**9:
-        raise SizeLimitError(f"the dense JSON of a {matrix.dim} x {matrix.dim} "
-                             f"matrix exceeds 10^9 bytes")
+    if args.matrix:
+        check(3 * matrix.dim ** 2, MAX_JSON_BYTES,
+              f"the dense JSON of a {matrix.dim} x {matrix.dim} matrix exceeds 10^9 bytes")
     det = det_exact(matrix)
     if not args.matrix:
         print(det)

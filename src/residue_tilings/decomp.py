@@ -18,21 +18,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
+from . import limits
 from .board import Board, LShapeSpec, _half_board_diag, half_board
 from .gaussian import GaussianInt, ZERO, _Frozen, _set, i_power
-from .kasteleyn import SparseMatrix, _check_dim, det_exact
+from .kasteleyn import SparseMatrix, det_exact
 from .residue import _check_pair
-from .tiling import (
-    SizeLimitError,
-    Tiling,
-    _check_cell_limit,
-    _i_power_sum,
-    _tilings,
-    count_tilings,
-    signed_sum,
-)
-
-FREE_CELL_LIMIT = 16
+from .tiling import Tiling, _i_power_sum, _tilings, count_tilings, signed_sum
 
 
 class InvariantError(RuntimeError):
@@ -75,7 +66,7 @@ def closure_union(board: Board, subset: Board) -> Board:
     """
     if not subset <= board:
         raise ValueError("subset must lie inside the board")
-    _check_cell_limit(board, None)
+    limits.check_cells(board)
     if not count_tilings(board):
         return Board()
     union = set(subset)
@@ -131,10 +122,8 @@ def verify_decomposition(board: Board, subset: Board) -> DecompositionReport:
     rhs = ZERO
     if subset <= clo:
         free = (clo - subset).cells
-        if len(free) > FREE_CELL_LIMIT:
-            raise SizeLimitError(
-                f"{len(free)} free closure cells exceed limit {FREE_CELL_LIMIT}"
-            )
+        limits.check(len(free), limits.FREE_CELL_LIMIT,
+                     "{} free closure cells exceed limit {}")
         for picks in range(1 << len(free)):
             extra = [free[p] for p in range(len(free)) if picks >> p & 1]
             middle = Board(subset.cells + tuple(extra))
@@ -254,7 +243,7 @@ def half_board_square(m: int, n: int, diag: Iterable[int]) -> int:
     that dimension exceeds MAX_DIM.
     """
     marks = _check_window(m, n, diag)
-    _check_dim(f"B at m = {m}, n = {n}", ((m - 2) * (n - 1) // 2 + len(marks)) // 2)
+    limits.check_dim(f"B at m = {m}, n = {n}", ((m - 2) * (n - 1) // 2 + len(marks)) // 2)
     matrix = biadjacency(half_board(m, n, marks))
     if matrix is None:
         return 0
@@ -285,7 +274,7 @@ def reciprocity_free_sum(m: int, n: int) -> int:
     # its parity enters, keeping the sign an int.
     sign = periodicity_factor(n - 1).re ** (steps % 2)
     # before the diagonal, which holds (n - 1)/2 marks
-    _check_dim(f"B at m = {base}, n = {n}", (base - 1) * (n - 1) // 4)
+    limits.check_dim(f"B at m = {base}, n = {n}", (base - 1) * (n - 1) // 4)
     return sign * half_board_square(base, n, admissible_diagonal(base, n))
 
 

@@ -17,12 +17,6 @@ modulus.  The elimination works on sparse columns and pivots on the
 sparsest column left, which keeps the fill-in of K small.  Every entry of K
 is -1, and its pivots have been +1 or -1 in every case checked, so the
 elimination of K stays in ints; only another pivot brings in a Fraction.
-
-The resource limit is one dimension cap, MAX_DIM, which each matrix here
-checks from (m, n) before it is built, raising SizeLimitError (exit 2 in
-the CLI) past it.  K at (1023, 529), d = 269808, is the largest K of
-n = 529 admitted, and (1024, 529), d = 270072, is refused; a 2 x N board
-is admitted up to (270001, 3).
 """
 
 from __future__ import annotations
@@ -30,16 +24,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from heapq import heapify, heappop, heappush
 
+from . import limits
 from .gaussian import _Frozen, _set
 from .residue import _check_pair
-from .tiling import SizeLimitError
-
-# The largest dimension eliminated, the resource limit: it keeps the build
-# and elimination of every admitted matrix, such as K at (1023, 529),
-# d = 269808, and B at (1041, 1039), d = 269880, within 1 GB of address
-# space.  K at (1024, 529), d = 270072, and B at (1043, 1039), d = 270399,
-# are refused.
-MAX_DIM = 270000
 
 
 class SparseMatrix(_Frozen):
@@ -86,7 +73,7 @@ def build_kasteleyn(m: int, n: int) -> SparseMatrix:
     ((m-1)(n-1)+1) // 2, the number of even cells, exceeds MAX_DIM.
     """
     _check_pair(m, n)
-    _check_dim(f"K at m = {m}, n = {n}", ((m - 1) * (n - 1) + 1) // 2)
+    limits.check_dim(f"K at m = {m}, n = {n}", ((m - 1) * (n - 1) + 1) // 2)
     h = (n - 1) // 2
     # one int object per matrix row, shared by the up to four columns with
     # an entry there: a sum per entry would keep four ints per column alive
@@ -127,7 +114,7 @@ def det_exact(matrix: SparseMatrix) -> int:
     exceeds MAX_DIM.  The empty matrix has determinant 1.
     """
     dim = matrix.dim
-    _check_dim("the matrix", dim)
+    limits.check_dim("the matrix", dim)
     rows = [dict(column) for column in matrix.columns]
     # column -> the rows left with a nonzero there; None once it has pivoted
     holders: list[set[int] | None] = [set() for _ in rows]
@@ -181,14 +168,6 @@ def _fraction(numerator: int, denominator: int):
     is loaded on the first call, since no pivot of K or B needs one."""
     from fractions import Fraction
     return Fraction(numerator, denominator)
-
-
-def _check_dim(what: str, dim: int) -> None:
-    """Raise SizeLimitError when dim, the dimension of what, exceeds
-    MAX_DIM."""
-    if dim > MAX_DIM:
-        raise SizeLimitError(f"{what} has dimension {dim}, "
-                             f"over the dimension limit {MAX_DIM}")
 
 
 def _is_odd(perm: list[int]) -> bool:

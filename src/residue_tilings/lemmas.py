@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
+from . import limits
 from .board import Board, LShapeSpec, half_board, l_board, rectangle
 from .decomp import (
     admissible_diagonal,
@@ -33,7 +34,6 @@ from .spectral import (
     round_signed,
 )
 from .tiling import (
-    _check_cell_limit,
     count_tilings,
     enumerate_tilings,
     flip_component,
@@ -99,7 +99,7 @@ def run_h_even(max_area: int = 24) -> dict:
     cases = []
     for m, n in _even_rectangles(max_area):
         board = rectangle(m, n)
-        _check_cell_limit(board, None)
+        limits.check_cells(board)
         odd = parity_counts(board)[1]
         cases.append(_case({"width": m, "height": n}, odd, 0))
     return _report("h-even", {"max_area": max_area}, cases)
@@ -325,12 +325,12 @@ def run_half_board(m_max: int = 9) -> dict:
 def run_parity(m_max: int = 9, limit: int = 64) -> dict:
     """Every tiling of a tilable half board has the parity of h given by
     the closed parity expression."""
-    _check_cell_limit(Board(), limit)  # also when the range holds no board
+    limits.cell_limit(limit)  # also when the range holds no board
     cases = []
     for m, n in _window_pairs(m_max):
         for picks in _diagonals(n):
             board = half_board(m, n, picks)
-            _check_cell_limit(board, limit)
+            limits.check_cells(board, limit)
             even, odd = parity_counts(board)
             tilings = even + odd
             if not tilings:

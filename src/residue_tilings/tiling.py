@@ -25,24 +25,17 @@ below them.  Any other board is swept whole, from its short end.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from collections.abc import Iterable
 from functools import total_ordering
 from itertools import groupby
 from operator import attrgetter, itemgetter
 
+from . import limits
 from .board import Board, Cell, rectangle
 from .gaussian import GaussianInt, _Frozen, _set
 
-DEFAULT_CELL_LIMIT = 36
-ENV_CELL_LIMIT = "RESIDUE_TILINGS_LIMIT"
-MAX_STATES = 1 << 16
 WINDOW_ROWS = 4
-
-
-class SizeLimitError(RuntimeError):
-    """A board exceeded an enumeration or profile-state resource limit."""
 
 
 @total_ordering
@@ -127,22 +120,6 @@ def horizontal_count(tiling: Tiling) -> int:
     return sum(1 for d in tiling.dominoes if d.horizontal)
 
 
-def _check_cell_limit(board: Board, limit: int | None) -> None:
-    """Refuse a board above limit, by default RESIDUE_TILINGS_LIMIT or 36;
-    a limit from either source that is not a positive int raises ValueError."""
-    source, raw = "enumeration limit", limit
-    if limit is None:
-        source = ENV_CELL_LIMIT
-        raw = os.environ.get(ENV_CELL_LIMIT) or str(DEFAULT_CELL_LIMIT)
-        limit = int(raw) if raw.isdecimal() else None
-    if not (isinstance(limit, int) and limit > 0):
-        raise ValueError(f"{source} must be a positive int, got {raw!r}")
-    if len(board) > limit:
-        raise SizeLimitError(
-            f"board has {len(board)} cells, enumeration limit is {limit}"
-        )
-
-
 def _tilings(board):
     """Each tiling of board as (placed, h): placed codes each domino 2 * k
     + s, k its lower left cell's index in board.cells and s 0 when it is
@@ -151,7 +128,7 @@ def _tilings(board):
     smallest uncovered cell takes its right neighbour first, then its upper
     one, on an explicit stack (no recursion limit).  The cell limit comes
     first; a board of odd size is not searched."""
-    _check_cell_limit(board, None)
+    limits.check_cells(board)
     cells = board.cells
     size = len(cells)
     if size % 2:
@@ -341,13 +318,10 @@ def _window_step(states, y, table):
         for x in minus:
             key = mask ^ x
             new_states[key] = get(key, 0) - w
-    if len(new_states) > MAX_STATES:
+    if len(new_states) > limits.MAX_STATES:
         # only live states count against the limit
         new_states = {key: w for key, w in new_states.items() if w}
-    if len(new_states) > MAX_STATES:
-        raise SizeLimitError(
-            f"{len(new_states)} profile states exceed limit {MAX_STATES}"
-        )
+        limits.check(len(new_states), limits.MAX_STATES, "{} profile states exceed limit {}")
     return new_states
 
 
@@ -432,7 +406,7 @@ def _orbit_step(orbits, windows, height):
         states = orbits
         for y, table in windows:
             states = _window_step(states, y, table)
-    except SizeLimitError:
+    except limits.SizeLimitError:
         if orbits == {0: 1}:
             raise  # column 1, whose whole states are these
         half, mask, low, high = _reversals(height)
@@ -502,7 +476,7 @@ def _fold_states(height, signed, width):
             c += 1
             _SNAPSHOTS[height, signed, c] = states
             _held += len(states)
-            while _held > MAX_STATES:
+            while _held > limits.MAX_STATES:
                 _held -= len(_SNAPSHOTS.popitem(last=False)[1])
         folds.append(states)
     return folds

@@ -440,9 +440,9 @@ def test_lemma_flag_of_another_runner(capsys):
 
 def test_lemma_env_limit(monkeypatch, capsys):
     monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "1")
-    code, _, err = run_cli(["lemma", "decomposition"], capsys)
-    assert code == 2
-    assert "limit" in err
+    code, out, err = run_cli(["lemma", "decomposition"], capsys)
+    assert (code, out) == (cli.EXIT_LIMIT, "")
+    assert err == "lemma: board has 2 cells, enumeration limit is 1\n"
 
 
 def test_lemma_env_limit_not_an_int(monkeypatch, capsys):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from conftest import Built, trip
 
-from residue_tilings import decomp
+from residue_tilings import decomp, limits
 from residue_tilings.board import Board, LShapeSpec, half_board, l_board, rectangle
 from residue_tilings.decomp import (
     InvariantError,
@@ -31,9 +31,9 @@ from residue_tilings.decomp import (
 )
 from residue_tilings.gaussian import GaussianInt, ZERO, i_power
 from residue_tilings.lemmas import decomposition_corpus
+from residue_tilings.limits import SizeLimitError
 from residue_tilings.residue import theorem_rhs
 from residue_tilings.tiling import (
-    SizeLimitError,
     enumerate_tilings,
     signed_sum,
     signed_sum_bruteforce,
@@ -205,6 +205,27 @@ def test_verify_decomposition_terms_sum_to_rhs():
     for _, outside, inside in rep.terms:
         total = total + outside * inside
     assert total == rep.rhs
+
+
+def _even_cells(board):
+    return Board(cell for cell in board if sum(cell) % 2 == 0)
+
+
+def test_verify_decomposition_keeps_the_free_cell_limit(monkeypatch):
+    # the even cells close to the whole board, so every odd cell is free:
+    # 18 on the 6 x 6 square, past the 16 of the default, refused before
+    # any of the 2**18 terms
+    board = rectangle(6, 6)
+    with pytest.raises(SizeLimitError, match="^18 free closure cells exceed limit 16$"):
+        verify_decomposition(board, _even_cells(board))
+    # 4 x 2 leaves 4 free cells: admitted at a limit of 4, refused at 3
+    board = rectangle(4, 2)
+    monkeypatch.setattr(limits, "FREE_CELL_LIMIT", 4)
+    rep = verify_decomposition(board, _even_cells(board))
+    assert (len(rep.terms), rep.equal) == (16, True)
+    monkeypatch.setattr(limits, "FREE_CELL_LIMIT", 3)
+    with pytest.raises(SizeLimitError, match="^4 free closure cells exceed limit 3$"):
+        verify_decomposition(board, _even_cells(board))
 
 
 def test_periodicity_factor():
@@ -409,7 +430,7 @@ def test_half_board_refused_before_the_build(monkeypatch):
     # is that of the B built, on every window and on diagonals of every size
     seen = []
     with monkeypatch.context() as patch:
-        patch.setattr(decomp, "_check_dim", lambda what, dim: seen.append(dim))
+        patch.setattr(limits, "check_dim", lambda what, dim: seen.append(dim))
         patch.setattr(decomp, "det_exact", lambda matrix: seen.append(matrix.dim) or 0)
         for m, n in _window_pairs(31):
             half_board_square(m, n, admissible_diagonal(m, n))

@@ -9,7 +9,7 @@ from conftest import Built, trip
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residue_tilings import kasteleyn
+from residue_tilings import kasteleyn, limits
 from residue_tilings.board import rectangle
 from residue_tilings.gaussian import GaussianInt
 from residue_tilings.kasteleyn import (
@@ -19,8 +19,9 @@ from residue_tilings.kasteleyn import (
     det_sign,
     signed_sum_via_det,
 )
+from residue_tilings.limits import SizeLimitError
 from residue_tilings.residue import theorem_rhs
-from residue_tilings.tiling import SizeLimitError, signed_sum
+from residue_tilings.tiling import signed_sum
 
 
 def _sparse(rows):
@@ -311,7 +312,7 @@ def test_det_refuses_past_the_last_prime(monkeypatch):
     # is the last one within MAX_DIM, and (1024, 529), d = 270072, the
     # first one past it.  The builder's loop is patched to trip, so the
     # refusal comes from (m, n) alone
-    assert kasteleyn.MAX_DIM == 270000
+    assert limits.MAX_DIM == 270000
     monkeypatch.setattr(kasteleyn, "range", trip, raising=False)
     with pytest.raises(Built):
         signed_sum_via_det(1023, 529)
@@ -338,6 +339,6 @@ def test_long_thin_boards_refused_before_the_build(monkeypatch):
 
 def test_det_refuses_past_max_dim():
     # a matrix built by hand is held to the same limit, before elimination
-    dim = kasteleyn.MAX_DIM + 1
+    dim = limits.MAX_DIM + 1
     with pytest.raises(SizeLimitError, match="the matrix has dimension 270001"):
         det_exact(SparseMatrix(({},) * dim))

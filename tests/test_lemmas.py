@@ -13,7 +13,8 @@ from residue_tilings.lemmas import (
     run_h_even,
     run_parity,
 )
-from residue_tilings.tiling import SizeLimitError, enumerate_tilings
+from residue_tilings.limits import SizeLimitError
+from residue_tilings.tiling import enumerate_tilings
 
 
 def test_registry_names():

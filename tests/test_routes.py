@@ -2,6 +2,7 @@
 share one (m, n) contract, and share no other code than the few pieces
 listed, each with the reason the cross-check still holds."""
 
+import ast
 import sys
 from collections import OrderedDict
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residue_tilings import board, cli, decomp, gaussian, kasteleyn, lemmas, residue, spectral, tiling
+from residue_tilings import (
+    board, cli, decomp, gaussian, kasteleyn, lemmas, limits, residue, spectral, tiling,
+)
 from residue_tilings.board import rectangle
 from residue_tilings.decomp import reciprocity_free_sum
 from residue_tilings.gaussian import GaussianInt
@@ -80,6 +83,9 @@ OWN_CODE = {
 _CHECK = ("det", "reciprocity-free", "spectral"), (
     "the one (m, n) validator; it only raises, so it can refuse a case "
     "but cannot move a value")
+_LIMIT = ("det", "reciprocity-free"), (
+    "the resource limits' check; it only raises, so it can refuse a case "
+    "but cannot move a value")
 _DET = ("det", "reciprocity-free"), (
     "the exact determinant: reciprocity-free reads det B only as zero or "
     "not, since |det B| <= 1, so a sign fault moves det alone, and a false "
@@ -90,9 +96,10 @@ SHARED_CODE = {
     "residue._check_odd_modulus": _CHECK,
     "kasteleyn.det_exact": _DET,
     "kasteleyn._is_odd": _DET,
-    "kasteleyn._check_dim": _DET,
     "kasteleyn.SparseMatrix.__init__": _DET,
     "kasteleyn.SparseMatrix.dim": _DET,
+    "limits.check": _LIMIT,
+    "limits.check_dim": _LIMIT,
     "kasteleyn.det_sign": (("det", "spectral"), (
         "the sign between det K and the sum, one convention for both "
         "routes: a wrong sign moves det and spectral together, and dp and "
@@ -108,7 +115,8 @@ def _qualnames():
     """module.qualname of every function of the package, by its code
     object; a code object carries no qualname of its own before 3.11."""
     names = {}
-    for module in (board, cli, decomp, gaussian, kasteleyn, lemmas, residue, spectral, tiling):
+    for module in (board, cli, decomp, gaussian, kasteleyn, lemmas, limits, residue, spectral,
+                   tiling):
         short = module.__name__.rpartition(".")[2]
         for value in vars(module).values():
             for member in vars(value).values() if isinstance(value, type) else (value,):
@@ -152,3 +160,29 @@ def test_routes_call_only_their_own_code(monkeypatch):
     # the shared list names exactly what two routes call
     twice = {name for a in called for b in called if a < b for name in called[a] & called[b]}
     assert twice == set(SHARED_CODE)
+
+
+# module -> the package modules it must not import: the det and spectral
+# routes' modules import neither the DP's nor the reciprocity-free route's,
+# and the DP's imports none of the other routes'
+FORBIDDEN_IMPORTS = {
+    kasteleyn: {"tiling", "decomp"},
+    spectral: {"tiling", "decomp"},
+    tiling: {"kasteleyn", "decomp", "spectral"},
+}
+
+
+def _package_imports(module):
+    """The package modules that module's relative imports name: x for
+    `from .x import ...`, and each name of `from . import ...`."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+@pytest.mark.parametrize("module", FORBIDDEN_IMPORTS, ids=lambda module: module.__name__)
+def test_routes_import_no_other_route(module):
+    assert _package_imports(module) & FORBIDDEN_IMPORTS[module] == set()

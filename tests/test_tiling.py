@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residue_tilings import tiling
+from residue_tilings import limits, tiling
 from residue_tilings.board import Board, rectangle
 from residue_tilings.decomp import biadjacency, closure, closure_union, restricted_sum
 from residue_tilings.gaussian import GaussianInt, i_power
 from residue_tilings.kasteleyn import det_exact
 from residue_tilings.lemmas import run_parity
+from residue_tilings.limits import SizeLimitError
 from residue_tilings.tiling import (
     Domino,
-    SizeLimitError,
     Tiling,
     count_tilings,
     enumerate_tilings,
@@ -393,7 +393,7 @@ def tall_boards(draw):
 def test_tall_windows_match_enumeration(board):
     # windows cut by holes, cells with and without a right neighbour or a
     # cell above, signed and unsigned, mirrored and transposed
-    assert len(board) <= tiling.DEFAULT_CELL_LIMIT
+    assert len(board) <= limits.DEFAULT_CELL_LIMIT
     assert_kernel_matches_enumeration(board)
 
 
@@ -673,11 +673,11 @@ def profile_outcome(w, h, signed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rectangle_runs(), st.sampled_from((40, 150, tiling.MAX_STATES)))
+@given(rectangle_runs(), st.sampled_from((40, 150, limits.MAX_STATES)))
 def test_snapshots_give_the_sums_of_an_empty_cache(runs, limit):
     # under a low limit the kept columns are dropped by random traffic, and
     # some rectangles are refused: each outcome must still be the cold one
-    with mock.patch.object(tiling, "MAX_STATES", limit):
+    with mock.patch.object(limits, "MAX_STATES", limit):
         empty_memo()
         warm = []
         for run in runs:
@@ -760,7 +760,7 @@ def test_snapshots_hold_at_most_max_states(monkeypatch):
         empty_memo()
         expected.append(sweep(board))
     empty_memo()
-    monkeypatch.setattr(tiling, "MAX_STATES", 80)
+    monkeypatch.setattr(limits, "MAX_STATES", 80)
     kept = []
     for (sweep, board), value in zip(calls, expected):
         assert sweep(board) == value
@@ -787,7 +787,7 @@ def test_columns_past_the_budget_are_swept_about_once(monkeypatch):
     widths = range(2, 61)
     fresh_memo(monkeypatch)
     cold = [cold_count(w) for w in widths]
-    monkeypatch.setattr(tiling, "MAX_STATES", 150)
+    monkeypatch.setattr(limits, "MAX_STATES", 150)
     calls = count_calls(monkeypatch, "_window_step")
     # each window step covers up to WINDOW_ROWS of the 6 cells of a column:
     # two sweeps of the 30 columns are 2 * 30 * 2 steps
@@ -862,7 +862,7 @@ def test_a_short_read_keeps_the_columns_of_a_long_one(monkeypatch):
     # second 2000 x 2 reads column 1000 and sweeps nothing: 1000 + 1 column
     # steps, where a store that restarted its run for the 2 x 2 took 2000
     fresh_memo(monkeypatch)
-    monkeypatch.setattr(tiling, "MAX_STATES", 150)
+    monkeypatch.setattr(limits, "MAX_STATES", 150)
     steps = count_calls(monkeypatch, "_orbit_step")
     for w in (2000, 2, 2000):
         assert signed_sum(rectangle(w, 2)) == strip_sum(w)
@@ -880,7 +880,7 @@ def test_a_shuffled_order_resumes_from_the_nearest_kept_column(monkeypatch):
     random.Random(0).shuffle(widths)
     fresh_memo(monkeypatch)
     cold = [cold_count(w) for w in widths]
-    monkeypatch.setattr(tiling, "MAX_STATES", 150)
+    monkeypatch.setattr(limits, "MAX_STATES", 150)
     steps = count_calls(monkeypatch, "_orbit_step")
     empty_memo()
     assert [count_tilings(rectangle(w, 6)) for w in widths] == cold
@@ -920,7 +920,7 @@ def test_past_the_budget_the_memo_drops_its_oldest_column(monkeypatch):
                    for c, states in cell_sweep_columns(*key, 20).items()}
              for key in keys}
     fresh_memo(monkeypatch)
-    monkeypatch.setattr(tiling, "MAX_STATES", 150)
+    monkeypatch.setattr(limits, "MAX_STATES", 150)
     kept = []
     for (height, signed), w in reads:
         tiling._profile_sum(rectangle(w, height), signed)
@@ -974,11 +974,11 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     # rectangles are refused there, after storing the columns they
     # finished, of which only column 3 fits (110 + 135 > 220); the wider
     # one then resumes from it
-    limit = tiling.MAX_STATES
+    limit = limits.MAX_STATES
     fresh_memo(monkeypatch)
     expected = count_tilings(rectangle(12, 10))
     empty_memo()
-    monkeypatch.setattr(tiling, "MAX_STATES", 220)
+    monkeypatch.setattr(limits, "MAX_STATES", 220)
     with pytest.raises(SizeLimitError) as cold:
         count_tilings(rectangle(12, 10))
     empty_memo()
@@ -992,10 +992,10 @@ def test_a_refused_rectangle_is_refused_again_from_the_snapshots(monkeypatch):
     # with a limit of 60 the first column is refused at its last window, and
     # nothing of it is kept: with the limit back, the sum is the cold one
     empty_memo()
-    monkeypatch.setattr(tiling, "MAX_STATES", 60)
+    monkeypatch.setattr(limits, "MAX_STATES", 60)
     with pytest.raises(SizeLimitError, match="89 profile states exceed limit 60"):
         count_tilings(rectangle(12, 10))
-    monkeypatch.setattr(tiling, "MAX_STATES", limit)
+    monkeypatch.setattr(limits, "MAX_STATES", limit)
     assert count_tilings(rectangle(12, 10)) == expected
 
 
@@ -1006,7 +1006,7 @@ def test_the_dp_edge_is_refused_with_its_state_count(monkeypatch):
     # cold or from kept columns; the signed sum of 48 x 21, whose orbits
     # alone pass it at 73855 live states, is still computed
     fresh_memo(monkeypatch)
-    monkeypatch.setattr(tiling, "MAX_STATES", 65536)
+    monkeypatch.setattr(limits, "MAX_STATES", 65536)
     for sweep, board, text in ((count_tilings, rectangle(39, 20), "75400"),
                                (signed_sum, rectangle(24, 24), "75025"),
                                (signed_sum, rectangle(30, 30), "121393")):
@@ -1027,10 +1027,10 @@ def test_a_column_is_refused_only_where_its_whole_states_are(monkeypatch):
     fresh_memo(monkeypatch)
     expected = signed_sum(rectangle(14, 13))
     empty_memo()
-    monkeypatch.setattr(tiling, "MAX_STATES", 559)
+    monkeypatch.setattr(limits, "MAX_STATES", 559)
     assert signed_sum(rectangle(14, 13)) == expected == GaussianInt(0, 1)
     empty_memo()
-    monkeypatch.setattr(tiling, "MAX_STATES", 558)
+    monkeypatch.setattr(limits, "MAX_STATES", 558)
     for _ in range(2):
         with pytest.raises(SizeLimitError, match="^559 profile states exceed limit 558$"):
             signed_sum(rectangle(14, 13))

@@ -35,7 +35,6 @@ from .spectral import (
 )
 from .tiling import (
     count_tilings,
-    enumerate_tilings,
     flip_component,
     parity_counts,
     signed_sum,
@@ -88,7 +87,7 @@ def run_flip_connectivity(max_area: int = 24) -> dict:
     cases = []
     for m, n in _even_rectangles(max_area):
         reached = len(flip_component(totally_vertical_tiling(m, n)))
-        tilings = len(enumerate_tilings(rectangle(m, n)))
+        tilings = count_tilings(rectangle(m, n))
         cases.append(_case({"width": m, "height": n}, reached, tilings))
     return _report("flip-connectivity", {"max_area": max_area}, cases)
 

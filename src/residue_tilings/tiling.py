@@ -70,12 +70,12 @@ class Domino(_Frozen):
         return (self.a, self.b)
 
 
-class Tiling:
+class Tiling(_Frozen):
     """A perfect cover of a board by dominoes, stored in canonical order."""
 
-    __slots__ = ("_board", "_dominoes")
+    __slots__ = ("board", "dominoes")
 
-    def __init__(self, board: Board, dominoes: Iterable[Domino]):
+    def __init__(self, board: Board, dominoes: Iterable[Domino]) -> None:
         # the Domino order, without calling Domino.__lt__ per comparison
         doms = tuple(sorted(dominoes, key=attrgetter("a", "b")))
         cells = [cell for d in doms for cell in (d.a, d.b)]
@@ -90,30 +90,11 @@ class Tiling:
                     raise ValueError(f"cell {cell} covered twice")
                 covered.add(cell)
             raise ValueError("dominoes do not cover the whole board")
-        self._board = board
-        self._dominoes = doms
-
-    @property
-    def board(self) -> Board:
-        return self._board
-
-    @property
-    def dominoes(self) -> tuple[Domino, ...]:
-        return self._dominoes
+        _set(self, "board", board)
+        _set(self, "dominoes", doms)
 
     def cover_map(self) -> dict[Cell, Domino]:
-        return {cell: d for d in self._dominoes for cell in d.cells}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tiling):
-            return NotImplemented
-        return self._dominoes == other._dominoes and self._board == other._board
-
-    def __hash__(self) -> int:
-        return hash(self._dominoes)
-
-    def __repr__(self) -> str:
-        return f"Tiling({len(self._dominoes)} dominoes)"
+        return {cell: d for d in self.dominoes for cell in d.cells}
 
 
 def horizontal_count(tiling: Tiling) -> int:
@@ -523,7 +504,9 @@ def flip_moves(tiling: Tiling) -> list[Tiling]:
 def flip_component(tiling: Tiling) -> dict[Tiling, Tiling]:
     """Breadth-first search of the flip graph from tiling: maps every
     tiling reachable by flips to its parent on a shortest flip path back
-    to tiling, which is its own parent."""
+    to tiling, which is its own parent.  Boards past the cell limit are
+    refused before the search, which lists every tiling of the component."""
+    limits.check_cells(tiling.board)
     parents = {tiling: tiling}
     queue = [tiling]
     for t in queue:

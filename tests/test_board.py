@@ -9,6 +9,9 @@ from residue_tilings.board import (
     l_board,
     rectangle,
 )
+from residue_tilings.decomp import admissible_diagonal, periodicity_factor
+from residue_tilings.residue import jacobi
+from residue_tilings.tiling import normalize_to_vertical, totally_vertical_tiling
 
 
 def test_rectangle_cells():
@@ -35,6 +38,21 @@ def test_board_set_semantics():
 def test_board_iteration_is_sorted():
     cells = list(Board([(2, 1), (1, 2), (1, 1)]))
     assert cells == [(1, 1), (1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rectangle(-1, 2), "width and height must be non-negative"),
+    (lambda: rectangle(1.5, 2), "width and height must be ints"),
+    (lambda: periodicity_factor(0), "n must be a positive int"),
+    (lambda: admissible_diagonal(15, 9), "m and n must be coprime"),
+    (lambda: jacobi(-1, 3), "numerator must be a non-negative int"),
+    (lambda: normalize_to_vertical(totally_vertical_tiling(2, 2), 4, 2),
+     "tiling is not over the given rectangle"),
+], ids=["rectangle-negative", "rectangle-float", "periodicity_factor", "admissible_diagonal",
+        "jacobi", "normalize_to_vertical"])
+def test_validators_name_what_they_refuse(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_board_rejects_bad_cells():

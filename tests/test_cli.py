@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from conftest import Built, trip
 
-from residue_tilings import cli, kasteleyn, spectral
+from residue_tilings import cli, kasteleyn, limits, spectral
 from residue_tilings.gaussian import GaussianInt
 from residue_tilings.lemmas import LEMMAS
 
@@ -288,6 +288,23 @@ def test_verify_failure_exit(monkeypatch, capsys):
     report = json.loads(out)
     assert report["summary"]["failed"] == 2
     assert all(not c["pass"] for c in report["cases"])
+
+
+def test_verify_limit_exit(monkeypatch, capsys):
+    # a case past a limit is reported as such and exits 2, unless another
+    # case failed outright
+    monkeypatch.setattr(limits, "MAX_DIM", 5)
+    argv = ["verify", "--m-max", "6", "--n-max", "5", "--methods", "dp,det"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_LIMIT
+    report = json.loads(out)
+    assert [report["summary"][k] for k in ("total", "failed", "limit")] == [36, 3, 3]
+    (case,) = [c for c in report["cases"] if (c["m"], c["n"], c["method"]) == (4, 5, "det")]
+    assert case["lhs"] == "limit: K at m = 4, n = 5 has dimension 6, over the dimension limit 5"
+    assert (case["pass"], case["limit"]) == (False, True)
+    monkeypatch.setattr(cli, "signed_sum", lambda board: GaussianInt(5, 0))
+    code, _, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_FAIL
 
 
 def test_verify_spectral_failure(monkeypatch, capsys):
@@ -601,6 +618,24 @@ def test_closed_pipe_exits_io_without_traceback(src_env):
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (cli.EXIT_IO, "")
+
+
+def test_reader_leaving_mid_report_exits_io_without_traceback(src_env):
+    # the reader takes the first bytes of a 1.2 MB report and leaves while
+    # verify is still writing: the write that fails raises BrokenPipeError
+    # inside print, and nothing, not the wall time either, goes to stderr
+    with subprocess.Popen(
+        [sys.executable, "-m", "residue_tilings.cli", "verify",
+         "--m-max", "300", "--n-max", "61", "--methods", "spectral"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env,
+    ) as child:
+        try:
+            head = child.stdout.read(10)
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()  # a no-op once the child has exited
+    assert (head, child.returncode, err) == (b'{\n  "cases', cli.EXIT_IO, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

@@ -1,5 +1,5 @@
 """The contract of the package's immutable records: GaussianInt, Domino,
-LShapeSpec, SparseMatrix and DecompositionReport.  A field can be neither
+Tiling, LShapeSpec, SparseMatrix and DecompositionReport.  A field can be neither
 assigned nor deleted; records compare, hash, order and print as below;
 each constructor names what it refuses."""
 
@@ -14,7 +14,7 @@ from residue_tilings.board import Board, LShapeSpec, rectangle
 from residue_tilings.decomp import verify_decomposition
 from residue_tilings.gaussian import GaussianInt
 from residue_tilings.kasteleyn import SparseMatrix
-from residue_tilings.tiling import Domino
+from residue_tilings.tiling import Domino, Tiling
 
 
 def report():
@@ -24,6 +24,7 @@ def report():
 RECORDS = {
     "GaussianInt": (lambda: GaussianInt(3, -4), ("re", "im")),
     "Domino": (lambda: Domino((1, 1), (2, 1)), ("a", "b")),
+    "Tiling": (lambda: Tiling(rectangle(2, 1), [Domino((1, 1), (2, 1))]), ("board", "dominoes")),
     "LShapeSpec": (lambda: LShapeSpec([2, 1], [3, 0]), ("a", "b")),
     "SparseMatrix": (lambda: SparseMatrix([{0: -1, 1: 2}, {}]), ("columns",)),
     "DecompositionReport": (report, ("board", "subset", "closure", "lhs", "rhs", "terms")),
@@ -43,7 +44,7 @@ def test_fields_can_be_neither_assigned_nor_deleted(name):
         assert getattr(record, field, None) is before
 
 
-@pytest.mark.parametrize("name", ["GaussianInt", "Domino", "LShapeSpec", "SparseMatrix"])
+@pytest.mark.parametrize("name", ["GaussianInt", "Domino", "Tiling", "LShapeSpec", "SparseMatrix"])
 def test_records_equal_by_their_fields(name):
     make, fields = RECORDS[name]
     record, again = make(), make()
@@ -101,6 +102,8 @@ def test_repr_names_each_field():
     assert repr(GaussianInt(1)) == "GaussianInt(re=1, im=0)"
     assert repr(GaussianInt(0, -2)) == "GaussianInt(re=0, im=-2)"
     assert repr(Domino((1, 1), (1, 2))) == "Domino(a=(1, 1), b=(1, 2))"
+    assert repr(Tiling(rectangle(2, 1), [Domino((1, 1), (2, 1))])) == (
+        "Tiling(board=Board([(1, 1), (2, 1)]), dominoes=(Domino(a=(1, 1), b=(2, 1)),))")
     assert repr(LShapeSpec([2], [3])) == "LShapeSpec(a=(2,), b=(3,))"
     assert repr(SparseMatrix([{0: -1, 1: 2}, {}])) == "SparseMatrix(columns=({0: -1, 1: 2}, {}))"
     assert repr(report()).startswith(

@@ -307,6 +307,13 @@ def test_normalize_bfs_not_longer():
         assert len(bfs) <= len(stair)
 
 
+def test_flip_component_keeps_the_enumeration_limit():
+    # the search would list all 6765 tilings of 19 x 2, a board past the
+    # limit of 36 cells, so it is refused before the first flip
+    with pytest.raises(SizeLimitError, match="^board has 38 cells, enumeration limit is 36$"):
+        flip_component(totally_vertical_tiling(19, 2))
+
+
 def test_normalize_rejects_odd_height():
     t = next(iter(enumerate_tilings(rectangle(4, 3))))
     with pytest.raises(ValueError):

@@ -74,11 +74,12 @@ def _case(inputs: dict, lhs, rhs, ok: bool | None = None) -> dict:
 
 
 def _even_rectangles(max_area: int) -> list[tuple[int, int]]:
-    return [
-        (m, n)
-        for n in range(2, max_area + 1, 2)
-        for m in range(1, max_area // n + 1)
-    ]
+    """The rectangles of even height and area at most max_area, each checked
+    against the cell limit before any of them is searched."""
+    rectangles = [(m, n) for n in range(2, max_area + 1, 2) for m in range(1, max_area // n + 1)]
+    for m, n in rectangles:
+        limits.check_cells(rectangle(m, n))
+    return rectangles
 
 
 def run_flip_connectivity(max_area: int = 24) -> dict:
@@ -97,9 +98,7 @@ def run_h_even(max_area: int = 24) -> dict:
     horizontal dominoes."""
     cases = []
     for m, n in _even_rectangles(max_area):
-        board = rectangle(m, n)
-        limits.check_cells(board)
-        odd = parity_counts(board)[1]
+        odd = parity_counts(rectangle(m, n))[1]
         cases.append(_case({"width": m, "height": n}, odd, 0))
     return _report("h-even", {"max_area": max_area}, cases)
 

@@ -39,8 +39,9 @@ def cell_limit(limit: int | None = None) -> int:
     ValueError."""
     source, raw = "enumeration limit", limit
     if limit is None:
-        source = ENV_CELL_LIMIT
-        raw = os.environ.get(ENV_CELL_LIMIT) or str(DEFAULT_CELL_LIMIT)
+        source, raw = ENV_CELL_LIMIT, os.environ.get(ENV_CELL_LIMIT)
+        if not raw:
+            return DEFAULT_CELL_LIMIT
         limit = int(raw) if raw.isdecimal() else None
     if not (isinstance(limit, int) and limit > 0):
         raise ValueError(f"{source} must be a positive int, got {raw!r}")

@@ -7,13 +7,13 @@ exact integer quantities via round_signed at an explicit tolerance.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from array import array
+from collections.abc import Iterable, Iterator
+from itertools import islice, repeat
+from operator import floordiv, getitem, mod, sub, truediv
 
 from .kasteleyn import det_sign
 from .residue import _check_pair
-
-RENORM_GUARD = 1e12
-RENORM_FLOOR = 1 / RENORM_GUARD
 
 
 class ToleranceError(ValueError):
@@ -34,25 +34,36 @@ def norm_product(m: int, n: int) -> float:
     For odd n, prod_j (2cos t - 2cos(2 pi j/n)) = sin(n t/2) / sin(t/2): both
     sides are monic of degree (n-1)/2 in 2cos t with the same roots.  With
     t = pi a/m for a = m - i, each row is one factor, and the product is
-    (-1)**((m-1)(n-1)/2) * prod_a sin(pi n a/2m) / sin(pi a/2m).  If math.sin
-    is within 1 ulp, each factor is within a few ulps (_sin_pi), so the
-    relative error is at most a few times m ulps.  The running product is
-    rescaled by _scaled_product.
+    (-1)**((m-1)(n-1)/2) * prod_a sin(pi n a/2m) / sin(pi a/2m).  Both sines
+    come from one table (_half_sines, _fold) at some s in 1..m-1, each in
+    [1/m, 1] by Jordan's inequality, so each factor lies in [1/m, m].  As
+    rounding is odd, _scaled_product multiplies the magnitudes and the sign
+    comes last.  With math.sin within 1 ulp, the relative error is O(m) ulps.
     """
     _check_pair(m, n)
     if math.gcd(m, n) > 1:
         return 0.0  # the factor of row a = 2m/gcd(m, n) is sin(pi n/gcd) = 0
-    sign = -1.0 if (m - 1) * (n - 1) // 2 % 2 else 1.0
-    factors = (_sin_pi(n * a, 2 * m) / _sin_pi(a, 2 * m) for a in range(1, m))
-    return sign * _scaled_product(factors, 0)
+    sines = _half_sines(m)
+    numerators, odd = _fold(sines, range(n, n * m, n))
+    sign = -1.0 if ((m - 1) * (n - 1) // 2 + odd) % 2 else 1.0
+    return sign * _scaled_product(map(truediv, numerators, islice(sines, 1, m)), m.bit_length())
 
 
-def _sin_pi(r: int, q: int) -> float:
-    """sin(pi r/q), its argument reduced in integers into [0, pi/2]."""
-    r %= 2 * q
-    s = r % q
-    x = math.sin(math.pi * (s if 2 * s <= q else q - s) / q)
-    return x if r < q else -x
+def _half_sines(m: int) -> array:
+    """sin(pi s/2m), s = 0..m, as math.sin(math.pi * s / (2 * m)), in lists of 4096."""
+    sines, q = array("d"), 2.0 * m
+    for lo in range(0, m + 1, 4096):
+        sines.fromlist([math.sin(math.pi * s / q) for s in range(m + 1)[lo:lo + 4096]])
+    return sines
+
+
+def _fold(sines: array, rs: range) -> tuple[Iterator[float], int]:
+    """|sin(pi r/2m)| for each r in rs, read from sines = _half_sines(m) at
+    |(r + m) mod 2m - m|, and the parity of the negative sines (at odd r // 2m)."""
+    m = len(sines) - 1
+    folded = map(abs, map(sub, map(mod, range(rs.start + m, rs.stop + m, rs.step),
+                                   repeat(2 * m)), repeat(m)))
+    return map(getitem, repeat(sines), folded), sum(map(floordiv, rs, repeat(2 * m))) % 2
 
 
 def signed_sum_via_spectral(m: int, n: int, tol: float = 1e-6) -> int:
@@ -85,25 +96,27 @@ def eisenstein_product(p: int, q: int) -> float:
 
 def _cos_sq_product(a: int, b: int, sign: float) -> float:
     """4^((a-1)/2 * (b-1)/2) times the product over j in 1..(a-1)/2 and k
-    in 1..(b-1)/2 of cos^2(2 pi j / a) + sign * cos^2(2 pi k / b)."""
+    in 1..(b-1)/2 of cos^2(2 pi j / a) + sign * cos^2(2 pi k / b).  A
+    factor is at most 2 and at least 1/max(a, b)^2 (|cos(2 pi j/a)| >= 1/a)
+    or, for distinct odd primes, 4/(ab)^2 (cos^2 x - cos^2 y = sin(y + x)
+    sin(y - x), each sine at least 2/ab).  Rounding moves it by under 1e-14,
+    so it stays above 1/(ab)^2 > 2**-bits while ab < 10^7."""
     rows = [math.cos(2 * math.pi * j / a) ** 2 for j in range(1, (a - 1) // 2 + 1)]
     cols = [sign * math.cos(2 * math.pi * k / b) ** 2 for k in range(1, (b - 1) // 2 + 1)]
     factors = (row + col for row in rows for col in cols)
-    return _scaled_product(factors, 2 * len(rows) * len(cols))
+    return _scaled_product(factors, 2 * (a * b).bit_length(), 2 * len(rows) * len(cols))
 
 
-def _scaled_product(factors: Iterable[float], shift: int) -> float:
-    """The product of factors times 2**shift.  The running product is
-    rescaled by powers of two into [RENORM_FLOOR, RENORM_GUARD], so neither
-    it nor the power of two overflows or underflows on the way; only a
-    result beyond the float range raises OverflowError."""
-    acc = 1.0
-    for factor in factors:
-        acc *= factor
-        if not RENORM_FLOOR <= abs(acc) <= RENORM_GUARD:
-            exp = math.frexp(acc)[1]
-            acc /= 2.0**exp
-            shift += exp
+def _scaled_product(factors: Iterable[float], bits: int, shift: int = 0) -> float:
+    """The product of factors, left to right, times 2**shift.  As 2**-bits <=
+    |factor| <= 2**bits, math.prod takes 1000 // bits factors at a time onto
+    acc, rescaled into [1/2, 1) by frexp, so partial products stay normal
+    (2**-1001 to 2**1000) and each rounds as unscaled: the result is bit for
+    bit that of a product rescaled after each factor, or OverflowError."""
+    factors, acc = iter(factors), 1.0
+    while chunk := tuple(islice(factors, 1000 // bits)):
+        acc, exp = math.frexp(math.prod(chunk, start=acc))
+        shift += exp
     return math.ldexp(acc, shift)
 
 

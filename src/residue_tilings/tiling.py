@@ -465,22 +465,22 @@ def _fold_states(height, signed, width):
 
 def _flip(tiling: Tiling, cover: dict[Cell, Domino], corner: Cell) -> Tiling | None:
     """tiling with the two parallel dominoes covering the 2x2 square whose
-    lower-left cell is corner rotated, or None when no parallel pair
-    covers that square; cover is tiling.cover_map()."""
+    lower-left cell is corner rotated, or None when no parallel pair covers
+    it; cover is tiling.cover_map(), so the two are found by identity."""
     x, y = corner
     c00, c10, c01, c11 = (x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)
     if not all(c in cover for c in (c00, c10, c01, c11)):
         return None
-    d_low = cover[c00]
-    if d_low.cells == (c00, c10) and cover[c01].cells == (c01, c11):
-        old = (d_low, cover[c01])
+    first = cover[c00]
+    if first.cells == (c00, c10) and cover[c01].cells == (c01, c11):
+        second = cover[c01]
         new = (Domino.of(c00, c01), Domino.of(c10, c11))
-    elif d_low.cells == (c00, c01) and cover[c10].cells == (c10, c11):
-        old = (d_low, cover[c10])
+    elif first.cells == (c00, c01) and cover[c10].cells == (c10, c11):
+        second = cover[c10]
         new = (Domino.of(c00, c10), Domino.of(c01, c11))
     else:
         return None
-    remaining = [d for d in tiling.dominoes if d not in old]
+    remaining = [d for d in tiling.dominoes if d is not first and d is not second]
     return Tiling(tiling.board, remaining + list(new))
 
 

@@ -75,8 +75,9 @@ OWN_CODE = {
         "decomp.periodicity_factor", "decomp.reciprocity_free_sum", "gaussian.i_power",
     },
     "spectral": {
-        "spectral._check_tol", "spectral._scaled_product", "spectral._sin_pi",
-        "spectral.norm_product", "spectral.round_signed", "spectral.signed_sum_via_spectral",
+        "spectral._check_tol", "spectral._fold", "spectral._half_sines",
+        "spectral._scaled_product", "spectral.norm_product", "spectral.round_signed",
+        "spectral.signed_sum_via_spectral",
     },
 }
 

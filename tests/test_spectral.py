@@ -9,7 +9,9 @@ from residue_tilings.board import rectangle
 from residue_tilings.kasteleyn import build_kasteleyn, det_exact, det_sign
 from residue_tilings.spectral import (
     ToleranceError,
-    _sin_pi,
+    _fold,
+    _half_sines,
+    _is_odd_prime,
     eisenstein_product,
     ktf_count,
     norm_product,
@@ -170,15 +172,116 @@ def test_norm_product_reach():
     assert round_signed(norm_product(m, n)) == theorem_rhs(m, n) * det_sign(m, n)
 
 
-def test_sin_pi_reduces_the_argument():
-    for q in (1, 2, 3, 8, 2 * 849):
+def _signed_sine(sines, r):
+    """sin(pi r/2m) from the table sines = _half_sines(m), by _fold."""
+    magnitudes, odd = _fold(sines, range(r, r + 1))
+    return -next(magnitudes) if odd else next(magnitudes)
+
+
+def test_the_sine_table_reduces_the_argument():
+    for m in (1, 2, 3, 4, 849):
+        q, sines = 2 * m, _half_sines(m)
         for r in range(-3 * q, 3 * q + 1):
-            assert _sin_pi(r, q) == pytest.approx(math.sin(math.pi * r / q), abs=1e-12)
+            assert _signed_sine(sines, r) == pytest.approx(math.sin(math.pi * r / q), abs=1e-12)
+        # over a whole range, the parity counts the negative sines; the
+        # odd r skip the zeros of sine, as q is even
+        odds = range(1 - 3 * q, 3 * q, 2)
+        magnitudes, odd = _fold(sines, odds)
+        assert list(magnitudes) == [abs(_signed_sine(sines, r)) for r in odds]
+        assert odd == sum(math.sin(math.pi * r / q) < 0 for r in odds) % 2
+    # the table is built in lists of 4096, and ends at sin(pi/2) = 1
+    for m in (4095, 4096, 4097, 8192):
+        assert len(_half_sines(m)) == m + 1 and _half_sines(m)[m] == 1.0
     # the argument is folded in integers, so the symmetric values agree
     # exactly and keep their relative accuracy near the zeros of sine
     q = 10**6
-    tiny = _sin_pi(1, q)
+    sines = _half_sines(q // 2)
+    tiny = _signed_sine(sines, 1)
     assert tiny == pytest.approx(math.pi / q, rel=1e-15)
-    assert _sin_pi(q - 1, q) == _sin_pi(q + 1, q) * -1 == tiny
-    assert _sin_pi(2 * q - 1, q) == _sin_pi(-1, q) == -tiny
-    assert _sin_pi(4 * q + 1, q) == tiny
+    assert _signed_sine(sines, q - 1) == _signed_sine(sines, q + 1) * -1 == tiny
+    assert _signed_sine(sines, 2 * q - 1) == _signed_sine(sines, -1) == -tiny
+    assert _signed_sine(sines, 4 * q + 1) == tiny
+
+
+# A frozen copy of the stepwise evaluation that the sine table and the
+# chunked product replaced: two reduced sines per factor, and a rescale
+# check after every factor.  The new code must match it bit for bit.
+def _sin_pi_stepwise(r, q):
+    """sin(pi r/q), its argument reduced in integers into [0, pi/2]."""
+    r %= 2 * q
+    s = r % q
+    x = math.sin(math.pi * (s if 2 * s <= q else q - s) / q)
+    return x if r < q else -x
+
+
+def _product_stepwise(factors, shift):
+    """The product of factors times 2**shift, rescaled by a power of two
+    whenever the running product leaves [1e-12, 1e12]."""
+    acc = 1.0
+    for factor in factors:
+        acc *= factor
+        if not 1e-12 <= abs(acc) <= 1e12:
+            exp = math.frexp(acc)[1]
+            acc /= 2.0**exp
+            shift += exp
+    return math.ldexp(acc, shift)
+
+
+def norm_product_stepwise(m, n):
+    if math.gcd(m, n) > 1:
+        return 0.0
+    sign = -1.0 if (m - 1) * (n - 1) // 2 % 2 else 1.0
+    factors = (_sin_pi_stepwise(n * a, 2 * m) / _sin_pi_stepwise(a, 2 * m) for a in range(1, m))
+    return sign * _product_stepwise(factors, 0)
+
+
+def cos_sq_product_stepwise(a, b, sign):
+    rows = [math.cos(2 * math.pi * j / a) ** 2 for j in range(1, (a - 1) // 2 + 1)]
+    cols = [sign * math.cos(2 * math.pi * k / b) ** 2 for k in range(1, (b - 1) // 2 + 1)]
+    factors = (row + col for row in rows for col in cols)
+    return _product_stepwise(factors, 2 * len(rows) * len(cols))
+
+
+def _odd_coprime_near_half(m):
+    """The odd n > 1 coprime to m nearest m/2, the lower one first."""
+    half = m // 2
+    return next(n for d in range(half) for n in (half - d, half + d)
+                if n > 1 and n % 2 and math.gcd(m, n) == 1)
+
+
+def test_norm_product_equals_the_stepwise_product():
+    for m in range(1, 300):
+        for n in range(1, 160, 2):
+            assert norm_product(m, n) == norm_product_stepwise(m, n), (m, n)
+
+
+@pytest.mark.parametrize("band", [(800, 1200), (1400, 2000)], ids=["low", "high"])
+def test_norm_product_equals_the_stepwise_product_in_the_benchmark_bands(band):
+    for m in range(band[0], band[1] + 1):
+        n = _odd_coprime_near_half(m)
+        assert norm_product(m, n) == norm_product_stepwise(m, n), (m, n)
+
+
+def test_norm_product_equals_the_stepwise_product_at_reach():
+    assert norm_product(100001, 50001) == norm_product_stepwise(100001, 50001)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except OverflowError as error:
+        return type(error), str(error)
+
+
+def test_ktf_count_equals_the_stepwise_product():
+    for a in range(1, 80, 2):
+        for b in range(1, 80, 2):
+            assert _outcome(ktf_count, a, b) == _outcome(cos_sq_product_stepwise, a, b, 1.0)
+
+
+def test_eisenstein_product_equals_the_stepwise_product():
+    primes = [p for p in range(3, 200) if _is_odd_prime(p)]
+    pairs = [(p, q) for p in primes for q in primes if p != q]
+    assert len(pairs) == 1980
+    for p, q in pairs:
+        assert eisenstein_product(p, q) == cos_sq_product_stepwise(p, q, -1.0), (p, q)

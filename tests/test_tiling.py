@@ -112,6 +112,20 @@ def test_enumeration_limit(monkeypatch):
         enumerate_tilings(rectangle(2, 2))
 
 
+def test_the_cell_limit_follows_the_variable_from_call_to_call(monkeypatch):
+    # the limit is read from the environment on every search, so a value
+    # set, changed or unset at run time holds from the next call on
+    board = rectangle(2, 19)
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "40")
+    assert signed_sum_bruteforce(board) == signed_sum(board)
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "37")
+    with pytest.raises(SizeLimitError, match="^board has 38 cells, enumeration limit is 37$"):
+        signed_sum_bruteforce(board)
+    monkeypatch.delenv("RESIDUE_TILINGS_LIMIT")
+    with pytest.raises(SizeLimitError, match="^board has 38 cells, enumeration limit is 36$"):
+        signed_sum_bruteforce(board)
+
+
 @pytest.mark.parametrize("name", SEARCHES)
 def test_every_search_keeps_the_enumeration_limit(monkeypatch, name):
     search = SEARCHES[name]
@@ -312,6 +326,21 @@ def test_flip_component_keeps_the_enumeration_limit():
     # limit of 36 cells, so it is refused before the first flip
     with pytest.raises(SizeLimitError, match="^board has 38 cells, enumeration limit is 36$"):
         flip_component(totally_vertical_tiling(19, 2))
+
+
+def test_flip_moves_find_the_flipped_pair_by_identity(monkeypatch):
+    # the two dominoes to rotate are the tiling's own objects, so no
+    # domino is compared by value while the moves are built
+    tiling = totally_vertical_tiling(4, 4)
+    expected = flip_moves(tiling)
+
+    def refuse(self, other):
+        raise AssertionError("Domino.__eq__ called")
+
+    monkeypatch.setattr(Domino, "__eq__", refuse)
+    moves = flip_moves(tiling)
+    monkeypatch.undo()
+    assert moves == expected and len(moves) == 6
 
 
 def test_normalize_rejects_odd_height():

@@ -34,8 +34,8 @@ from .spectral import (
     round_signed,
 )
 from .tiling import (
+    _flip_search,
     count_tilings,
-    flip_component,
     parity_counts,
     signed_sum,
     signed_sum_bruteforce,
@@ -87,7 +87,7 @@ def run_flip_connectivity(max_area: int = 24) -> dict:
     all-vertical tiling."""
     cases = []
     for m, n in _even_rectangles(max_area):
-        reached = len(flip_component(totally_vertical_tiling(m, n)))
+        reached = len(_flip_search(totally_vertical_tiling(m, n)))
         tilings = count_tilings(rectangle(m, n))
         cases.append(_case({"width": m, "height": n}, reached, tilings))
     return _report("flip-connectivity", {"max_area": max_area}, cases)

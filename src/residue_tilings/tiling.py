@@ -3,12 +3,12 @@
 The signed sum of a board X is sum over tilings D of i**h(D), where h(D)
 counts horizontal dominoes.  Two independent evaluation routes live here:
 a backtracking search (the oracle, limited to small boards), whose codes
-and h back enumerate_tilings, the one builder of Tilings,
-signed_sum_bruteforce and decomp.restricted_sum, and a broken-profile
-dynamic program that sweeps the board column by column, covering up to
-WINDOW_ROWS consecutive cells of a column in one pass over its states
-through a table of the window's placements, built once per window shape
-and position, so that each placement is one int to xor into a state.
+and h back enumerate_tilings, signed_sum_bruteforce, decomp.restricted_sum
+and the flips, which run on ints of codes, and a broken-profile dynamic
+program that sweeps the board column by column, covering up to WINDOW_ROWS
+consecutive cells of a column in one pass over its states through a
+table of the window's placements, built once per window shape and
+position, so that each placement is one int to xor into a state.
 The DP is one kernel with one flag: signed, it weighs each horizontal
 domino on an even row by -1, which gives the signed sum up to a power of i
 that the board fixes; unsigned, it counts the tilings, all of whose h
@@ -158,21 +158,12 @@ def _i_power_sum(hs: Iterable[int]) -> GaussianInt:
 
 
 def enumerate_tilings(board: Board) -> list[Tiling]:
-    """All tilings of board, in the order of the search _tilings, each
-    Domino made once and shared by the tilings holding it; of the search's
-    readers only this builds Tilings.  Boards larger than the cell limit
-    (default 36, overridable via RESIDUE_TILINGS_LIMIT) are refused.
-    """
-    cells = board.cells
-    made: list[Domino | None] = [None] * (2 * len(cells))  # by code
-    results = []
-    for placed, _ in _tilings(board):
-        for code in placed:
-            if made[code] is None:
-                i, j = cells[code >> 1]
-                made[code] = Domino((i, j), (i, j + 1) if code & 1 else (i + 1, j))
-        results.append(Tiling(board, [made[code] for code in placed]))
-    return results
+    """All tilings of board, in the order of the search _tilings, decoded
+    by one _decoder.  Boards past the cell limit (default 36, overridable
+    via RESIDUE_TILINGS_LIMIT) are refused before any Domino is made."""
+    limits.check_cells(board)
+    decode = _decoder(board)
+    return [decode(placed) for placed, _ in _tilings(board)]
 
 
 def signed_sum_bruteforce(board: Board) -> GaussianInt:
@@ -463,71 +454,80 @@ def _fold_states(height, signed, width):
     return folds
 
 
-def _flip(tiling: Tiling, cover: dict[Cell, Domino], corner: Cell) -> Tiling | None:
-    """tiling with the two parallel dominoes covering the 2x2 square whose
-    lower-left cell is corner rotated, or None when no parallel pair covers
-    it; cover is tiling.cover_map(), so the two are found by identity."""
-    x, y = corner
-    c00, c10, c01, c11 = (x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)
-    if not all(c in cover for c in (c00, c10, c01, c11)):
-        return None
-    first = cover[c00]
-    if first.cells == (c00, c10) and cover[c01].cells == (c01, c11):
-        second = cover[c01]
-        new = (Domino.of(c00, c01), Domino.of(c10, c11))
-    elif first.cells == (c00, c01) and cover[c10].cells == (c10, c11):
-        second = cover[c10]
-        new = (Domino.of(c00, c10), Domino.of(c01, c11))
-    else:
-        return None
-    remaining = [d for d in tiling.dominoes if d is not first and d is not second]
-    return Tiling(tiling.board, remaining + list(new))
+def _codes(t: int) -> list[int]:
+    """The codes (see _tilings) whose bits the int t sets, ascending."""
+    return [code for code in range(t.bit_length()) if t >> code & 1]
+
+
+def _decoder(board: Board):
+    """codes -> the Tiling of board they code, from one Domino per code."""
+    made = [Domino((i, j), cell) for i, j in board.cells for cell in ((i + 1, j), (i, j + 1))]
+    return lambda codes: Tiling(board, [made[code] for code in codes])
+
+
+def _flip_squares(tiling: Tiling) -> tuple[int, list[tuple[Cell, int, int]]]:
+    """tiling as the int t with bit c set per code c of its dominoes, and
+    (corner, H, V) for each 2x2 square of its board whose four cells lie on
+    it, in board order: H sets the bits of the codes of the square's two
+    horizontal dominoes, V those of its two vertical ones.  t holds a flip
+    there when t & (H | V) is H or V, and the flip is t ^ H ^ V."""
+    cells = tiling.board.cells
+    pos = dict(zip(cells, range(len(cells))))
+    t = sum(1 << 2 * pos[d.a] + (not d.horizontal) for d in tiling.dominoes)
+    return t, [((i, j), 1 << 2 * k | 1 << 2 * pos[i, j + 1], 2 << 2 * k | 2 << 2 * pos[i + 1, j])
+               for k, (i, j) in enumerate(cells)
+               if pos.keys() >= {(i + 1, j), (i, j + 1), (i + 1, j + 1)}]
+
+
+def _flip_search(tiling: Tiling) -> dict[int, int]:
+    """flip_component on ints of codes (_flip_squares); past the cell limit
+    the board is refused before the search, which holds the component."""
+    limits.check_cells(tiling.board)
+    start, squares = _flip_squares(tiling)
+    squares = [(h | v, (h, v)) for _, h, v in squares]
+    parents = {start: start}
+    queue = [start]
+    for t in queue:
+        for both, pairs in squares:
+            if t & both in pairs and t ^ both not in parents:
+                parents[t ^ both] = t
+                queue.append(t ^ both)
+    return parents
 
 
 def flip_at(tiling: Tiling, corner: Cell) -> Tiling:
     """Rotate the two parallel dominoes covering the 2x2 square whose
     lower-left cell is corner; raises ValueError unless the square lies on
     the board and is covered by exactly two parallel dominoes."""
-    flipped = _flip(tiling, tiling.cover_map(), corner)
-    if flipped is None:
-        raise ValueError(f"square at {corner} is not covered by a parallel pair")
-    return flipped
+    t, squares = _flip_squares(tiling)
+    for at, h, v in squares:
+        if at == corner and t & (h | v) in (h, v):
+            return _decoder(tiling.board)(_codes(t ^ h ^ v))
+    raise ValueError(f"square at {corner} is not covered by a parallel pair")
 
 
 def flip_moves(tiling: Tiling) -> list[Tiling]:
     """All tilings one flip away, ordered by the flipped square's corner."""
-    cover = tiling.cover_map()
-    moves = (_flip(tiling, cover, corner) for corner in tiling.board.cells)
-    return [move for move in moves if move is not None]
+    (t, squares), decode = _flip_squares(tiling), _decoder(tiling.board)
+    return [decode(_codes(t ^ h ^ v)) for _, h, v in squares if t & (h | v) in (h, v)]
 
 
 def flip_component(tiling: Tiling) -> dict[Tiling, Tiling]:
     """Breadth-first search of the flip graph from tiling: maps every
     tiling reachable by flips to its parent on a shortest flip path back
-    to tiling, which is its own parent.  Boards past the cell limit are
-    refused before the search, which lists every tiling of the component."""
-    limits.check_cells(tiling.board)
-    parents = {tiling: tiling}
-    queue = [tiling]
-    for t in queue:
-        for move in flip_moves(t):
-            if move not in parents:
-                parents[move] = t
-                queue.append(move)
-    return parents
+    to tiling, which is its own parent; see _flip_search."""
+    parents = _flip_search(tiling)
+    decode = _decoder(tiling.board)
+    tilings = {t: decode(_codes(t)) for t in parents}
+    return {tilings[t]: tilings[parent] for t, parent in parents.items()}
 
 
 def totally_vertical_tiling(m: int, n: int) -> Tiling:
-    """The all-vertical tiling of the m x n rectangle (n must be even)."""
+    """The all-vertical tiling of the m x n rectangle (n must be even), its
+    codes 1, 5, 9, ...: the cells k = (i - 1) * n + j - 1 with j odd."""
     if n % 2:
         raise ValueError("height must be even")
-    board = rectangle(m, n)
-    dominoes = [
-        Domino.of((i, j), (i, j + 1))
-        for i in range(1, m + 1)
-        for j in range(1, n + 1, 2)
-    ]
-    return Tiling(board, dominoes)
+    return _decoder(rectangle(m, n))(range(1, 2 * m * n, 4))
 
 
 def is_totally_vertical(tiling: Tiling) -> bool:

@@ -71,16 +71,17 @@ def test_parity_sweeps_keep_their_cell_limits(monkeypatch):
         run_h_even()
 
 
-@pytest.mark.parametrize("runner, search", [("run_flip_connectivity", "flip_component"),
+@pytest.mark.parametrize("runner, search", [("run_flip_connectivity", "_flip_search"),
                                             ("run_h_even", "parity_counts")])
 def test_even_rectangle_suites_refuse_the_range_before_they_search(monkeypatch, runner, search):
     # 19 x 2 is the first rectangle of the range past the limit; the
-    # eighteen before it used to be searched first
+    # eighteen before it used to be searched first.  search is the function
+    # the suite calls per board, so patching it records every search
     import residue_tilings.lemmas as lemmas
 
     monkeypatch.delenv("RESIDUE_TILINGS_LIMIT", raising=False)
     calls = []
-    monkeypatch.setattr(lemmas, search, calls.append)
+    monkeypatch.setattr(lemmas, search, lambda *args: calls.append(args))
     with pytest.raises(SizeLimitError, match="^board has 38 cells, enumeration limit is 36$"):
         getattr(lemmas, runner)(40)
     assert calls == []

@@ -5,6 +5,7 @@ import random
 import re
 import time
 from collections import OrderedDict
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residue_tilings import limits, tiling
-from residue_tilings.board import Board, rectangle
+from residue_tilings.board import Board, LShapeSpec, half_board, l_board, rectangle
 from residue_tilings.decomp import biadjacency, closure, closure_union, restricted_sum
 from residue_tilings.gaussian import GaussianInt, i_power
 from residue_tilings.kasteleyn import det_exact
@@ -328,9 +329,16 @@ def test_flip_component_keeps_the_enumeration_limit():
         flip_component(totally_vertical_tiling(19, 2))
 
 
+def test_enumeration_refuses_a_large_board_before_it_makes_a_domino(monkeypatch):
+    # the decoder makes two dominoes per cell up front, 320 000 here
+    monkeypatch.setattr(tiling, "Domino", mock.Mock(side_effect=AssertionError("Domino made")))
+    with pytest.raises(SizeLimitError, match="^board has 160000 cells, enumeration limit is 36$"):
+        enumerate_tilings(rectangle(400, 400))
+
+
 def test_flip_moves_find_the_flipped_pair_by_identity(monkeypatch):
-    # the two dominoes to rotate are the tiling's own objects, so no
-    # domino is compared by value while the moves are built
+    # the moves are found on the tiling's domino codes and decoded from
+    # them, so no domino is compared by value while they are built
     tiling = totally_vertical_tiling(4, 4)
     expected = flip_moves(tiling)
 
@@ -341,6 +349,64 @@ def test_flip_moves_find_the_flipped_pair_by_identity(monkeypatch):
     moves = flip_moves(tiling)
     monkeypatch.undo()
     assert moves == expected and len(moves) == 6
+
+
+def reference_flip(tiling, cover, corner):
+    """The record flip the code kernel replaced: tiling with the two
+    parallel dominoes covering the 2x2 square whose lower-left cell is
+    corner rotated, or None when no parallel pair covers it; cover maps
+    each cell to tiling's domino on it, so the two are found by identity."""
+    x, y = corner
+    c00, c10, c01, c11 = (x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)
+    if not all(c in cover for c in (c00, c10, c01, c11)):
+        return None
+    first = cover[c00]
+    if first.cells == (c00, c10) and cover[c01].cells == (c01, c11):
+        second = cover[c01]
+        new = (Domino.of(c00, c01), Domino.of(c10, c11))
+    elif first.cells == (c00, c01) and cover[c10].cells == (c10, c11):
+        second = cover[c10]
+        new = (Domino.of(c00, c10), Domino.of(c01, c11))
+    else:
+        return None
+    remaining = [d for d in tiling.dominoes if d is not first and d is not second]
+    return Tiling(tiling.board, remaining + list(new))
+
+
+def flip_reference_boards():
+    """Rectangles of area at most 16, and boards up to about 20 cells on
+    which some 2x2 squares lose cells: L-chains and half boards."""
+    rectangles = [rectangle(w, h) for w in range(1, 17) for h in range(1, 16 // w + 1)]
+    arms = [(1, 2), (2, 2), (3, 2), (2, 4), (4, 3)]
+    chains = [l_board(LShapeSpec(a, b)) for a, b in
+              [((x,), (y,)) for x, y in arms] + [((x, z), (y, y)) for x, y in arms for z in (1, 3)]
+              + [((2, 2, 3), (3, 2, 2)), ((1, 3, 2), (2, 2, 1)), ((4, 4, 3), (4, 3, 3))]]
+    halves = [half_board(m, n, diag) for m, n in ((5, 3), (7, 3), (7, 5), (9, 5), (11, 5))
+              for k in range(n) for diag in combinations(range(1, n), k)]
+    return rectangles + chains + halves
+
+
+def test_flip_kernel_matches_the_record_flips():
+    # flip_moves and flip_at run on domino codes; the record flip above is
+    # their reference, move for move and corner by corner, also at corners
+    # whose square leaves the board or is not a parallel pair
+    squares = 0
+    for board in flip_reference_boards():
+        i0, j0, i1, j1 = board.bounds()
+        corners = [(i, j) for i in range(i0 - 1, i1 + 1) for j in range(j0 - 1, j1 + 1)]
+        for t in enumerate_tilings(board):
+            cover = {cell: d for d in t.dominoes for cell in d.cells}
+            expected = [reference_flip(t, cover, corner) for corner in board.cells]
+            assert flip_moves(t) == [move for move in expected if move is not None]
+            for corner in corners:
+                move = reference_flip(t, cover, corner)
+                if move is None:
+                    with pytest.raises(ValueError, match="is not covered by a parallel pair"):
+                        flip_at(t, corner)
+                else:
+                    squares += 1
+                    assert flip_at(t, corner) == move
+    assert squares > 1000
 
 
 def test_normalize_rejects_odd_height():

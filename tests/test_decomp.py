@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import Built, trip
+from conftest import Built, biadjacency, trip
 
 from residue_tilings import decomp, limits
 from residue_tilings.board import Board, LShapeSpec, half_board, l_board, rectangle
@@ -385,6 +385,29 @@ def test_half_board_square_matches_dp():
             assert half_board_square(m, n, diag) == half * half, (m, n, diag)
 
 
+def test_half_board_matrix_matches_the_board_reference():
+    # the same columns with their keys in the same order as B built from
+    # the half Board, so the elimination meets the same ties; None on both
+    # sides when the colour classes differ in size
+    cases = [(m, n, diag) for n in range(3, 32, 2) for m in range(n + 2, 3 * n, 2)
+             for diag in [range(1, n), (), range(1, n, 2)]
+             + ([admissible_diagonal(m, n)] if math.gcd(m, n) == 1 else [])]
+    cases += [(m, n, diag) for n in (3, 5, 7) for m in range(n + 2, 3 * n, 2)
+              for diag in _subsets(n)]
+    unequal = 0
+    for m, n, diag in cases:
+        marks = frozenset(diag)
+        matrix = decomp._half_board_matrix(m, n, marks)
+        expected = biadjacency(half_board(m, n, marks))
+        if expected is None:
+            assert matrix is None, (m, n, diag)
+            unequal += 1
+            continue
+        assert matrix.columns == expected.columns, (m, n, diag)
+        assert [list(c) for c in matrix.columns] == [list(c) for c in expected.columns]
+    assert len(cases) == 1388 and unequal > 0
+
+
 def test_reciprocity_free_matches_theorem_on_windows(monkeypatch):
     from residue_tilings import kasteleyn
 
@@ -412,7 +435,7 @@ def test_reciprocity_free_reach(monkeypatch):
     # d = 269880 is within MAX_DIM and (1043, 1039) with d = 270399 is
     # not; (1267, 423), d = 133563, is admitted.  Widths past the window
     # land in it first, (3119, 1039) on 1041
-    monkeypatch.setattr(decomp, "half_board", trip)
+    monkeypatch.setattr(decomp, "_half_board_matrix", trip)
     for m, n in ((1267, 423), (1041, 1039), (3119, 1039)):
         with pytest.raises(Built):
             reciprocity_free_sum(m, n)
@@ -440,10 +463,10 @@ def test_half_board_refused_before_the_build(monkeypatch):
                 del seen[:]
                 half_board_square(m, n, diag)
                 assert len(seen) == 1 or seen[0] == seen[1], (m, n, diag)
-    # past MAX_DIM neither the (n - 1)/2 marks of the diagonal nor the
-    # board get built, at n = 10**9 + 1 as well
+    # past MAX_DIM neither the (n - 1)/2 marks of the diagonal nor B get
+    # built, at n = 10**9 + 1 as well
     monkeypatch.setattr(decomp, "admissible_diagonal", trip)
-    monkeypatch.setattr(decomp, "half_board", trip)
+    monkeypatch.setattr(decomp, "_half_board_matrix", trip)
     start = time.perf_counter()
     for refuse in (lambda: reciprocity_free_sum(1043, 1039),
                    lambda: half_board_square(1043, 1039, range(1, 520)),

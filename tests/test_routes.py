@@ -59,7 +59,7 @@ def test_readme_library_sketch_runs():
 # fails test_routes_call_only_their_own_code until this list is edited.
 OWN_CODE = {
     "dp": {
-        "board.Board.bounds", "board.Board.cells", "board.rectangle",
+        "board.Board._of", "board.Board.bounds", "board.Board.cells", "board.rectangle",
         "gaussian.GaussianInt.__init__",
         "tiling._column_windows", "tiling._fold_states", "tiling._orbit_step",
         "tiling._profile_sum", "tiling._reversals", "tiling._window_step",
@@ -68,9 +68,9 @@ OWN_CODE = {
     },
     "det": {"kasteleyn.build_kasteleyn", "kasteleyn.signed_sum_via_det"},
     "reciprocity-free": {
-        "board.Board.__iter__", "board._half_board_diag", "board.half_board",
-        "decomp._check_half_board", "decomp._check_window", "decomp._window_residue",
-        "decomp.admissible_diagonal", "decomp.biadjacency", "decomp.half_board_parity",
+        "board._half_board_diag",
+        "decomp._check_half_board", "decomp._check_window", "decomp._half_board_matrix",
+        "decomp._window_residue", "decomp.admissible_diagonal", "decomp.half_board_parity",
         "decomp.half_board_square", "decomp.half_board_support",
         "decomp.periodicity_factor", "decomp.reciprocity_free_sum", "gaussian.i_power",
     },
@@ -105,10 +105,6 @@ SHARED_CODE = {
         "the sign between det K and the sum, one convention for both "
         "routes: a wrong sign moves det and spectral together, and dp and "
         "reciprocity-free, which do not read it, catch it")),
-    "board.Board._of": (("dp", "reciprocity-free"), (
-        "builds a board from cells known to be valid: a wrong board moves "
-        "dp and reciprocity-free together, and det and spectral, which "
-        "build no board, catch it")),
 }
 
 

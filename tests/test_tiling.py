@@ -9,12 +9,13 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
+from conftest import biadjacency
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from residue_tilings import limits, tiling
 from residue_tilings.board import Board, LShapeSpec, half_board, l_board, rectangle
-from residue_tilings.decomp import biadjacency, closure, closure_union, restricted_sum
+from residue_tilings.decomp import closure, closure_union, restricted_sum
 from residue_tilings.gaussian import GaussianInt, i_power
 from residue_tilings.kasteleyn import det_exact
 from residue_tilings.lemmas import run_parity

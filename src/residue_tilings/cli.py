@@ -17,7 +17,7 @@ import time
 
 from .board import rectangle
 from .decomp import reciprocity_free_sum
-from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
+from .kasteleyn import _eliminate, build_kasteleyn, det_exact, signed_sum_via_det
 from .lemmas import LEMMAS
 from .limits import MAX_JSON_BYTES, SizeLimitError, check
 from .residue import jacobi, theorem_rhs
@@ -131,14 +131,13 @@ def _cmd_jacobi(args) -> int:
 def _cmd_detk(args) -> int:
     # the size limits apply before anything is printed
     matrix = build_kasteleyn(args.m, args.n)
-    # each of the d * d dense entries takes at least 3 bytes ("0, ")
-    if args.matrix:
-        check(3 * matrix.dim ** 2, MAX_JSON_BYTES,
-              f"the dense JSON of a {matrix.dim} x {matrix.dim} matrix exceeds 10^9 bytes")
-    det = det_exact(matrix)
     if not args.matrix:
-        print(det)
+        print(_eliminate(matrix.columns))  # K is not read again
         return EXIT_OK
+    # each of the d * d dense entries takes at least 3 bytes ("0, ")
+    check(3 * matrix.dim ** 2, MAX_JSON_BYTES,
+          f"the dense JSON of a {matrix.dim} x {matrix.dim} matrix exceeds 10^9 bytes")
+    det = det_exact(matrix)  # on a copy, as K is streamed after it
     # the bytes of json.dumps on the dense rows, written one row at a time;
     # K is symmetric, so each column is its row
     out = sys.stdout

@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from . import limits
 from .board import Board, LShapeSpec, _half_board_diag, half_board
 from .gaussian import GaussianInt, ZERO, _Frozen, _set, i_power
-from .kasteleyn import SparseMatrix, det_exact
+from .kasteleyn import SparseMatrix, _eliminate
 from .residue import _check_pair
 from .tiling import Tiling, _i_power_sum, _tilings, count_tilings, signed_sum
 
@@ -247,7 +247,7 @@ def half_board_square(m: int, n: int, diag: Iterable[int]) -> int:
     matrix = _half_board_matrix(m, n, marks)
     if matrix is None:
         return 0
-    det = det_exact(matrix)
+    det = _eliminate(matrix.columns)  # B is not read again
     _check_half_board(m, n, marks, "determinant", det, (-1, 0, 1))
     return (-1) ** half_board_parity(m, n, marks) if det else 0
 

@@ -17,11 +17,14 @@ modulus.  The elimination works on sparse columns and pivots on the
 sparsest column left, which keeps the fill-in of K small.  Every entry of K
 is -1, and its pivots have been +1 or -1 in every case checked, so the
 elimination of K stays in ints; only another pivot brings in a Fraction.
+It runs in place on the columns of the K or B just built, with a list of
+the rows left per column: K at (1023, 529), d = 269808, peaks at 180 MB
+RSS.  det_exact runs it on copies, so its argument stays intact.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from heapq import heapify, heappop, heappush
 
 from . import limits
@@ -99,64 +102,71 @@ def build_kasteleyn(m: int, n: int) -> SparseMatrix:
 
 
 def det_exact(matrix: SparseMatrix) -> int:
-    """Exact determinant, by elimination over the rationals.
+    """Exact determinant of matrix, which _eliminate computes on copies of
+    its columns.  Raises SizeLimitError, before any elimination, when the
+    dimension exceeds MAX_DIM.  The empty matrix has determinant 1.
+    """
+    limits.check_dim("the matrix", matrix.dim)
+    return _eliminate([dict(column) for column in matrix.columns])
+
+
+def _eliminate(rows: Sequence[dict[int, int]]) -> int:
+    """The determinant of the matrix with these columns, by elimination over
+    the rationals in place: the columns are consumed.
 
     Each step takes the column held by the fewest rows left (minimum
-    degree), pivots on its shortest row, and clears the column from the
-    other rows.  The determinant is the product of the pivots times the
-    sign of the permutation that sends each pivot row to its column.  The
-    columns serve as the rows, since a matrix and its transpose share the
-    determinant.  A pivot of +1 or -1 is its own inverse, so while every
-    pivot is a unit, as on K and on a half board's B, all values stay ints;
-    any other pivot a is inverted as Fraction(1, a), by _fraction.
-
-    Raises SizeLimitError, before any elimination, when the dimension
-    exceeds MAX_DIM.  The empty matrix has determinant 1.
+    degree), pivots on its shortest row, the lowest such row, and clears
+    the column from the other rows.  The determinant is the product of the
+    pivots times the sign of the permutation that sends each pivot row to
+    its column.  The columns serve as the rows, since a matrix and its
+    transpose share the determinant.  A pivot of +1 or -1 is its own
+    inverse, so while every pivot is a unit, as on K and on a half board's
+    B, all values stay ints; any other pivot a is inverted as
+    Fraction(1, a), by _fraction.
     """
-    dim = matrix.dim
-    limits.check_dim("the matrix", dim)
-    rows = [dict(column) for column in matrix.columns]
     # column -> the rows left with a nonzero there; None once it has pivoted
-    holders: list[set[int] | None] = [set() for _ in rows]
+    holders: list[list[int] | None] = [[] for _ in rows]
     for r, row in enumerate(rows):
         for c in row:
-            holders[c].add(r)
+            holders[c].append(r)
     # a key is count << 32 | column, as dim <= MAX_DIM < 2**32
     heap = [len(rs) << 32 | c for c, rs in enumerate(holders)]
     heapify(heap)
-    pivot_col = [0] * dim
+    pivot_col = [0] * len(rows)
     det = 1
     for _ in rows:
         key = heappop(heap)
         while holders[k := key & 0xFFFFFFFF] is None or key >> 32 != len(holders[k]):
             key = heappop(heap)
         cands, holders[k] = holders[k], None
-        if len(cands) == 1:
-            r = cands.pop()
-        elif cands:
-            r = min(cands, key=lambda s: (len(rows[s]), s))
-            cands.remove(r)
-        else:
+        if not cands:
             return 0
+        best = 1 << 64
+        for s in cands:  # the shortest row, the lowest of those
+            if (key := len(rows[s]) << 32 | s) < best:
+                best = key
+        r = best & 0xFFFFFFFF
+        cands.remove(r)
         pivot_col[r] = k
         pivot = rows[r]
         a = pivot.pop(k)
         for c in pivot:
-            holders[c].discard(r)
+            holders[c].remove(r)
         det *= a
         inv = a if a in (1, -1) else _fraction(1, a)
         for s in cands:
             row = rows[s]
             g = -row.pop(k) * inv
             for c, v in pivot.items():
-                x = row.get(c, 0) + g * v
-                if x:
-                    if c not in row:
-                        holders[c].add(s)
+                x = row.get(c)
+                if x is None:  # fill: g * v is not 0
+                    row[c] = g * v
+                    holders[c].append(s)
+                elif x := x + g * v:
                     row[c] = x
-                elif c in row:
+                else:
                     del row[c]
-                    holders[c].discard(s)
+                    holders[c].remove(s)
         for c in pivot:
             heappush(heap, len(holders[c]) << 32 | c)
     det = int(det)  # exact: up to sign, the product of the pivots is the determinant
@@ -193,4 +203,4 @@ def det_sign(m: int, n: int) -> int:
 
 def signed_sum_via_det(m: int, n: int) -> int:
     """Signed tiling sum of the (m-1) x (n-1) rectangle via the determinant."""
-    return det_exact(build_kasteleyn(m, n)) * det_sign(m, n)
+    return _eliminate(build_kasteleyn(m, n).columns) * det_sign(m, n)

@@ -12,10 +12,11 @@ ENV_CELL_LIMIT = "RESIDUE_TILINGS_LIMIT"
 # live profile states after one window of the DP, and states its memo keeps
 MAX_STATES = 1 << 16
 # The largest dimension eliminated, checked from (m, n) before a matrix is
-# built: it keeps the build and elimination of every admitted matrix, such
-# as K at (1023, 529), d = 269808, B at (1041, 1039), d = 269880, and the
-# widest 2 x N board, (270001, 3), within 1 GB of address space.  K at
-# (1024, 529), d = 270072, and B at (1043, 1039), d = 270399, are refused.
+# built: it keeps the build and elimination of every admitted matrix within
+# 1 GB of address space.  In place, the elimination peaks at 180 MB RSS for
+# K at (1023, 529), d = 269808, 138 MB for B at (1041, 1039), d = 269880,
+# and 130 MB for the widest 2 x N board, (270001, 3).  K at (1024, 529),
+# d = 270072, and B at (1043, 1039), d = 270399, are refused.
 MAX_DIM = 270000
 # free cells of a closure in verify_decomposition, which sums over their subsets
 FREE_CELL_LIMIT = 16

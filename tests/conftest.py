@@ -1,10 +1,12 @@
 """Shared fixtures."""
 
 import os
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 
 import pytest
 
+from residue_tilings import kasteleyn, limits
 from residue_tilings.kasteleyn import SparseMatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -44,3 +46,57 @@ def biadjacency(board):
          if c in odd}
         for i, j in even
     ))
+
+
+def det_exact_reference(matrix):
+    """det_exact as it was before its elimination ran in place: on a copy
+    of every column, with a set of holders per column, and the pivot row
+    picked by min over (len(rows[s]), s).  It calls kasteleyn._is_odd and
+    kasteleyn._fraction through the module, so a patch of either sees both
+    eliminations; it serves as the reference for kasteleyn._eliminate."""
+    dim = matrix.dim
+    limits.check_dim("the matrix", dim)
+    rows = [dict(column) for column in matrix.columns]
+    holders = [set() for _ in rows]
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
+    heap = [len(rs) << 32 | c for c, rs in enumerate(holders)]
+    heapify(heap)
+    pivot_col = [0] * dim
+    det = 1
+    for _ in rows:
+        key = heappop(heap)
+        while holders[k := key & 0xFFFFFFFF] is None or key >> 32 != len(holders[k]):
+            key = heappop(heap)
+        cands, holders[k] = holders[k], None
+        if len(cands) == 1:
+            r = cands.pop()
+        elif cands:
+            r = min(cands, key=lambda s: (len(rows[s]), s))
+            cands.remove(r)
+        else:
+            return 0
+        pivot_col[r] = k
+        pivot = rows[r]
+        a = pivot.pop(k)
+        for c in pivot:
+            holders[c].discard(r)
+        det *= a
+        inv = a if a in (1, -1) else kasteleyn._fraction(1, a)
+        for s in cands:
+            row = rows[s]
+            g = -row.pop(k) * inv
+            for c, v in pivot.items():
+                x = row.get(c, 0) + g * v
+                if x:
+                    if c not in row:
+                        holders[c].add(s)
+                    row[c] = x
+                elif c in row:
+                    del row[c]
+                    holders[c].discard(s)
+        for c in pivot:
+            heappush(heap, len(holders[c]) << 32 | c)
+    det = int(det)
+    return -det if kasteleyn._is_odd(pivot_col) else det

@@ -454,7 +454,7 @@ def test_half_board_refused_before_the_build(monkeypatch):
     seen = []
     with monkeypatch.context() as patch:
         patch.setattr(limits, "check_dim", lambda what, dim: seen.append(dim))
-        patch.setattr(decomp, "det_exact", lambda matrix: seen.append(matrix.dim) or 0)
+        patch.setattr(decomp, "_eliminate", lambda columns: seen.append(len(columns)) or 0)
         for m, n in _window_pairs(31):
             half_board_square(m, n, admissible_diagonal(m, n))
             assert seen[-2:] == [(m - 1) * (n - 1) // 4] * 2, (m, n)
@@ -482,7 +482,7 @@ def test_reciprocity_free_stays_independent(monkeypatch):
     import residue_tilings.residue as residue
     import residue_tilings.tiling as tiling
 
-    # the route shares only det_exact with the det route, and reproves
+    # the route shares only the elimination with the det route, and reproves
     # the symbol rather than evaluating it
     for name in ("jacobi", "build_kasteleyn", "det_sign"):
         assert name not in vars(decomp)
@@ -503,12 +503,12 @@ def test_reciprocity_free_stays_independent(monkeypatch):
 def test_reciprocity_free_invariant_raises(monkeypatch):
     import residue_tilings.decomp as decomp
 
-    monkeypatch.setattr(decomp, "det_exact", lambda matrix: 2)
+    monkeypatch.setattr(decomp, "_eliminate", lambda columns: 2)
     with pytest.raises(InvariantError, match="out of range"):
         reciprocity_free_sum(7, 5)
     # a unit determinant is in range, but not at a diagonal outside the
     # support; (1, 3) leaves both colour classes the same size
-    monkeypatch.setattr(decomp, "det_exact", lambda matrix: 1)
+    monkeypatch.setattr(decomp, "_eliminate", lambda columns: 1)
     assert not half_board_support(7, 5, (1, 3))
     with pytest.raises(InvariantError, match="unsupported"):
         half_board_square(7, 5, (1, 3))
@@ -519,7 +519,7 @@ def test_invariant_checks_survive_optimize_flag(src_env):
         "import residue_tilings.decomp as d\n"
         "from residue_tilings.gaussian import GaussianInt\n"
         "d.signed_sum = lambda board: GaussianInt(2)\n"
-        "d.det_exact = lambda matrix: 2\n"
+        "d._eliminate = lambda columns: 2\n"
         "for check in (lambda: d.half_board_sum(7, 5, d.admissible_diagonal(7, 5)),\n"
         "              lambda: d.reciprocity_free_sum(7, 5)):\n"
         "    try:\n"

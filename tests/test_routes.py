@@ -95,10 +95,9 @@ _DET = ("det", "reciprocity-free"), (
 SHARED_CODE = {
     "residue._check_pair": _CHECK,
     "residue._check_odd_modulus": _CHECK,
-    "kasteleyn.det_exact": _DET,
+    "kasteleyn._eliminate": _DET,
     "kasteleyn._is_odd": _DET,
     "kasteleyn.SparseMatrix.__init__": _DET,
-    "kasteleyn.SparseMatrix.dim": _DET,
     "limits.check": _LIMIT,
     "limits.check_dim": _LIMIT,
     "kasteleyn.det_sign": (("det", "spectral"), (

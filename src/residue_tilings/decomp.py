@@ -5,6 +5,9 @@ forms for L-shaped chains, closure-based board decompositions, the width
 periodicity of rectangle sums, and the half-board analysis that produces
 the signed sum without ever evaluating a Jacobi symbol.
 
+The half-board sums come from the DP's column steps, with no Board: one
+sweep of a window branches on its marks (half_board_sums).
+
 The half-board sum enters that route only squared, and its square comes
 from a determinant: a half board is simply connected, so by Kasteleyn's
 theorem every tiling T has the same unit sgn(sigma_T) * i**v(T), where
@@ -19,11 +22,12 @@ import math
 from collections.abc import Iterable
 
 from . import limits
-from .board import Board, LShapeSpec, _half_board_diag, half_board
+from .board import Board, LShapeSpec, _half_board_diag
 from .gaussian import GaussianInt, ZERO, _Frozen, _set, i_power
 from .kasteleyn import SparseMatrix, _eliminate
 from .residue import _check_pair
-from .tiling import Tiling, _i_power_sum, _tilings, count_tilings, signed_sum
+from .tiling import (Tiling, _column_step, _i_power_sum, _plan, _tilings, count_tilings,
+                     signed_sum)
 
 
 class InvariantError(RuntimeError):
@@ -174,16 +178,55 @@ def half_board_support(m: int, n: int, diag: Iterable[int]) -> bool:
 
 
 def half_board_sum(m: int, n: int, diag: Iterable[int]) -> GaussianInt:
-    """Exact signed sum of the half board with anti-diagonal cells diag.
+    """Exact signed sum of the half board with anti-diagonal cells diag,
+    the single path of half_board_sums.
 
     The value is always one of 0, 1, -1, i, -i, and can be nonzero only
     when diag satisfies the support conditions; a value that breaks
     either fact raises InvariantError.
     """
-    marks = _check_window(m, n, diag)
-    value = signed_sum(half_board(m, n, marks))
-    _check_half_board(m, n, marks, "sum", value, _HALF_BOARD_VALUES)
+    (value,) = half_board_sums(m, n, diag=diag).values()
     return value
+
+
+def half_board_sums(m: int, n: int, signed: bool = True, diag: Iterable[int] | None = None) -> dict:
+    """The signed sum (checked as in half_board_sum), or unsigned the
+    parity_counts, of the half board at every diagonal of the window
+    (m, n), or at diag alone, keyed by its marks in ascending order.
+
+    One DP sweep from the staircase's tip, as _profile_sum sweeps the
+    board, but with no Board: column (m+n)/2 - a holds rows 1..a-1, and
+    row a if marked, all with right neighbours in column (m+n)/2 - a - 1,
+    so the sweep branches on each mark, on a stack, and
+    each leaf then steps the (m-n)/2 full columns.  A leaf of odd size,
+    (m-2)(n-1)/2 plus its marks, reads 0 and skips its last column.
+    """
+    marks = _check_window(m, n, () if diag is None else diag)
+    full = tuple(range(n - 1))
+    columns = [None] + [[_plan(full[:a - 1 + mark], full[:a], signed) for mark in (0, 1)]
+                        for a in range(1, n)]
+    tail = [_plan(full, full, signed)] * ((m - n) // 2 - 1) + [_plan(full, (), signed)]
+    cells = (m - 2) * (n - 1) // 2
+    f = (m - n) // 2 * (n - 1) // 2 + sum(a // 2 for a in range(1, n))  # cells on odd rows j
+    values, stack = {}, [(1, (), {0: 1})]
+    while stack:
+        a, picks, states = stack.pop()
+        if a < n:
+            for mark in (0, 1) if diag is None else (a in marks,):
+                marked = picks + (a,) if mark else picks
+                if a < n - 1 or (cells + len(marked)) % 2 == 0:
+                    stack.append((a + 1, marked, _column_step(states, columns[a][mark])))
+                else:
+                    values[marked] = ZERO if signed else (0, 0)
+            continue
+        for windows in tail:
+            states = _column_step(states, windows)
+        value, e = states.get(0, 0), (cells + len(picks)) // 2 - f - sum(p % 2 for p in picks)
+        if signed:
+            value = i_power(e) * value
+            _check_half_board(m, n, frozenset(picks), "sum", value, _HALF_BOARD_VALUES)
+        values[picks] = value if signed else ((0, value) if e % 2 else (value, 0))
+    return values
 
 
 _HALF_BOARD_VALUES = frozenset([ZERO, *(i_power(k) for k in range(4))])

@@ -16,7 +16,7 @@ from .board import Board, LShapeSpec, half_board, l_board, rectangle
 from .decomp import (
     admissible_diagonal,
     half_board_parity,
-    half_board_sum,
+    half_board_sums,
     half_board_support,
     l_signed_sum_closed,
     periodicity_factor,
@@ -279,7 +279,8 @@ def run_y_decomposition(m_max: int = 11) -> dict:
     cases = []
     for m, n in _window_pairs(m_max):
         indices = frozenset(range(1, n))
-        sums = {frozenset(p): half_board_sum(m, n, p) for p in _diagonals(n)}
+        values = half_board_sums(m, n)
+        sums = {frozenset(p): values[p] for p in _diagonals(n)}
         total = ZERO
         nonzero = []
         for key, value in sums.items():
@@ -308,8 +309,9 @@ def run_half_board(m_max: int = 9) -> dict:
     the support conditions, and always lies in {0, 1, -1, i, -i}."""
     cases = []
     for m, n in _window_pairs(m_max):
+        values = half_board_sums(m, n)
         for picks in _diagonals(n):
-            value = half_board_sum(m, n, picks)
+            value = values[picks]
             supported = half_board_support(m, n, picks)
             cases.append(
                 _case(
@@ -322,14 +324,17 @@ def run_half_board(m_max: int = 9) -> dict:
 
 def run_parity(m_max: int = 9, limit: int = 64) -> dict:
     """Every tiling of a tilable half board has the parity of h given by
-    the closed parity expression."""
-    limits.cell_limit(limit)  # also when the range holds no board
+    the closed parity expression.  Each board's cell count is checked, in
+    the order of _diagonals, before its window is swept."""
+    limit = limits.cell_limit(limit)  # also when the range holds no board
     cases = []
     for m, n in _window_pairs(m_max):
+        cells = (m - 2) * (n - 1) // 2
         for picks in _diagonals(n):
-            board = half_board(m, n, picks)
-            limits.check_cells(board, limit)
-            even, odd = parity_counts(board)
+            limits.check_cells(cells + len(picks), limit)
+        counts = half_board_sums(m, n, signed=False)
+        for picks in _diagonals(n):
+            even, odd = counts[picks]
             tilings = even + odd
             if not tilings:
                 continue

@@ -50,8 +50,9 @@ def cell_limit(limit: int | None = None) -> int:
 
 
 def check_cells(board, limit: int | None = None) -> None:
-    """Refuse a board of more cells than cell_limit(limit)."""
-    check(len(board), cell_limit(limit), "board has {} cells, enumeration limit is {}")
+    """Refuse a board, or a count of cells, past cell_limit(limit)."""
+    size = board if isinstance(board, int) else len(board)
+    check(size, cell_limit(limit), "board has {} cells, enumeration limit is {}")
 
 
 def check_dim(what: str, dim: int) -> None:

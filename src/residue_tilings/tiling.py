@@ -212,9 +212,9 @@ def _profile_sum(board, signed):
 
     A board that is not a rectangle is swept whole, its windows cut from
     the runs of consecutive cells in each column and kept by the column's
-    rows and those of the next column swept, from its short end: when its
-    last column holds fewer cells than its first, its columns are walked
-    in reverse, mirrored by i -> -i, which keeps every row.
+    rows and those of the next column swept (_plan), from its short end:
+    when its last column holds fewer cells than its first, its columns are
+    walked in reverse, mirrored by i -> -i, which keeps every row.
 
     Fold: a rectangle is swept to column ceil(W/2) of its W.  Cut between
     columns k = floor(W/2) and k + 1, and let p be the rows a domino crosses
@@ -261,14 +261,7 @@ def _profile_sum(board, signed):
         columns.append((None, ()))
         states = {0: 1}
         for (i, rows), (after, next_rows) in zip(columns, columns[1:]):
-            if after != i + 1:
-                next_rows = ()
-            key = (rows, next_rows, signed)
-            windows = _PLANS.get(key)
-            if windows is None:
-                rights = [y in next_rows for y in rows]
-                windows = _PLANS[key] = _column_windows(rows, rights, signed)
-            states = _column_step(states, windows)
+            states = _column_step(states, _plan(rows, next_rows if after == i + 1 else (), signed))
         value = states.get(0, 0)
     return value, f if turned else len(cells) // 2 - f
 
@@ -300,6 +293,18 @@ def _window_step(states, y, table):
 # (rows, rows of the next column swept if it is adjacent, signed) -> the
 # windows of a column of a board that is not a rectangle, built on first use
 _PLANS: dict[tuple, list] = {}
+
+
+def _plan(rows, next_rows, signed):
+    """The windows of a column of rows, ascending, before a column of
+    next_rows, or of () when none is adjacent; only the rows of next_rows
+    that neighbour rows count."""
+    key = (rows, next_rows, signed)
+    windows = _PLANS.get(key)
+    if windows is None:
+        windows = _PLANS[key] = _column_windows(rows, [y in next_rows for y in rows], signed)
+    return windows
+
 
 # (rights, up, signed, y) -> a window's placements, built on first use
 _WINDOWS: dict[tuple, list] = {}

@@ -22,6 +22,7 @@ from residue_tilings.decomp import (
     half_board_parity,
     half_board_square,
     half_board_sum,
+    half_board_sums,
     half_board_support,
     l_signed_sum_closed,
     periodicity_factor,
@@ -30,11 +31,12 @@ from residue_tilings.decomp import (
     verify_decomposition,
 )
 from residue_tilings.gaussian import GaussianInt, ZERO, i_power
-from residue_tilings.lemmas import decomposition_corpus
+from residue_tilings.lemmas import _window_pairs as lemma_window_pairs, decomposition_corpus
 from residue_tilings.limits import SizeLimitError
 from residue_tilings.residue import theorem_rhs
 from residue_tilings.tiling import (
     enumerate_tilings,
+    parity_counts,
     signed_sum,
     signed_sum_bruteforce,
 )
@@ -351,14 +353,40 @@ def test_reciprocity_free_matches_theorem():
 def test_half_board_invariants_raise(monkeypatch):
     import residue_tilings.decomp as decomp
 
-    monkeypatch.setattr(decomp, "signed_sum", lambda board: GaussianInt(2))
+    # every column step of the sweep leaves V = 2, and the sum i**e * V is checked
+    monkeypatch.setattr(decomp, "_column_step", lambda states, windows: {0: 2})
     with pytest.raises(InvariantError, match="out of range"):
         half_board_sum(7, 5, admissible_diagonal(7, 5))
+    with pytest.raises(InvariantError, match="out of range"):
+        half_board_sums(7, 5)
     # a unit value is in range, but not at a diagonal outside the support
-    monkeypatch.setattr(decomp, "signed_sum", lambda board: GaussianInt(1))
+    monkeypatch.setattr(decomp, "_column_step", lambda states, windows: {0: 1})
     assert not half_board_support(7, 5, ())
     with pytest.raises(InvariantError, match="unsupported"):
         half_board_sum(7, 5, ())
+
+
+def test_half_board_sweep_matches_the_board_oracles():
+    # every diagonal of every window with m <= 13, signed and unsigned,
+    # against the profile DP of the built half board, and against the
+    # search where the board has at most 36 cells; the single path of
+    # half_board_sum against the family
+    for m, n in lemma_window_pairs(13):
+        signed, unsigned = half_board_sums(m, n), half_board_sums(m, n, signed=False)
+        assert len(signed) == len(unsigned) == 2 ** (n - 1)
+        for diag in _subsets(n):
+            board = half_board(m, n, diag)
+            assert signed[diag] == signed_sum(board) == half_board_sum(m, n, diag), (m, n, diag)
+            assert unsigned[diag] == parity_counts(board), (m, n, diag)
+            if len(board) <= 36:
+                assert signed[diag] == signed_sum_bruteforce(board), (m, n, diag)
+
+
+def test_half_board_sum_keeps_the_short_end_sweep():
+    # the single path sweeps from the staircase's tip, in the DP's windows,
+    # so (43, 41) is refused at the README's count of states
+    with pytest.raises(SizeLimitError, match="^98304 profile states exceed limit 65536$"):
+        half_board_sum(43, 41, admissible_diagonal(43, 41))
 
 
 def _window_pairs(n_max):
@@ -517,8 +545,7 @@ def test_reciprocity_free_invariant_raises(monkeypatch):
 def test_invariant_checks_survive_optimize_flag(src_env):
     script = (
         "import residue_tilings.decomp as d\n"
-        "from residue_tilings.gaussian import GaussianInt\n"
-        "d.signed_sum = lambda board: GaussianInt(2)\n"
+        "d._column_step = lambda states, windows: {0: 2}\n"
         "d._eliminate = lambda columns: 2\n"
         "for check in (lambda: d.half_board_sum(7, 5, d.admissible_diagonal(7, 5)),\n"
         "              lambda: d.reciprocity_free_sum(7, 5)):\n"

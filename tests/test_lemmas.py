@@ -87,7 +87,8 @@ def test_even_rectangle_suites_refuse_the_range_before_they_search(monkeypatch, 
     assert calls == []
 
 
-def test_parity_sweeps_make_one_profile_sweep_per_board(monkeypatch):
+def test_parity_sweeps_make_one_sweep_per_board_or_window(monkeypatch):
+    import residue_tilings.lemmas as lemmas
     import residue_tilings.tiling as tiling
 
     signs = []
@@ -101,10 +102,19 @@ def test_parity_sweeps_make_one_profile_sweep_per_board(monkeypatch):
     report = run_h_even()
     assert (len(signs), set(signs)) == (report["total"], {False})
     signs.clear()
-    # one board per window pair and subset of 1..n-1, tilable or not
-    boards = sum(2 ** (n - 1) for _, n in _window_pairs(9))
+    # one unsigned branching sweep per window pair gives every subset of
+    # 1..n-1, tilable or not, and no board is swept on its own
+    windows = []
+    branching = lemmas.half_board_sums
+
+    def branched(m, n, signed=True, diag=None):
+        windows.append((m, n, signed, diag))
+        return branching(m, n, signed, diag)
+
+    monkeypatch.setattr(lemmas, "half_board_sums", branched)
     assert run_parity()["pass"]
-    assert (len(signs), set(signs)) == (boards, {False})
+    assert signs == []
+    assert windows == [(m, n, False, None) for m, n in _window_pairs(9)]
 
 
 def test_parity_tiling_counts_match_enumeration():

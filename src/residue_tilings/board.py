@@ -8,6 +8,7 @@ equal boards compare and serialize identically.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import repeat
 
 from .gaussian import _Frozen, _set
 from .residue import _check_pair
@@ -105,11 +106,11 @@ class LShapeSpec(_Frozen):
 
     def __init__(self, a: Iterable[int], b: Iterable[int]) -> None:
         a, b = tuple(a), tuple(b)
-        if not all(isinstance(x, int) for x in a + b):
+        if not all(map(isinstance, a + b, repeat(int))):
             raise ValueError("arm lengths must be ints")
         if len(a) != len(b):
             raise ValueError("arm length lists must have equal length")
-        if any(x < 0 for x in a + b):
+        if min(a + b, default=0) < 0:
             raise ValueError("arm lengths must be non-negative")
         _set(self, "a", a)
         _set(self, "b", b)
@@ -130,8 +131,8 @@ def l_board(spec: LShapeSpec) -> Board:
     for k, (a, b) in enumerate(zip(spec.a, spec.b)):
         if a == 0 or b == 0:
             continue
-        cells.extend((k + i, k + 1) for i in range(1, a + 1))
-        cells.extend((k + 1, k + j) for j in range(1, b + 1))
+        cells += zip(range(k + 1, k + a + 1), repeat(k + 1))
+        cells += zip(repeat(k + 1), range(k + 2, k + b + 1))  # corner once
     return Board._of(cells)
 
 

@@ -202,6 +202,8 @@ def half_board_sums(m: int, n: int, signed: bool = True, diag: Iterable[int] | N
     (m-2)(n-1)/2 plus its marks, reads 0 and skips its last column.
     """
     marks = _check_window(m, n, () if diag is None else diag)
+    if diag is None:
+        limits.check_diagonals(n)
     full = tuple(range(n - 1))
     columns = [None] + [[_plan(full[:a - 1 + mark], full[:a], signed) for mark in (0, 1)]
                         for a in range(1, n)]

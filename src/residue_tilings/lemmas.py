@@ -158,19 +158,24 @@ def run_gauss_even(bound: int = 49) -> dict:
 
 
 def run_l_closed_form(arms: int = 2, length: int = 4) -> dict:
-    """The closed form for L-chain signed sums matches brute force."""
+    """The closed form for L-chain signed sums matches brute force.  A
+    spec's board is fixed by its chain, the (k, a, b) of its non-empty
+    chunks, so each distinct chain is searched once."""
     arm_pairs = [
         (a, b)
         for a in range(length + 1)
         for b in range(length + 1)
         if abs(a - b) <= 1
     ]
-    cases = []
+    cases, searched = [], {}
     for k in range(arms + 1):
         for combo in product(arm_pairs, repeat=k):
             spec = LShapeSpec(tuple(a for a, _ in combo), tuple(b for _, b in combo))
             closed = l_signed_sum_closed(spec)
-            brute = signed_sum_bruteforce(l_board(spec))
+            chain = tuple((j, a, b) for j, (a, b) in enumerate(combo) if a and b)
+            if chain not in searched:
+                searched[chain] = signed_sum_bruteforce(l_board(spec))
+            brute = searched[chain]
             cases.append(
                 _case({"a": list(spec.a), "b": list(spec.b)},
                       str(closed), str(brute), closed == brute)
@@ -259,12 +264,16 @@ def run_coprime_vanishing(bound: int = 15) -> dict:
 
 
 def _window_pairs(m_max: int) -> list[tuple[int, int]]:
-    return [
+    """The coprime windows up to m_max, all checked before any is swept."""
+    pairs = [
         (m, n)
         for n in range(3, m_max + 1, 2)
         for m in range(n + 2, min(3 * n, m_max + 1), 2)
         if math.gcd(m, n) == 1
     ]
+    for _, n in pairs:
+        limits.check_diagonals(n)
+    return pairs
 
 
 def _diagonals(n: int):

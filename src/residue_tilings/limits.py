@@ -9,7 +9,8 @@ import os
 # RESIDUE_TILINGS_LIMIT replaces the default
 DEFAULT_CELL_LIMIT = 36
 ENV_CELL_LIMIT = "RESIDUE_TILINGS_LIMIT"
-# live profile states after one window of the DP, and states its memo keeps
+# live profile states after one window of the DP, and states its memo keeps;
+# also the 2^(n-1) diagonals of one half-board window sweep, so n <= 17
 MAX_STATES = 1 << 16
 # The largest dimension eliminated, checked from (m, n) before a matrix is
 # built: it keeps the build and elimination of every admitted matrix within
@@ -58,3 +59,8 @@ def check_cells(board, limit: int | None = None) -> None:
 def check_dim(what: str, dim: int) -> None:
     """Refuse dim, the dimension of what, past MAX_DIM."""
     check(dim, MAX_DIM, what + " has dimension {}, over the dimension limit {}")
+
+
+def check_diagonals(n: int) -> None:
+    """Refuse a sweep of the 2^(n-1) diagonals of window (m, n) past MAX_STATES."""
+    check(1 << (n - 1), MAX_STATES, "{} diagonals exceed limit {}")

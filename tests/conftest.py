@@ -2,11 +2,13 @@
 
 import os
 from heapq import heapify, heappop, heappush
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from residue_tilings import kasteleyn, limits
+from residue_tilings.board import Board, LShapeSpec
 from residue_tilings.kasteleyn import SparseMatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -46,6 +48,27 @@ def biadjacency(board):
          if c in odd}
         for i, j in even
     ))
+
+
+def l_board_reference(spec):
+    """l_board as it was before it added its arms by zip and repeat: two
+    generator expressions per non-empty chunk, with the corner cell added
+    by both arms and dropped as a repeat by the Board.  It serves as the
+    reference for l_board."""
+    cells = []
+    for k, (a, b) in enumerate(zip(spec.a, spec.b)):
+        if a == 0 or b == 0:
+            continue
+        cells.extend((k + i, k + 1) for i in range(1, a + 1))
+        cells.extend((k + 1, k + j) for j in range(1, b + 1))
+    return Board(cells)
+
+
+def l_chain_specs(arms, length):
+    """Every LShapeSpec of run_l_closed_form(arms, length), in its order."""
+    pairs = [(a, b) for a in range(length + 1) for b in range(length + 1) if abs(a - b) <= 1]
+    return [LShapeSpec([a for a, _ in combo], [b for _, b in combo])
+            for k in range(arms + 1) for combo in product(pairs, repeat=k)]
 
 
 def det_exact_reference(matrix):

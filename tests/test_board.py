@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from conftest import l_board_reference, l_chain_specs
 
 from residue_tilings.board import (
     Board,
@@ -135,11 +136,31 @@ def test_l_board_skips_empty_chunks():
     assert set(board) == {(i + 1, j + 1) for i, j in single}
 
 
+def test_l_board_matches_its_reference_on_every_chain_spec():
+    # every spec of the l-closed-form suite at arms 3, length 4, cell for
+    # cell, in order, against the generator-based builder
+    for spec in l_chain_specs(3, 4):
+        assert l_board(spec).cells == l_board_reference(spec).cells, spec
+
+
 def test_l_spec_validation():
     with pytest.raises(ValueError):
         LShapeSpec((1, 2), (1,))
     with pytest.raises(ValueError):
         LShapeSpec((-1,), (2,))
+
+
+@pytest.mark.parametrize("a, b, text", [
+    ([1.0], [1, 2], "must be ints"),
+    (["1"], [-1], "must be ints"),
+    ([-1], [1, 2], "equal length"),
+    ([-1], [], "equal length"),
+    ([1, -1], [0, 2], "non-negative"),
+])
+def test_l_spec_checks_run_in_order(a, b, text):
+    # with two faults at once, the first of the three checks names it
+    with pytest.raises(ValueError, match=text):
+        LShapeSpec(a, b)
 
 
 def test_l_spec_refuses_arm_lengths_that_are_not_ints():

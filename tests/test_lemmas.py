@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from conftest import l_board_reference, l_chain_specs
 
-from residue_tilings.board import half_board
+from residue_tilings.board import half_board, l_board
+from residue_tilings.decomp import l_signed_sum_closed
 from residue_tilings.lemmas import (
     LEMMAS,
     _rounds_to,
@@ -11,10 +13,13 @@ from residue_tilings.lemmas import (
     run_eisenstein,
     run_gauss,
     run_h_even,
+    run_half_board,
+    run_l_closed_form,
     run_parity,
+    run_y_decomposition,
 )
 from residue_tilings.limits import SizeLimitError
-from residue_tilings.tiling import enumerate_tilings
+from residue_tilings.tiling import enumerate_tilings, signed_sum_bruteforce
 
 
 def test_registry_names():
@@ -115,6 +120,57 @@ def test_parity_sweeps_make_one_sweep_per_board_or_window(monkeypatch):
     assert run_parity()["pass"]
     assert signs == []
     assert windows == [(m, n, False, None) for m, n in _window_pairs(9)]
+
+
+@pytest.mark.parametrize("arms, searches", [(2, 121), (3, 1331)])
+def test_l_closed_form_searches_each_chain_once(monkeypatch, arms, searches):
+    # a position of the chain is empty or holds one of the 10 non-empty
+    # arm pairs of length <= 4, so 11**arms distinct boards
+    import residue_tilings.lemmas as lemmas
+
+    boards = []
+    search = lemmas.signed_sum_bruteforce
+
+    def counted(board):
+        boards.append(board)
+        return search(board)
+
+    monkeypatch.setattr(lemmas, "signed_sum_bruteforce", counted)
+    report = run_l_closed_form(arms=arms, length=4)
+    assert report["pass"] and len(boards) == len(set(boards)) == searches
+    assert report["total"] == len(l_chain_specs(arms, 4))
+
+
+def test_l_closed_form_chains_are_exactly_the_boards():
+    # the chain key splits the 2380 specs exactly as their boards do, and
+    # each case holds its spec's closed form against the search of its board
+    specs = l_chain_specs(3, 4)
+    assert len(specs) == 2380
+    assert len({l_board(spec) for spec in specs}) == 1331
+    values = {}
+    cases = run_l_closed_form(arms=3, length=4)["cases"]
+    for spec, case in zip(specs, cases, strict=True):
+        board = l_board_reference(spec)
+        if board not in values:
+            values[board] = str(signed_sum_bruteforce(board))
+        assert case["inputs"] == {"a": list(spec.a), "b": list(spec.b)}
+        assert (case["lhs"], case["rhs"]) == (str(l_signed_sum_closed(spec)), values[board])
+
+
+@pytest.mark.parametrize("runner", [run_y_decomposition, run_half_board, run_parity])
+def test_half_board_suites_refuse_the_range_before_they_sweep(monkeypatch, runner):
+    # (21, 19) has 2**18 diagonals, past MAX_STATES; the windows before it
+    # used to be swept first, and (21, 19) itself for hours
+    import residue_tilings.decomp as decomp
+
+    def swept(*args):
+        raise AssertionError("a window was swept")
+
+    monkeypatch.setattr(decomp, "_column_step", swept)
+    with pytest.raises(SizeLimitError, match="^262144 diagonals exceed limit 65536$"):
+        runner(21)
+    with pytest.raises(SizeLimitError, match="^262144 diagonals exceed limit 65536$"):
+        decomp.half_board_sums(21, 19)
 
 
 def test_parity_tiling_counts_match_enumeration():

@@ -8,7 +8,7 @@ equal boards compare and serialize identically.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import repeat
+from itertools import count, repeat
 
 from .gaussian import _Frozen, _set
 from .residue import _check_pair
@@ -127,13 +127,17 @@ def rectangle(width: int, height: int) -> Board:
 
 def l_board(spec: LShapeSpec) -> Board:
     """The union of shifted L-shaped chunks described by spec."""
+    return Board._of(_l_chain_cells(zip(count(), spec.a, spec.b)))
+
+
+def _l_chain_cells(chunks: Iterable[tuple[int, int, int]]) -> tuple[Cell, ...]:
+    """The sorted cells, none twice, of the chunks (k, a, b) of an L-chain."""
     cells: list[Cell] = []
-    for k, (a, b) in enumerate(zip(spec.a, spec.b)):
-        if a == 0 or b == 0:
-            continue
-        cells += zip(range(k + 1, k + a + 1), repeat(k + 1))
-        cells += zip(repeat(k + 1), range(k + 2, k + b + 1))  # corner once
-    return Board._of(cells)
+    for k, a, b in chunks:
+        if a and b:
+            cells += zip(range(k + 1, k + a + 1), repeat(k + 1))
+            cells += zip(repeat(k + 1), range(k + 2, k + b + 1))  # corner once
+    return tuple(sorted(cells))
 
 
 def half_board(m: int, n: int, diag: Iterable[int] = ()) -> Board:

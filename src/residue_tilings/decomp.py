@@ -90,7 +90,7 @@ def restricted_sum(subset: Board, board: Board) -> GaussianInt:
         raise ValueError("subset must lie inside the board")
     meets = [(i, j) in subset or p in subset
              for i, j in board.cells for p in ((i + 1, j), (i, j + 1))]
-    return _i_power_sum(h for placed, h in _tilings(board)
+    return _i_power_sum(h for placed, h in _tilings(board.cells)
                         if all(meets[code] for code in placed))
 
 

@@ -12,7 +12,7 @@ import math
 from itertools import combinations, product
 
 from . import limits
-from .board import Board, LShapeSpec, half_board, l_board, rectangle
+from .board import Board, LShapeSpec, _l_chain_cells, half_board, l_board, rectangle
 from .decomp import (
     admissible_diagonal,
     half_board_parity,
@@ -35,10 +35,11 @@ from .spectral import (
 )
 from .tiling import (
     _flip_search,
+    _i_power_sum,
+    _tilings,
     count_tilings,
     parity_counts,
     signed_sum,
-    signed_sum_bruteforce,
     totally_vertical_tiling,
 )
 
@@ -160,26 +161,23 @@ def run_gauss_even(bound: int = 49) -> dict:
 def run_l_closed_form(arms: int = 2, length: int = 4) -> dict:
     """The closed form for L-chain signed sums matches brute force.  A
     spec's board is fixed by its chain, the (k, a, b) of its non-empty
-    chunks, so each distinct chain is searched once."""
-    arm_pairs = [
-        (a, b)
-        for a in range(length + 1)
-        for b in range(length + 1)
-        if abs(a - b) <= 1
-    ]
+    chunks, so each distinct chain is searched once, from its cells.  The
+    cell limit is read once, and refuses the largest chain, arms chunks of
+    2 * length - 1 cells, before the first search."""
+    limit = limits.cell_limit()
+    limits.check_cells(max(arms, 0) * max(2 * length - 1, 0), limit)
+    arm_pairs = [(a, b) for a in range(length + 1) for b in range(length + 1) if abs(a - b) <= 1]
     cases, searched = [], {}
     for k in range(arms + 1):
         for combo in product(arm_pairs, repeat=k):
-            spec = LShapeSpec(tuple(a for a, _ in combo), tuple(b for _, b in combo))
+            a, b = zip(*combo) if k else ((), ())
+            spec = LShapeSpec(a, b)
             closed = l_signed_sum_closed(spec)
-            chain = tuple((j, a, b) for j, (a, b) in enumerate(combo) if a and b)
+            chain = tuple((j, x, y) for j, (x, y) in enumerate(combo) if x and y)
             if chain not in searched:
-                searched[chain] = signed_sum_bruteforce(l_board(spec))
+                searched[chain] = _i_power_sum(h for _, h in _tilings(_l_chain_cells(chain), limit))
             brute = searched[chain]
-            cases.append(
-                _case({"a": list(spec.a), "b": list(spec.b)},
-                      str(closed), str(brute), closed == brute)
-            )
+            cases.append(_case({"a": list(a), "b": list(b)}, str(closed), str(brute), closed == brute))
     return _report("l-closed-form", {"arms": arms, "length": length}, cases)
 
 

@@ -57,10 +57,6 @@ class Domino(_Frozen):
             return (self.a, self.b) < (other.a, other.b)
         return NotImplemented
 
-    @classmethod
-    def of(cls, c1: Cell, c2: Cell) -> "Domino":
-        return cls(min(c1, c2), max(c1, c2))
-
     @property
     def horizontal(self) -> bool:
         return self.a[1] == self.b[1]
@@ -101,16 +97,16 @@ def horizontal_count(tiling: Tiling) -> int:
     return sum(1 for d in tiling.dominoes if d.horizontal)
 
 
-def _tilings(board):
-    """Each tiling of board as (placed, h): placed codes each domino 2 * k
-    + s, k its lower left cell's index in board.cells and s 0 when it is
-    horizontal, 1 when vertical, and h counts the horizontal ones; placed
-    is the search's own stack, so read it before the next tiling.  The
-    smallest uncovered cell takes its right neighbour first, then its upper
-    one, on an explicit stack (no recursion limit).  The cell limit comes
+def _tilings(cells, limit=None):
+    """Each tiling of the board of cells, sorted and distinct as Board.cells,
+    as (placed, h): placed codes each domino 2 * k + s, k its lower left
+    cell's index in cells and s 0 when it is horizontal, 1 when vertical,
+    and h counts the horizontal ones; placed is the search's own stack, so
+    read it before the next tiling.  The smallest uncovered cell takes its
+    right neighbour first, then its upper one, on an explicit stack (no
+    recursion limit).  The cell limit, limits.cell_limit(limit), comes
     first; a board of odd size is not searched."""
-    limits.check_cells(board)
-    cells = board.cells
+    limits.check_cells(cells, limit)
     size = len(cells)
     if size % 2:
         return
@@ -160,15 +156,15 @@ def _i_power_sum(hs: Iterable[int]) -> GaussianInt:
 def enumerate_tilings(board: Board) -> list[Tiling]:
     """All tilings of board, in the order of the search _tilings, decoded
     by one _decoder.  Boards past the cell limit (default 36, overridable
-    via RESIDUE_TILINGS_LIMIT) are refused before any Domino is made."""
-    limits.check_cells(board)
+    via RESIDUE_TILINGS_LIMIT, read once) are refused before any Domino."""
+    limits.check_cells(board, limit := limits.cell_limit())
     decode = _decoder(board)
-    return [decode(placed) for placed, _ in _tilings(board)]
+    return [decode(placed) for placed, _ in _tilings(board.cells, limit)]
 
 
 def signed_sum_bruteforce(board: Board) -> GaussianInt:
     """Oracle: sum i**h(D) by explicit enumeration, building no Tiling."""
-    return _i_power_sum(h for _, h in _tilings(board))
+    return _i_power_sum(h for _, h in _tilings(board.cells))
 
 
 def signed_sum(board: Board) -> GaussianInt:

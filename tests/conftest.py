@@ -10,6 +10,7 @@ import pytest
 from residue_tilings import kasteleyn, limits
 from residue_tilings.board import Board, LShapeSpec
 from residue_tilings.kasteleyn import SparseMatrix
+from residue_tilings.tiling import Domino
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -29,6 +30,12 @@ class Built(Exception):
 def trip(*args, **kwargs):
     """Stands in for a builder, so that no matrix or board gets built."""
     raise Built
+
+
+def domino(c1, c2):
+    """The Domino of two cells given in either order, made through
+    Domino's own checks."""
+    return Domino(min(c1, c2), max(c1, c2))
 
 
 def biadjacency(board):

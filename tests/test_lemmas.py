@@ -125,20 +125,76 @@ def test_parity_sweeps_make_one_sweep_per_board_or_window(monkeypatch):
 @pytest.mark.parametrize("arms, searches", [(2, 121), (3, 1331)])
 def test_l_closed_form_searches_each_chain_once(monkeypatch, arms, searches):
     # a position of the chain is empty or holds one of the 10 non-empty
-    # arm pairs of length <= 4, so 11**arms distinct boards
+    # arm pairs of length <= 4, so 11**arms distinct boards, each searched
+    # from the cells of its first spec's board, in the order of the specs
     import residue_tilings.lemmas as lemmas
 
-    boards = []
-    search = lemmas.signed_sum_bruteforce
+    searched = []
+    search = lemmas._tilings
 
-    def counted(board):
-        boards.append(board)
-        return search(board)
+    def counted(cells, limit=None):
+        searched.append(cells)
+        return search(cells, limit)
 
-    monkeypatch.setattr(lemmas, "signed_sum_bruteforce", counted)
+    monkeypatch.setattr(lemmas, "_tilings", counted)
     report = run_l_closed_form(arms=arms, length=4)
-    assert report["pass"] and len(boards) == len(set(boards)) == searches
-    assert report["total"] == len(l_chain_specs(arms, 4))
+    assert report["pass"] and len(searched) == len(set(searched)) == searches
+    specs = l_chain_specs(arms, 4)
+    assert report["total"] == len(specs)
+    boards = dict.fromkeys(l_board_reference(spec).cells for spec in specs)
+    assert searched == list(boards)
+
+
+def test_l_closed_form_reads_the_cell_limit_once_per_call(monkeypatch):
+    import residue_tilings.limits as limits
+
+    reads = []
+    cell_limit = limits.cell_limit
+
+    def counted(limit=None):
+        if limit is None:
+            reads.append(limit)
+        return cell_limit(limit)
+
+    monkeypatch.setattr(limits, "cell_limit", counted)
+    assert run_l_closed_form(arms=3, length=4)["total"] == 2380
+    assert len(reads) == 1
+    # a limit set between two calls holds from the next call on
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "6")
+    with pytest.raises(SizeLimitError, match="^board has 7 cells, enumeration limit is 6$"):
+        run_l_closed_form(arms=1, length=4)
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "7")
+    assert run_l_closed_form(arms=1, length=4)["pass"]
+    assert len(reads) == 3
+
+
+@pytest.mark.parametrize("arms, length, limit, text", [
+    (6, 4, None, "^board has 42 cells, enumeration limit is 36$"),
+    (3, 4, "20", "^board has 21 cells, enumeration limit is 20$"),
+])
+def test_l_closed_form_refuses_the_range_before_it_searches(monkeypatch, arms, length,
+                                                             limit, text):
+    # the largest chain has arms * (2 * length - 1) cells; (6, 4) used to
+    # search for about a minute before it met its first chain of 37 cells
+    import residue_tilings.lemmas as lemmas
+
+    def searched(*args):
+        raise AssertionError("a chain was searched")
+
+    monkeypatch.setattr(lemmas, "_tilings", searched)
+    if limit:
+        monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", limit)
+    with pytest.raises(SizeLimitError, match=text):
+        run_l_closed_form(arms=arms, length=length)
+
+
+def test_l_closed_form_ranges_with_no_chunk_are_never_refused(monkeypatch):
+    # with no arm or no arm length, or a negative one, every chain is empty
+    # (or there is none), so even the smallest limit refuses nothing
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "1")
+    assert run_l_closed_form(arms=5, length=0)["total"] == 6
+    assert run_l_closed_form(arms=0, length=9)["total"] == 1
+    assert run_l_closed_form(arms=-3, length=-2)["total"] == 0
 
 
 def test_l_closed_form_chains_are_exactly_the_boards():

@@ -9,7 +9,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from conftest import biadjacency
+from conftest import biadjacency, domino
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,40 +42,40 @@ FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34]
 
 
 def test_domino_normalizes_order():
-    d = Domino.of((2, 1), (1, 1))
+    d = domino((2, 1), (1, 1))
     assert d.a == (1, 1) and d.b == (2, 1)
     assert d.horizontal
-    assert not Domino.of((1, 1), (1, 2)).horizontal
+    assert not domino((1, 1), (1, 2)).horizontal
     assert d.cells == ((1, 1), (2, 1))
 
 
 def test_domino_rejects_non_adjacent():
     with pytest.raises(ValueError):
-        Domino.of((1, 1), (2, 2))
+        domino((1, 1), (2, 2))
     with pytest.raises(ValueError):
-        Domino.of((1, 1), (1, 1))
+        domino((1, 1), (1, 1))
     with pytest.raises(ValueError):
-        Domino.of((1, 1), (3, 1))
+        domino((1, 1), (3, 1))
 
 
 def test_tiling_must_cover_board():
     board = rectangle(2, 1)
-    good = Tiling(board, [Domino.of((1, 1), (2, 1))])
+    good = Tiling(board, [domino((1, 1), (2, 1))])
     assert horizontal_count(good) == 1
     square = rectangle(2, 2)
-    low, high = Domino.of((1, 1), (2, 1)), Domino.of((1, 2), (2, 2))
+    low, high = domino((1, 1), (2, 1)), domino((1, 2), (2, 2))
     faults = [
         (board, [], "dominoes do not cover the whole board"),
         (square, [low], "dominoes do not cover the whole board"),
-        (board, [Domino.of((2, 1), (3, 1))], "domino cell (3, 1) not on the board"),
+        (board, [domino((2, 1), (3, 1))], "domino cell (3, 1) not on the board"),
         # a whole cover plus a domino off the board, and plus a repeated one
-        (square, [low, high, Domino.of((1, 3), (2, 3))], "domino cell (1, 3) not on the board"),
+        (square, [low, high, domino((1, 3), (2, 3))], "domino cell (1, 3) not on the board"),
         (square, [low, high, low], "cell (1, 1) covered twice"),
         # four cells on a board of four: the count alone does not show these
         (square, [low, low], "cell (1, 1) covered twice"),
-        (square, [low, Domino.of((1, 1), (1, 2))], "cell (1, 1) covered twice"),
+        (square, [low, domino((1, 1), (1, 2))], "cell (1, 1) covered twice"),
         # the first fault in domino order is named: the repeat before (3, 2)
-        (square, [Domino.of((2, 2), (3, 2)), low, low], "cell (1, 1) covered twice"),
+        (square, [domino((2, 2), (3, 2)), low, low], "cell (1, 1) covered twice"),
     ]
     for on, dominoes, message in faults:
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -126,6 +126,21 @@ def test_the_cell_limit_follows_the_variable_from_call_to_call(monkeypatch):
     monkeypatch.delenv("RESIDUE_TILINGS_LIMIT")
     with pytest.raises(SizeLimitError, match="^board has 38 cells, enumeration limit is 36$"):
         signed_sum_bruteforce(board)
+
+
+def test_enumerate_tilings_reads_the_cell_limit_once(monkeypatch):
+    # its check before the first Domino hands the limit it read to the search
+    reads = []
+    cell_limit = limits.cell_limit
+
+    def counted(limit=None):
+        if limit is None:
+            reads.append(limit)
+        return cell_limit(limit)
+
+    monkeypatch.setattr(limits, "cell_limit", counted)
+    assert len(enumerate_tilings(rectangle(4, 4))) == 36
+    assert len(reads) == 1
 
 
 @pytest.mark.parametrize("name", SEARCHES)
@@ -364,10 +379,10 @@ def reference_flip(tiling, cover, corner):
     first = cover[c00]
     if first.cells == (c00, c10) and cover[c01].cells == (c01, c11):
         second = cover[c01]
-        new = (Domino.of(c00, c01), Domino.of(c10, c11))
+        new = (domino(c00, c01), domino(c10, c11))
     elif first.cells == (c00, c01) and cover[c10].cells == (c10, c11):
         second = cover[c10]
-        new = (Domino.of(c00, c10), Domino.of(c01, c11))
+        new = (domino(c00, c10), domino(c01, c11))
     else:
         return None
     remaining = [d for d in tiling.dominoes if d is not first and d is not second]

@@ -8,7 +8,7 @@ equal boards compare and serialize identically.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import count, repeat
+from itertools import count, product, repeat
 
 from .gaussian import _Frozen, _set
 from .residue import _check_pair
@@ -40,8 +40,13 @@ class Board:
         tuple of ints >= 1, so none is checked again.  The cells are sorted
         as given, which is linear when they come in order, and then repeats
         are dropped."""
+        return cls._sorted(dict.fromkeys(sorted(cells)))
+
+    @classmethod
+    def _sorted(cls, cells: Iterable[Cell]) -> "Board":
+        """The board of valid cells that come sorted and distinct, kept as given."""
         board = cls.__new__(cls)
-        board._cells = tuple(dict.fromkeys(sorted(cells)))
+        board._cells = tuple(cells)
         board._cellset = frozenset(board._cells)
         return board
 
@@ -106,11 +111,11 @@ class LShapeSpec(_Frozen):
 
     def __init__(self, a: Iterable[int], b: Iterable[int]) -> None:
         a, b = tuple(a), tuple(b)
-        if not all(map(isinstance, a + b, repeat(int))):
+        if not all(map(isinstance, both := a + b, repeat(int))):
             raise ValueError("arm lengths must be ints")
         if len(a) != len(b):
             raise ValueError("arm length lists must have equal length")
-        if min(a + b, default=0) < 0:
+        if min(both, default=0) < 0:
             raise ValueError("arm lengths must be non-negative")
         _set(self, "a", a)
         _set(self, "b", b)
@@ -122,7 +127,7 @@ def rectangle(width: int, height: int) -> Board:
         raise ValueError("width and height must be ints")
     if width < 0 or height < 0:
         raise ValueError("width and height must be non-negative")
-    return Board._of((i, j) for i in range(1, width + 1) for j in range(1, height + 1))
+    return Board._sorted(product(range(1, width + 1), range(1, height + 1)))
 
 
 def l_board(spec: LShapeSpec) -> Board:

@@ -37,13 +37,13 @@ class InvariantError(RuntimeError):
 def l_signed_sum_closed(spec: LShapeSpec) -> GaussianInt:
     """Closed form of the signed sum of an L-chain with |a_k - b_k| <= 1:
     zero if any chunk is a square (a_k == b_k != 0), otherwise the product
-    of i**floor(a_k / 2)."""
+    of i**floor(a_k / 2).  Every chunk is checked, also after a square one."""
+    square, half = False, 0
     for a, b in zip(spec.a, spec.b):
         if abs(a - b) > 1:
             raise ValueError("arm lengths must differ by at most 1 in each chunk")
-    if any(a == b != 0 for a, b in zip(spec.a, spec.b)):
-        return ZERO
-    return i_power(sum(a // 2 for a in spec.a))
+        square, half = square or a == b != 0, half + a // 2
+    return ZERO if square else i_power(half)
 
 
 def closure(tiling: Tiling, subset: Board) -> Board:

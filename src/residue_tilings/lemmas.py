@@ -161,9 +161,10 @@ def run_gauss_even(bound: int = 49) -> dict:
 def run_l_closed_form(arms: int = 2, length: int = 4) -> dict:
     """The closed form for L-chain signed sums matches brute force.  A
     spec's board is fixed by its chain, the (k, a, b) of its non-empty
-    chunks, so each distinct chain is searched once, from its cells.  The
-    cell limit is read once, and refuses the largest chain, arms chunks of
-    2 * length - 1 cells, before the first search."""
+    chunks, so each distinct chain is searched once, from its cells; an odd
+    chain (a + b - 1 cells a chunk) exits early, by the rule _tilings also
+    applies.  The cell limit is read once, and refuses the largest chain,
+    arms chunks of 2 * length - 1 cells, before the first search."""
     limit = limits.cell_limit()
     limits.check_cells(max(arms, 0) * max(2 * length - 1, 0), limit)
     arm_pairs = [(a, b) for a in range(length + 1) for b in range(length + 1) if abs(a - b) <= 1]
@@ -172,12 +173,14 @@ def run_l_closed_form(arms: int = 2, length: int = 4) -> dict:
         for combo in product(arm_pairs, repeat=k):
             a, b = zip(*combo) if k else ((), ())
             spec = LShapeSpec(a, b)
-            closed = l_signed_sum_closed(spec)
+            closed = str(l_signed_sum_closed(spec))
             chain = tuple((j, x, y) for j, (x, y) in enumerate(combo) if x and y)
-            if chain not in searched:
-                searched[chain] = _i_power_sum(h for _, h in _tilings(_l_chain_cells(chain), limit))
-            brute = searched[chain]
-            cases.append(_case({"a": list(a), "b": list(b)}, str(closed), str(brute), closed == brute))
+            brute = searched.get(chain)
+            if brute is None:
+                odd = sum(x + y - 1 for _, x, y in chain) % 2
+                hs = () if odd else (h for _, h in _tilings(_l_chain_cells(chain), limit))
+                brute = searched[chain] = str(_i_power_sum(hs))
+            cases.append(_case({"a": list(a), "b": list(b)}, closed, brute, closed == brute))
     return _report("l-closed-form", {"arms": arms, "length": length}, cases)
 
 

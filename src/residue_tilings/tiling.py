@@ -105,10 +105,12 @@ def _tilings(cells, limit=None):
     read it before the next tiling.  The smallest uncovered cell takes its
     right neighbour first, then its upper one, on an explicit stack (no
     recursion limit).  The cell limit, limits.cell_limit(limit), comes
-    first; a board of odd size is not searched."""
+    first; then a board is searched only if exactly half its cells have
+    i + j odd, as each domino covers one cell of each colour (so no board
+    of odd size is searched)."""
     limits.check_cells(cells, limit)
     size = len(cells)
-    if size % 2:
+    if 2 * sum([(i + j) & 1 for i, j in cells]) != size:
         return
     # ends[code]: the index of the domino's other cell, lex-greater, or the
     # always covered sentinel off the board and at the scan's end, k = size

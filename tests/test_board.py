@@ -23,6 +23,17 @@ def test_rectangle_cells():
     assert rectangle(5, 0) == Board()
 
 
+def test_rectangle_is_the_board_of_its_cells():
+    # rectangle builds its cells in order, with no sort; they must match
+    # those of the checked constructor, order included
+    for w in range(7):
+        for h in range(7):
+            cells = [(i, j) for j in range(1, h + 1) for i in range(1, w + 1)]
+            r, board = rectangle(w, h), Board(cells)
+            assert r == board and r.cells == board.cells and hash(r) == hash(board)
+            assert len(r) == w * h and all(cell in r for cell in cells)
+
+
 def test_board_set_semantics():
     a = Board([(1, 1), (2, 1)])
     b = Board([(2, 1), (1, 1), (1, 1)])

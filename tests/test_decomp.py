@@ -52,6 +52,9 @@ def test_l_closed_form_known():
 def test_l_closed_form_rejects_wide_gap():
     with pytest.raises(ValueError):
         l_signed_sum_closed(LShapeSpec((4,), (2,)))
+    # a square chunk ahead of the bad one does not end the check
+    with pytest.raises(ValueError, match="^arm lengths must differ by at most 1 in each chunk$"):
+        l_signed_sum_closed(LShapeSpec((2, 4), (2, 2)))
 
 
 def test_l_closed_form_vs_bruteforce():

@@ -10,6 +10,7 @@ from residue_tilings.lemmas import (
     _rounds_to,
     _window_pairs,
     decomposition_corpus,
+    run_decomposition,
     run_eisenstein,
     run_gauss,
     run_h_even,
@@ -122,27 +123,36 @@ def test_parity_sweeps_make_one_sweep_per_board_or_window(monkeypatch):
     assert windows == [(m, n, False, None) for m, n in _window_pairs(9)]
 
 
-@pytest.mark.parametrize("arms, searches", [(2, 121), (3, 1331)])
-def test_l_closed_form_searches_each_chain_once(monkeypatch, arms, searches):
+@pytest.mark.parametrize("arms, boards", [(2, 121), (3, 1331)])
+def test_l_closed_form_searches_each_chain_once(monkeypatch, arms, boards):
     # a position of the chain is empty or holds one of the 10 non-empty
-    # arm pairs of length <= 4, so 11**arms distinct boards, each searched
-    # from the cells of its first spec's board, in the order of the specs
+    # arm pairs of length <= 4, so 11**arms distinct boards; those of even
+    # size, 65 at arms 2 and 679 at arms 3, are each searched once, from
+    # the cells of its first spec's board, in the order of the specs, and
+    # no chain of odd size has its cells built
     import residue_tilings.lemmas as lemmas
 
     searched = []
-    search = lemmas._tilings
+    search, chain_cells = lemmas._tilings, lemmas._l_chain_cells
 
     def counted(cells, limit=None):
         searched.append(cells)
         return search(cells, limit)
 
+    def built(chain):
+        assert sum(a + b - 1 for _, a, b in chain) % 2 == 0, chain
+        return chain_cells(chain)
+
     monkeypatch.setattr(lemmas, "_tilings", counted)
+    monkeypatch.setattr(lemmas, "_l_chain_cells", built)
     report = run_l_closed_form(arms=arms, length=4)
-    assert report["pass"] and len(searched) == len(set(searched)) == searches
     specs = l_chain_specs(arms, 4)
-    assert report["total"] == len(specs)
-    boards = dict.fromkeys(l_board_reference(spec).cells for spec in specs)
-    assert searched == list(boards)
+    assert report["pass"] and report["total"] == len(specs)
+    distinct = list(dict.fromkeys(l_board_reference(spec).cells for spec in specs))
+    assert len(distinct) == boards
+    even = [cells for cells in distinct if len(cells) % 2 == 0]
+    assert len(even) == {2: 65, 3: 679}[arms]
+    assert searched == even
 
 
 def test_l_closed_form_reads_the_cell_limit_once_per_call(monkeypatch):
@@ -166,6 +176,17 @@ def test_l_closed_form_reads_the_cell_limit_once_per_call(monkeypatch):
     monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "7")
     assert run_l_closed_form(arms=1, length=4)["pass"]
     assert len(reads) == 3
+
+
+def test_decomposition_sees_a_limit_set_between_calls(monkeypatch):
+    # the cell limit is read at each call, so a limit set between two
+    # calls holds from the next call on; the largest corpus board has 32
+    # cells
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "31")
+    with pytest.raises(SizeLimitError, match="^board has 32 cells, enumeration limit is 31$"):
+        run_decomposition()
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "32")
+    assert run_decomposition()["pass"]
 
 
 @pytest.mark.parametrize("arms, length, limit, text", [

@@ -171,12 +171,37 @@ def test_enumeration_of_a_long_board_keeps_its_own_stack(monkeypatch):
     assert horizontal_count(only) == 1000
     # the search keeps h on its stack as well: i**1000 = 1
     assert signed_sum_bruteforce(rectangle(2000, 1)) == GaussianInt(1)
-    # and a dead end 998 dominoes deep, at the cell before the hole (1999, 1)
-    assert enumerate_tilings(rectangle(2000, 1) - Board([(3, 1), (1999, 1)])) == []
+    # and a dead end 998 dominoes deep, at (1997, 1), on a board with as
+    # many cells of each colour, so that the search does not skip it
+    dead_end = Board([(i, 1) for i in range(1, 1998)] + [(2000, 3)])
+    assert enumerate_tilings(dead_end) == []
+    assert signed_sum_bruteforce(dead_end) == 0
     # a board of odd size has no tiling, but the limit still comes first
     monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "36")
     with pytest.raises(SizeLimitError):
         enumerate_tilings(rectangle(37, 1))
+
+
+MUTILATED = rectangle(8, 8) - Board([(1, 1), (8, 8)])
+
+
+def test_boards_with_unequal_colour_classes_are_not_searched(monkeypatch):
+    # the mutilated chessboard lacks two cells of one colour; its search
+    # took 4.7 s to find no tiling before the colour count came first
+    monkeypatch.setenv("RESIDUE_TILINGS_LIMIT", "64")
+    start = time.perf_counter()
+    assert enumerate_tilings(MUTILATED) == []
+    assert signed_sum_bruteforce(MUTILATED) == 0
+    assert restricted_sum(Board([(2, 1)]), MUTILATED) == 0
+    assert time.perf_counter() - start < 1
+
+
+def test_the_cell_limit_comes_before_the_colour_count(monkeypatch):
+    monkeypatch.delenv("RESIDUE_TILINGS_LIMIT", raising=False)
+    for search in (enumerate_tilings, signed_sum_bruteforce,
+                   lambda board: restricted_sum(Board(), board)):
+        with pytest.raises(SizeLimitError, match="^board has 62 cells, enumeration limit is 36$"):
+            search(MUTILATED)
 
 
 @pytest.mark.parametrize("value", [

@@ -35,6 +35,7 @@ from .spectral import (
 )
 from .tiling import (
     _flip_search,
+    _forget_memos,
     _i_power_sum,
     _tilings,
     count_tilings,
@@ -57,6 +58,7 @@ def _rounds_to(value: float, expected: int) -> bool:
 
 
 def _report(lemma: str, params: dict, cases: list[dict]) -> dict:
+    _forget_memos()  # what a report costs does not hang on the reports before it
     failed = sum(1 for c in cases if not c["pass"])
     return {
         "lemma": lemma,

@@ -424,6 +424,14 @@ _SNAPSHOTS: OrderedDict[tuple, dict[int, int]] = OrderedDict()
 _held = 0
 
 
+def _forget_memos():
+    """Empty every memo of the DP, so that the next sweep builds what it needs."""
+    global _held
+    for memo in (_PLANS, _WINDOWS, _REVERSALS, _SNAPSHOTS):
+        memo.clear()
+    _held = 0
+
+
 def _fold_states(height, signed, width):
     """The orbit sums after floor(w/2) and after ceil(w/2) whole columns of
     a rectangle w = width wide, of a profile height high and signed or not.

@@ -1,4 +1,5 @@
 import json
+from collections import OrderedDict
 
 import pytest
 from conftest import l_board_reference, l_chain_specs
@@ -15,8 +16,10 @@ from residue_tilings.lemmas import (
     run_gauss,
     run_h_even,
     run_half_board,
+    run_coprime_vanishing,
     run_l_closed_form,
     run_parity,
+    run_periodicity,
     run_y_decomposition,
 )
 from residue_tilings.limits import SizeLimitError
@@ -91,6 +94,27 @@ def test_even_rectangle_suites_refuse_the_range_before_they_search(monkeypatch, 
     with pytest.raises(SizeLimitError, match="^board has 38 cells, enumeration limit is 36$"):
         getattr(lemmas, runner)(40)
     assert calls == []
+
+
+def test_a_report_sweeps_as_much_whatever_report_ran_before(monkeypatch):
+    """A report leaves the DP's memos empty, so periodicity steps as many
+    columns after coprime-vanishing, which sweeps rectangles of the same
+    heights, as it does on its own."""
+    import residue_tilings.tiling as tiling
+
+    for name, memo in (("_PLANS", {}), ("_WINDOWS", {}), ("_REVERSALS", {}),
+                       ("_SNAPSHOTS", OrderedDict()), ("_held", 0)):
+        monkeypatch.setattr(tiling, name, memo)
+    steps, step = [], tiling._orbit_step
+    monkeypatch.setattr(tiling, "_orbit_step", lambda *args: steps.append(1) or step(*args))
+    assert run_periodicity(m_max=4, n_max=6)["pass"]
+    alone = len(steps)
+    assert run_coprime_vanishing(bound=9)["pass"]
+    steps.clear()
+    assert run_periodicity(m_max=4, n_max=6)["pass"]
+    assert len(steps) == alone > 0
+    assert not (tiling._PLANS or tiling._WINDOWS or tiling._REVERSALS or tiling._SNAPSHOTS)
+    assert tiling._held == 0
 
 
 def test_parity_sweeps_make_one_sweep_per_board_or_window(monkeypatch):

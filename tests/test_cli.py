@@ -186,6 +186,16 @@ GOLDEN_DIGESTS = {
         "af2880db6e71d1d16db11371c0dd8e014ad5a3ec3deb2f1dafbe669d7ec98378",
     ("lemma", "flip-connectivity"):
         "5cab31e40d83284a31151da94660d899a8bcb18a9d3317ad2e49d106334d3ffc",
+    ("lemma", "gauss"):
+        "56d02e26135abee042fce717b962be146b8dd6a86fc20483d647e3c01526d726",
+    ("lemma", "gauss-even"):
+        "70fb4329099a13481f1ed8e6f7f6404540b14b6a7c0236e542912524c2e3885e",
+    ("lemma", "coprime-vanishing"):
+        "935492b9ce2698ee8916631cf0844e920ad7a0bccd4b92e7894f408b1f8a6dad",
+    ("lemma", "ktf"):
+        "7f3a544f29a21b9f7cef8ec216bbfd40ad82a89707c96ae5d2f98bd0b35453a7",
+    ("lemma", "h-even"):
+        "cc26c02c7953454347b03c44fc13fc3cf5b053a95cf4768b9e8f2c845738e74f",
     ("verify", "--m-max", "20", "--n-max", "13",
      "--methods", "dp,det,reciprocity-free,spectral"):
         "abb7a4516de7ef237f8dc549eecdf7bee4f969e00fb9d34893e078d53f19d865",
@@ -197,6 +207,10 @@ def test_golden_digests(capsys):
         code, out, _ = run_cli(list(argv), capsys)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_every_lemma_is_pinned_at_its_defaults():
+    assert {argv[1] for argv in GOLDEN_DIGESTS if argv[0] == "lemma" and len(argv) == 2} == set(LEMMAS)
 
 
 def test_usage_errors(capsys):

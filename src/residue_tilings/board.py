@@ -34,17 +34,11 @@ class Board:
         self._cellset: frozenset[Cell] = frozenset(seen)
 
     @classmethod
-    def _of(cls, cells: Iterable[Cell]) -> "Board":
-        """The board of cells known to be valid, built in this module from
-        checked ints or taken from other boards: each is already an (i, j)
-        tuple of ints >= 1, so none is checked again.  The cells are sorted
-        as given, which is linear when they come in order, and then repeats
-        are dropped."""
-        return cls._sorted(dict.fromkeys(sorted(cells)))
-
-    @classmethod
     def _sorted(cls, cells: Iterable[Cell]) -> "Board":
-        """The board of valid cells that come sorted and distinct, kept as given."""
+        """The board of cells known to be valid, built in this module from
+        checked ints or taken from another board: each is already an (i, j)
+        tuple of ints >= 1, so none is checked again.  They come sorted and
+        distinct, and are kept as given."""
         board = cls.__new__(cls)
         board._cells = tuple(cells)
         board._cellset = frozenset(board._cells)
@@ -74,14 +68,8 @@ class Board:
     def __le__(self, other: "Board") -> bool:
         return self._cellset <= other._cellset
 
-    def __or__(self, other: "Board") -> "Board":
-        return Board._of(self._cells + other._cells)
-
     def __sub__(self, other: "Board") -> "Board":
-        return Board._of(self._cellset - other._cellset)
-
-    def __and__(self, other: "Board") -> "Board":
-        return Board._of(self._cellset & other._cellset)
+        return Board._sorted(c for c in self._cells if c not in other._cellset)
 
     def __repr__(self) -> str:
         return f"Board({list(self._cells)!r})"
@@ -132,7 +120,7 @@ def rectangle(width: int, height: int) -> Board:
 
 def l_board(spec: LShapeSpec) -> Board:
     """The union of shifted L-shaped chunks described by spec."""
-    return Board._of(_l_chain_cells(zip(count(), spec.a, spec.b)))
+    return Board._sorted(_l_chain_cells(zip(count(), spec.a, spec.b)))
 
 
 def _l_chain_cells(chunks: Iterable[tuple[int, int, int]]) -> tuple[Cell, ...]:
@@ -158,7 +146,7 @@ def half_board(m: int, n: int, diag: Iterable[int] = ()) -> Board:
         (i, j) for i in range(1, m) for j in range(1, n) if i + j < mid
     ]
     cells.extend((mid - a, a) for a in marks)
-    return Board._of(cells)
+    return Board._sorted(sorted(cells))
 
 
 def _half_board_diag(m: int, n: int, diag: Iterable[int] = ()) -> frozenset[int]:

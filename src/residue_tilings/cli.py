@@ -18,7 +18,7 @@ import time
 from .board import rectangle
 from .decomp import reciprocity_free_sum
 from .kasteleyn import _eliminate, build_kasteleyn, det_exact, signed_sum_via_det
-from .lemmas import LEMMAS
+from .lemmas import LEMMAS, _grid
 from .limits import MAX_JSON_BYTES, SizeLimitError, check
 from .residue import jacobi, theorem_rhs
 from .spectral import ToleranceError, _check_tol, signed_sum_via_spectral
@@ -236,11 +236,10 @@ def _check_range(args) -> None:
 def _cmd_table(args) -> int:
     _check_range(args)
     rows = []
-    for n in range(1, args.n_max + 1, 2):
-        for m in range(1, args.m_max + 1):
-            value = signed_sum(rectangle(m - 1, n - 1))
-            rhs = theorem_rhs(m, n)
-            rows.append((m, n, value.render(), rhs, value == rhs))
+    for m, n in _grid(args.m_max, args.n_max):
+        value = signed_sum(rectangle(m - 1, n - 1))
+        rhs = theorem_rhs(m, n)
+        rows.append((m, n, value.render(), rhs, value == rhs))
     if not args.out:
         _write_table(sys.stdout, rows, args.format)
         return EXIT_OK

@@ -62,21 +62,6 @@ class GaussianInt(_Frozen):
 
     __radd__ = __add__
 
-    def __sub__(self, other: "GaussianInt | int") -> "GaussianInt":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other: "GaussianInt | int") -> "GaussianInt":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
     def __mul__(self, other: "GaussianInt | int") -> "GaussianInt":
         other = _coerce(other)
         if other is None:
@@ -104,16 +89,11 @@ class GaussianInt(_Frozen):
 
     def render(self) -> str:
         """Canonical compact rendering: "0", "a", "bi", "a+bi" or "a-bi"."""
-        if self.re == 0 and self.im == 0:
-            return "0"
         if self.im == 0:
             return str(self.re)
-        if self.re == 0:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        coeff = "" if mag == 1 else str(mag)
-        return f"{self.re}{sign}{coeff}i"
+        coeff = "" if self.im == 1 else "-" if self.im == -1 else str(self.im)
+        sign = "+" if self.re and self.im > 0 else ""
+        return f"{self.re or ''}{sign}{coeff}i"
 
     __str__ = render
 
@@ -124,14 +104,6 @@ def _coerce(value: "GaussianInt | int") -> "GaussianInt | None":
     if isinstance(value, int):
         return GaussianInt(value, 0)
     return None
-
-
-def _imag_str(im: int) -> str:
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    return f"{im}i"
 
 
 ZERO = GaussianInt(0, 0)

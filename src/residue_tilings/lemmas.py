@@ -76,6 +76,13 @@ def _case(inputs: dict, lhs, rhs, ok: bool | None = None) -> dict:
     return {"inputs": inputs, "lhs": lhs, "rhs": rhs, "pass": bool(ok)}
 
 
+def _grid(m_max: int, n_max: int, coprime: bool | None = None) -> list[tuple[int, int]]:
+    """The theorem's (m, n) pairs, odd n <= n_max first and then m <= m_max;
+    with coprime True only those with gcd(m, n) == 1, with False only the rest."""
+    return [(m, n) for n in range(1, n_max + 1, 2) for m in range(1, m_max + 1)
+            if coprime is None or (math.gcd(m, n) == 1) == coprime]
+
+
 def _even_rectangles(max_area: int) -> list[tuple[int, int]]:
     """The rectangles of even height and area at most max_area, each checked
     against the cell limit before any of them is searched."""
@@ -109,14 +116,13 @@ def run_h_even(max_area: int = 24) -> dict:
 def run_kasteleyn_det(m_max: int = 12, n_max: int = 9) -> dict:
     """The signed determinant route agrees with the tiling DP."""
     cases = []
-    for n in range(1, n_max + 1, 2):
-        for m in range(1, m_max + 1):
-            via_det = signed_sum_via_det(m, n)
-            direct = signed_sum(rectangle(m - 1, n - 1))
-            cases.append(
-                _case({"m": m, "n": n}, str(GaussianInt(via_det)), str(direct),
-                      GaussianInt(via_det) == direct)
-            )
+    for m, n in _grid(m_max, n_max):
+        via_det = signed_sum_via_det(m, n)
+        direct = signed_sum(rectangle(m - 1, n - 1))
+        cases.append(
+            _case({"m": m, "n": n}, str(GaussianInt(via_det)), str(direct),
+                  GaussianInt(via_det) == direct)
+        )
     return _report("kasteleyn-det", {"m_max": m_max, "n_max": n_max}, cases)
 
 
@@ -124,15 +130,14 @@ def run_norm_bridge(m_max: int = 13, n_max: int = 13) -> dict:
     """The eigenvalue norm product rounds to the exact determinant, and has
     modulus at most 1e-6 whenever gcd(m, n) > 1."""
     cases = []
-    for n in range(1, n_max + 1, 2):
-        for m in range(1, m_max + 1):
-            z = norm_product(m, n)
-            det = det_exact(build_kasteleyn(m, n))
-            ok = _rounds_to(z, det)
-            if math.gcd(m, n) > 1:
-                ok = ok and abs(z) <= _FLOAT_GATE
-            # printed as a complex, so the report keeps its published bytes
-            cases.append(_case({"m": m, "n": n}, repr(complex(z)), det, ok))
+    for m, n in _grid(m_max, n_max):
+        z = norm_product(m, n)
+        det = det_exact(build_kasteleyn(m, n))
+        ok = _rounds_to(z, det)
+        if math.gcd(m, n) > 1:
+            ok = ok and abs(z) <= _FLOAT_GATE
+        # printed as a complex, so the report keeps its published bytes
+        cases.append(_case({"m": m, "n": n}, repr(complex(z)), det, ok))
     return _report(
         "norm-bridge", {"m_max": m_max, "n_max": n_max, "tol": _FLOAT_GATE}, cases
     )
@@ -142,9 +147,7 @@ def run_gauss(bound: int = 49) -> dict:
     """The half-system sign counter equals the Jacobi symbol."""
     cases = [
         _case({"m": m, "n": n}, gauss_sign(m, n), jacobi(m, n))
-        for n in range(1, bound + 1, 2)
-        for m in range(1, bound + 1)
-        if math.gcd(m, n) == 1
+        for m, n in _grid(bound, bound, coprime=True)
     ]
     return _report("gauss", {"bound": bound}, cases)
 
@@ -153,9 +156,7 @@ def run_gauss_even(bound: int = 49) -> dict:
     """The even-half-system sign counter equals the Jacobi symbol."""
     cases = [
         _case({"t": t, "n": n}, gauss_sign_even_half(t, n), jacobi(t, n))
-        for n in range(1, bound + 1, 2)
-        for t in range(1, bound + 1)
-        if math.gcd(t, n) == 1
+        for t, n in _grid(bound, bound, coprime=True)
     ]
     return _report("gauss-even", {"bound": bound}, cases)
 
@@ -237,10 +238,17 @@ def run_decomposition() -> dict:
     return _report("decomposition", {"pairs": len(cases)}, cases)
 
 
-def run_periodicity(m_max: int = 6, n_max: int = 6, n: int | None = None) -> dict:
+def run_periodicity(m_max: int = 6, n_max: int | None = None, n: int | None = None) -> dict:
     """Widening a rectangle by n + 1 columns multiplies its signed sum by
-    the fixed fourth root of unity periodicity_factor(n)."""
-    heights = [n] if n is not None else list(range(1, n_max + 1))
+    the fixed fourth root of unity periodicity_factor(n), for the heights
+    1..n_max (6 when neither is given) or for the one height n."""
+    if n is None:
+        n_max = 6 if n_max is None else n_max
+        heights, params = range(1, n_max + 1), {"m_max": m_max, "n_max": n_max}
+    elif n_max is None:
+        heights, params = [n], {"m_max": m_max, "n": n}
+    else:
+        raise ValueError("n and n_max exclude each other")
     cases = []
     for height in heights:
         for m in range(1, m_max + 1):
@@ -249,9 +257,6 @@ def run_periodicity(m_max: int = 6, n_max: int = 6, n: int | None = None) -> dic
             cases.append(
                 _case({"m": m, "n": height}, str(wide), str(narrow), wide == narrow)
             )
-    params = {"m_max": m_max, "n": n} if n is not None else {
-        "m_max": m_max, "n_max": n_max
-    }
     return _report("periodicity", params, cases)
 
 
@@ -259,9 +264,7 @@ def run_coprime_vanishing(bound: int = 15) -> dict:
     """The rectangle sum vanishes whenever gcd(m, n) > 1."""
     cases = [
         _case({"m": m, "n": n}, str(signed_sum(rectangle(m - 1, n - 1))), "0")
-        for n in range(1, bound + 1, 2)
-        for m in range(1, bound + 1)
-        if math.gcd(m, n) > 1
+        for m, n in _grid(bound, bound, coprime=False)
     ]
     return _report("coprime-vanishing", {"bound": bound}, cases)
 

@@ -419,6 +419,14 @@ def test_lemma_report(capsys):
     assert report["pass"] is True
 
 
+@pytest.mark.parametrize("n_max", ["5", "0"])
+def test_lemma_periodicity_refuses_n_with_n_max(n_max, capsys):
+    # --n-max used to be dropped without a word when --n was given
+    code, out, err = run_cli(["lemma", "periodicity", "--n", "3", "--n-max", n_max], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "lemma: n and n_max exclude each other\n"
+
+
 def test_lemma_gauss_max_flag(capsys):
     code, out, _ = run_cli(["lemma", "gauss", "--max", "21"], capsys)
     assert code == 0

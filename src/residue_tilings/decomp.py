@@ -5,8 +5,9 @@ forms for L-shaped chains, closure-based board decompositions, the width
 periodicity of rectangle sums, and the half-board analysis that produces
 the signed sum without ever evaluating a Jacobi symbol.
 
-The half-board sums come from the DP's column steps, with no Board: one
-sweep of a window branches on its marks (half_board_sums).
+The half-board sums come from the DP's column steps, with no Board: a
+window is swept from both ends, branching on its marks, and each diagonal
+joins its two leaves at a middle column (half_board_sums).
 
 The half-board sum enters that route only squared, and its square comes
 from a determinant: a half board is simply connected, so by Kasteleyn's
@@ -194,40 +195,52 @@ def half_board_sums(m: int, n: int, signed: bool = True, diag: Iterable[int] | N
     parity_counts, of the half board at every diagonal of the window
     (m, n), or at diag alone, keyed by its marks in ascending order.
 
-    One DP sweep from the staircase's tip, as _profile_sum sweeps the
-    board, but with no Board: column (m+n)/2 - a holds rows 1..a-1, and
-    row a if marked, all with right neighbours in column (m+n)/2 - a - 1,
-    so the sweep branches on each mark, on a stack, and
-    each leaf then steps the (m-n)/2 full columns.  A leaf of odd size,
-    (m-2)(n-1)/2 plus its marks, reads 0 and skips its last column.
+    Column k = (m+n)/2 - i, with no Board: k = 1 is the staircase's tip,
+    and column k holds rows 1..k-1, and row k if marked.  As _profile_sum
+    folds a rectangle, the DP sweeps from both ends to a cut and branches on
+    each mark it meets.  The tip side steps columns 1..cut, each before rows
+    1..k.  The far side steps the (m-n)/2 full columns and then n-1..cut+1,
+    each before the rows of column k-1, so it branches on that mark one
+    column early.  Across the cut both see rows 1..cut: the tip side sets
+    no row that column cut lacks.  A diagonal joins its tip leaf L and far
+    leaf R as sum_p L[p] * R[p], signed times -1 per even row of p, as both
+    weigh the dominoes that cross.  With diag, the cut is after the last
+    column and R is {0: 1}.  A diagonal of odd size, (m-2)(n-1)/2 plus its
+    marks, reads 0.
     """
     marks = _check_window(m, n, () if diag is None else diag)
     if diag is None:
         limits.check_diagonals(n)
-    full = tuple(range(n - 1))
-    columns = [None] + [[_plan(full[:a - 1 + mark], full[:a], signed) for mark in (0, 1)]
-                        for a in range(1, n)]
-    tail = [_plan(full, full, signed)] * ((m - n) // 2 - 1) + [_plan(full, (), signed)]
+    full, last = tuple(range(n - 1)), (m + n) // 2 - 1
+    cut = last if diag is not None else n // 2
+    tips = fars = {(): {0: 1}}
+    for k in range(1, cut + 1):
+        tips = {picks + (k,) * mark: _column_step(states, _plan(
+                    full[:k - 1 + mark], full[:k] if k < last else (), signed))
+                for picks, states in tips.items()
+                for mark in ((0, 1) if diag is None else (k in marks,))}
+    for k in range(last, cut, -1):
+        inner = k - 1 > cut
+        fars = {(k - 1,) * mark + picks: _column_step(states, _plan(
+                    full[:k - 1 + (k in picks)], full[:k - 2 + mark] if inner else full[:cut],
+                    signed))
+                for picks, states in fars.items()
+                for mark in ((0, 1) if inner and k - 1 < n else (0,))}
+    evens = sum(1 << y for y in range(0, n - 1, 2)) if signed else 0
+    fars = {picks: {p: -w if (p & evens).bit_count() % 2 else w for p, w in states.items()}
+            for picks, states in fars.items()}
     cells = (m - 2) * (n - 1) // 2
     f = (m - n) // 2 * (n - 1) // 2 + sum(a // 2 for a in range(1, n))  # cells on odd rows j
-    values, stack = {}, [(1, (), {0: 1})]
-    while stack:
-        a, picks, states = stack.pop()
-        if a < n:
-            for mark in (0, 1) if diag is None else (a in marks,):
-                marked = picks + (a,) if mark else picks
-                if a < n - 1 or (cells + len(marked)) % 2 == 0:
-                    stack.append((a + 1, marked, _column_step(states, columns[a][mark])))
-                else:
-                    values[marked] = ZERO if signed else (0, 0)
-            continue
-        for windows in tail:
-            states = _column_step(states, windows)
-        value, e = states.get(0, 0), (cells + len(picks)) // 2 - f - sum(p % 2 for p in picks)
-        if signed:
-            value = i_power(e) * value
-            _check_half_board(m, n, frozenset(picks), "sum", value, _HALF_BOARD_VALUES)
-        values[picks] = value if signed else ((0, value) if e % 2 else (value, 0))
+    values = {}
+    for head, states in tips.items():
+        for tail, ends in fars.items():
+            picks, size = head + tail, cells + len(head) + len(tail)
+            value = 0 if size % 2 else sum(w * ends.get(p, 0) for p, w in states.items())
+            e = size // 2 - f - sum(p % 2 for p in picks)
+            if signed:
+                value = i_power(e) * value
+                _check_half_board(m, n, frozenset(picks), "sum", value, _HALF_BOARD_VALUES)
+            values[picks] = value if signed else ((0, value) if e % 2 else (value, 0))
     return values
 
 

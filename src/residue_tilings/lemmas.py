@@ -251,9 +251,10 @@ def run_periodicity(m_max: int = 6, n_max: int | None = None, n: int | None = No
         raise ValueError("n and n_max exclude each other")
     cases = []
     for height in heights:
+        factor = periodicity_factor(height)  # checks the height before a rectangle is built
         for m in range(1, m_max + 1):
             wide = signed_sum(rectangle(m + height + 1, height))
-            narrow = signed_sum(rectangle(m, height)) * periodicity_factor(height)
+            narrow = signed_sum(rectangle(m, height)) * factor
             cases.append(
                 _case({"m": m, "n": height}, str(wide), str(narrow), wide == narrow)
             )

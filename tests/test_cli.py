@@ -427,6 +427,15 @@ def test_lemma_periodicity_refuses_n_with_n_max(n_max, capsys):
     assert err == "lemma: n and n_max exclude each other\n"
 
 
+@pytest.mark.parametrize("n", ["-2", "0"])
+def test_lemma_periodicity_names_a_bad_height(n, capsys):
+    # a negative height used to reach rectangle first, whose message
+    # named its own width and height rather than --n
+    code, out, err = run_cli(["lemma", "periodicity", "--n", n], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "lemma: n must be a positive int\n"
+
+
 def test_lemma_gauss_max_flag(capsys):
     code, out, _ = run_cli(["lemma", "gauss", "--max", "21"], capsys)
     assert code == 0

@@ -392,6 +392,24 @@ def test_half_board_sum_keeps_the_short_end_sweep():
         half_board_sum(43, 41, admissible_diagonal(43, 41))
 
 
+def test_half_board_sweep_steps_each_column_once_per_side(monkeypatch):
+    # the window is swept from both ends and joined at the cut n // 2 = 6:
+    # 2 + 4 + ... + 64 tip steps and 2 + 4 + ... + 64 + 64 far steps, where
+    # stepping each diagonal through its own columns took 8190
+    import residue_tilings.decomp as decomp
+
+    calls = []
+    step = decomp._column_step
+
+    def counted(states, windows):
+        calls.append(len(windows))
+        return step(states, windows)
+
+    monkeypatch.setattr(decomp, "_column_step", counted)
+    assert len(half_board_sums(15, 13, signed=False)) == 4096
+    assert len(calls) == 126 + 190
+
+
 def _window_pairs(n_max):
     """Every coprime (m, n) with odd n < m < 3n and odd n <= n_max."""
     return [(m, n) for n in range(3, n_max + 1, 2) for m in range(n + 2, 3 * n, 2)

@@ -17,9 +17,9 @@ Cell = tuple[int, int]
 
 
 class Board:
-    """An immutable set of cells."""
+    """An immutable set of cells; see rectangle for one held as its size."""
 
-    __slots__ = ("_cells", "_cellset")
+    __slots__ = ("_cells", "_cellset", "_size")
 
     def __init__(self, cells: Iterable[Cell] = ()):
         seen: set[Cell] = set()
@@ -31,7 +31,7 @@ class Board:
                 raise ValueError(f"cells are 1-indexed, got {cell!r}")
             seen.add((i, j))
         self._cells: tuple[Cell, ...] = tuple(sorted(seen))
-        self._cellset: frozenset[Cell] = frozenset(seen)
+        self._cellset, self._size = frozenset(seen), None
 
     @classmethod
     def _sorted(cls, cells: Iterable[Cell]) -> "Board":
@@ -41,8 +41,15 @@ class Board:
         distinct, and are kept as given."""
         board = cls.__new__(cls)
         board._cells = tuple(cells)
-        board._cellset = frozenset(board._cells)
+        board._cellset, board._size = frozenset(board._cells), None
         return board
+
+    def __getattr__(self, name: str):  # a slot not set: the cells of a rectangle
+        if name not in ("_cells", "_cellset") or not self._size:
+            raise AttributeError(f"'Board' object has no attribute {name!r}")
+        self._cells = tuple(product(*(range(1, n + 1) for n in self._size)))
+        self._cellset = frozenset(self._cells)
+        return getattr(self, name)
 
     @property
     def cells(self) -> tuple[Cell, ...]:
@@ -52,7 +59,7 @@ class Board:
         return iter(self._cells)
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return self._size[0] * self._size[1] if self._size else len(self._cells)
 
     def __contains__(self, cell: object) -> bool:
         return cell in self._cellset
@@ -76,8 +83,10 @@ class Board:
 
     def bounds(self) -> tuple[int, int, int, int]:
         """(min_i, min_j, max_i, max_j); raises on the empty board."""
-        if not self._cells:
+        if not len(self):
             raise ValueError("empty board has no bounds")
+        if self._size:
+            return (1, 1, *self._size)
         # the cells are sorted by i first, so the extreme i lie at the ends
         rows = [j for _, j in self._cells]
         return self._cells[0][0], min(rows), self._cells[-1][0], max(rows)
@@ -110,12 +119,15 @@ class LShapeSpec(_Frozen):
 
 
 def rectangle(width: int, height: int) -> Board:
-    """The full width x height board; width or height 0 gives the empty board."""
+    """The width x height board, held as its size until its cells are read;
+    width or height 0 gives the empty board."""
     if not isinstance(width, int) or not isinstance(height, int):
         raise ValueError("width and height must be ints")
     if width < 0 or height < 0:
         raise ValueError("width and height must be non-negative")
-    return Board._sorted(product(range(1, width + 1), range(1, height + 1)))
+    board = Board.__new__(Board)
+    board._size = (int(width), int(height))  # a bool reads as 0 or 1
+    return board
 
 
 def l_board(spec: LShapeSpec) -> Board:

@@ -9,7 +9,7 @@ acceptance tests call them directly with widened ranges.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations
 
 from . import limits
 from .board import Board, LShapeSpec, _l_chain_cells, half_board, l_board, rectangle
@@ -162,28 +162,34 @@ def run_gauss_even(bound: int = 49) -> dict:
 
 
 def run_l_closed_form(arms: int = 2, length: int = 4) -> dict:
-    """The closed form for L-chain signed sums matches brute force.  A
-    spec's board is fixed by its chain, the (k, a, b) of its non-empty
-    chunks, so each distinct chain is searched once, from its cells; an odd
-    chain (a + b - 1 cells a chunk) exits early, by the rule _tilings also
-    applies.  The cell limit is read once, and refuses the largest chain,
-    arms chunks of 2 * length - 1 cells, before the first search."""
+    """The closed form for L-chain signed sums matches brute force.  The
+    specs of each size are walked depth first, in product order, and each
+    prefix carries its chain, the (j, a, b) of its non-empty chunks, which
+    fixes its board, and its colour excess, cells with i + j odd less those
+    with i + j even (1 - a % 2 - b % 2 a chunk).  Each chain is searched
+    once, from its cells, if its excess is 0, the rule _tilings applies.
+    The cell limit is read once, and refuses the largest chain, arms chunks
+    of 2 * length - 1 cells, before the first search."""
     limit = limits.cell_limit()
     limits.check_cells(max(arms, 0) * max(2 * length - 1, 0), limit)
     arm_pairs = [(a, b) for a in range(length + 1) for b in range(length + 1) if abs(a - b) <= 1]
     cases, searched = [], {}
+
+    def walk(k, a, b, chain, excess):
+        if len(a) < k:
+            for x, y in arm_pairs:
+                chunk = ((len(a), x, y),) if x and y else ()
+                walk(k, a + (x,), b + (y,), chain + chunk, excess + (x and y and 1 - x % 2 - y % 2))
+            return
+        closed = str(l_signed_sum_closed(LShapeSpec(a, b)))
+        brute = searched.get(chain)
+        if brute is None:
+            hs = () if excess else (h for _, h in _tilings(_l_chain_cells(chain), limit))
+            brute = searched[chain] = str(_i_power_sum(hs))
+        cases.append(_case({"a": list(a), "b": list(b)}, closed, brute, closed == brute))
+
     for k in range(arms + 1):
-        for combo in product(arm_pairs, repeat=k):
-            a, b = zip(*combo) if k else ((), ())
-            spec = LShapeSpec(a, b)
-            closed = str(l_signed_sum_closed(spec))
-            chain = tuple((j, x, y) for j, (x, y) in enumerate(combo) if x and y)
-            brute = searched.get(chain)
-            if brute is None:
-                odd = sum(x + y - 1 for _, x, y in chain) % 2
-                hs = () if odd else (h for _, h in _tilings(_l_chain_cells(chain), limit))
-                brute = searched[chain] = str(_i_power_sum(hs))
-            cases.append(_case({"a": list(a), "b": list(b)}, closed, brute, closed == brute))
+        walk(k, (), (), (), 0)
     return _report("l-closed-form", {"arms": arms, "length": length}, cases)
 
 
@@ -295,15 +301,14 @@ def run_y_decomposition(m_max: int = 11) -> dict:
     cases = []
     for m, n in _window_pairs(m_max):
         indices = frozenset(range(1, n))
-        values = half_board_sums(m, n)
-        sums = {frozenset(p): values[p] for p in _diagonals(n)}
-        total = ZERO
-        nonzero = []
+        sums = {frozenset(p): value for p, value in half_board_sums(m, n).items()}
+        total, nonzero = ZERO, []
         for key, value in sums.items():
-            mirrored = frozenset(n - i for i in indices - key)
-            term = sums[mirrored] * value
+            if not value:
+                continue  # so is its term
+            term = sums[frozenset(n - i for i in indices - key)] * value
             total = total + term
-            if term != ZERO:
+            if term:
                 nonzero.append(key)
         expect = signed_sum(rectangle(m - 1, n - 1))
         ok = (

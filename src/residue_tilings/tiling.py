@@ -7,8 +7,8 @@ and h back enumerate_tilings, signed_sum_bruteforce, decomp.restricted_sum
 and the flips, which run on ints of codes, and a broken-profile dynamic
 program that sweeps the board column by column, covering up to WINDOW_ROWS
 consecutive cells of a column in one pass over its states through a
-table of the window's placements, built once per window shape and
-position, so that each placement is one int to xor into a state.
+table of the window's placements, built once per window shape and row
+parity and shifted to each row, so each placement is one int to xor.
 The DP is one kernel with one flag: signed, it weighs each horizontal
 domino on an even row by -1, which gives the signed sum up to a power of i
 that the board fixes; unsigned, it counts the tilings, all of whose h
@@ -208,11 +208,11 @@ def _profile_sum(board, signed):
     whose live states outgrow MAX_STATES raises SizeLimitError, since time
     grows with the states.
 
-    A board that is not a rectangle is swept whole, its windows cut from
-    the runs of consecutive cells in each column and kept by the column's
-    rows and those of the next column swept (_plan), from its short end:
-    when its last column holds fewer cells than its first, its columns are
-    walked in reverse, mirrored by i -> -i, which keeps every row.
+    A rectangle is read by its size and bounds alone.  Any other board is
+    swept whole, its windows cut from the runs of consecutive cells in each
+    column and kept by its rows and the next swept column's (_plan), from
+    its short end: when its last column holds fewer cells than its first,
+    its columns are walked in reverse, mirrored by i -> -i (rows kept).
 
     Fold: a rectangle is swept to column ceil(W/2) of its W.  Cut between
     columns k = floor(W/2) and k + 1, and let p be the rows a domino crosses
@@ -225,10 +225,10 @@ def _profile_sum(board, signed):
     rev p) (_fold_states; one dict for even W), V sums a_q * c_q, halved
     unless q is a palindrome.
     """
-    cells = board.cells
-    if not cells:
+    size = len(board)
+    if not size:
         return 1, 0
-    if len(cells) % 2:
+    if size % 2:
         return 0, 0
     min_i, min_j, max_i, max_j = board.bounds()
     width, height = max_i - min_i + 1, max_j - min_j + 1
@@ -236,7 +236,7 @@ def _profile_sum(board, signed):
     if turned:
         min_j = min_i
         width, height = height, width
-    if len(cells) == width * height:
+    if size == width * height:
         # a rectangle, at least two columns wide as its cell count is even
         f = width * ((height + 1) // 2)
         left, right = _fold_states(height, signed, width)
@@ -249,8 +249,7 @@ def _profile_sum(board, signed):
                 ac = a * c if low[p & mask] | high[p >> half] == p else a * c // 2
                 value += -ac if (p & evens).bit_count() % 2 else ac
     else:
-        if turned:
-            cells = sorted((j, i) for i, j in cells)
+        cells = sorted((j, i) for i, j in board.cells) if turned else board.cells
         f = sum((j - min_j) % 2 == 0 for _, j in cells)
         columns = [(i, tuple(j - min_j for _, j in column))
                    for i, column in groupby(cells, itemgetter(0))]
@@ -261,7 +260,7 @@ def _profile_sum(board, signed):
         for (i, rows), (after, next_rows) in zip(columns, columns[1:]):
             states = _column_step(states, _plan(rows, next_rows if after == i + 1 else (), signed))
         value = states.get(0, 0)
-    return value, f if turned else len(cells) // 2 - f
+    return value, f if turned else size // 2 - f
 
 
 def _window_step(states, y, table):
@@ -319,14 +318,23 @@ def _window_table(rights, up, signed, y):
     int x that takes a state's mask to mask ^ x, adding its weight there
     under plus and subtracting it under minus.  The ways are found on the
     window's own L + 1 bits and shifted to row y once here, so the kernel
-    shifts nothing.
+    shifts nothing.  Only the row's parity moves a sign, so a table is
+    stepped out only at row y % 2 (signed) or 0 (unsigned); at any other
+    row it is that table shifted.
     """
     key = (rights, up, signed, y)
-    table = _WINDOWS.get(key)
-    if table is not None:
-        return table
+    if key not in _WINDOWS:
+        d = y - y % 2 if signed else y  # rows above the one it is built at
+        _WINDOWS[key] = _window_ways(rights, up, signed, y) if not d else [
+            ([x << d for x in plus], [x << d for x in minus])
+            for plus, minus in _window_table(rights, up, signed, y - d)]
+    return _WINDOWS[key]
+
+
+def _window_ways(rights, up, signed, y):
+    """The table of _window_table at row y, from its cell steps."""
     length = len(rights)
-    table = _WINDOWS[key] = [([], []) for _ in range(2 << length)]
+    table = [([], []) for _ in range(2 << length)]
     for start, (plus, minus) in enumerate(table):
         # the cell steps of the window, on its own bits, from one start
         states = {start: False}

@@ -71,6 +71,33 @@ def l_board_reference(spec):
     return Board(cells)
 
 
+def window_table_reference(rights, up, signed, y):
+    """tiling._window_table as it was when it stepped out every table at
+    its own row y, with no memo: for each start, the cell steps
+    of the window on its own bits, each way shifted to row y.  It serves as
+    the reference for the tables that are shifted from another row."""
+    length = len(rights)
+    table = [([], []) for _ in range(2 << length)]
+    for start, (plus, minus) in enumerate(table):
+        states = {start: False}
+        for k, right in enumerate(rights):
+            bit, new_states = 1 << k, {}
+            above = bit << 1 if k + 1 < length or up else 0
+            on_even = signed and (y + k) % 2 == 0
+            for mask, negate in states.items():
+                if mask & bit:
+                    new_states[mask ^ bit] = negate
+                    continue
+                if right:
+                    new_states[mask | bit] = negate ^ on_even
+                if above and not mask & above:
+                    new_states[mask | above] = negate
+            states = new_states
+        for end, negate in states.items():
+            (minus if negate else plus).append((end ^ start) << y)
+    return table
+
+
 def l_chain_specs(arms, length):
     """Every LShapeSpec of run_l_closed_form(arms, length), in its order."""
     pairs = [(a, b) for a in range(length + 1) for b in range(length + 1) if abs(a - b) <= 1]

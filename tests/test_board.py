@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -93,34 +95,71 @@ def test_board_takes_any_pair_of_ints():
     assert Board([(True, 1)]) == Board([(1, 1)])
 
 
+# rectangles held as their size, one of them empty
+RECTANGLES = [(0, 3), (1, 1), (3, 2), (2, 7)]
+
+
+def _bounds(board):
+    try:
+        return board.bounds()
+    except ValueError as error:
+        return str(error)
+
+
+_SOME = Board([(1, 1), (2, 2), (2, 7)])
+# what a caller reads of a board, as a value to compare
+BOARD_READS = [
+    lambda b: b == _SOME, lambda b: _SOME == b, lambda b: b != _SOME,
+    hash, list, len, repr, _bounds, lambda b: b.to_json_obj(),
+    lambda b: [(i, j) in b for i in range(5) for j in range(9)],
+    lambda b: (b <= _SOME, _SOME <= b, b <= rectangle(3, 7), rectangle(1, 1) <= b),
+    lambda b: ((b - _SOME).cells, (_SOME - b).cells),
+    lambda b: (copy.copy(b).cells, copy.copy(b) == b),
+    lambda b: (pickle.loads(pickle.dumps(b)).cells, len(pickle.loads(pickle.dumps(b)))),
+]
+
+
 def test_built_boards_equal_checked_boards():
     # rectangle, l_board, half_board and the difference build their cells
-    # from checked ints and skip the per-cell check
+    # from checked ints and skip the per-cell check.  Each read is made on
+    # a board of its own, as a rectangle is held as its size until its
+    # cells are first read, and again on one whose cells were read
     spec = LShapeSpec((3, 0, 2), (2, 4, 1))
-    built = [rectangle(3, 2), l_board(spec), half_board(9, 5, {2}),
-             rectangle(3, 2) - l_board(spec)]
-    for board in built:
-        again = Board(list(board.cells)[::-1])
-        assert board == again and board.cells == again.cells
-        assert hash(board) == hash(again)
-        assert all(type(i) is int and type(j) is int for i, j in board.cells)
+    builds = [lambda: l_board(spec), lambda: half_board(9, 5, {2}),
+              lambda: rectangle(3, 2) - l_board(spec)]
+    builds += [lambda w=w, h=h: rectangle(w, h) for w, h in RECTANGLES]
+    for build in builds:
+        again = Board(list(build().cells)[::-1])
+        board, read = build(), build()
+        assert read.cells == again.cells
+        assert board == again and hash(build()) == hash(again)
+        for observe in BOARD_READS:
+            assert observe(build()) == observe(read) == observe(again)
+        assert all(type(i) is int and type(j) is int for i, j in read.cells)
 
 
 def test_bounds():
     assert rectangle(3, 2).bounds() == (1, 1, 3, 2)
     with pytest.raises(ValueError):
         Board().bounds()
-    # holey boards, L chains and half boards, whose extreme rows lie inside
-    # the sorted cells, against min and max over the cells
+    # holey boards, L chains, half boards and rectangles, whose extreme rows
+    # may lie inside the sorted cells, against min and max over the cells
     holey = [rectangle(6, 5) - Board([(1, 1), (1, 5), (6, 1), (6, 2), (3, 3)]),
              Board([(2, 7), (2, 3), (5, 9), (4, 2), (9, 4)]),
              rectangle(4, 4) - rectangle(4, 1)]
     chains = [l_board(LShapeSpec(a, b)) for a, b in
               (((2,), (3,)), ((3, 0, 4), (1, 2, 5)), ((1, 5, 2), (4, 1, 3)))]
-    for board in holey + chains + [half_board(9, 5), half_board(13, 7, {2, 5})]:
-        cells = board.cells
-        assert board.bounds() == (min(i for i, _ in cells), min(j for _, j in cells),
-                                  max(i for i, _ in cells), max(j for _, j in cells))
+    rectangles = [rectangle(w, h) for w, h in RECTANGLES if w]
+    for board in holey + chains + [half_board(9, 5), half_board(13, 7, {2, 5})] + rectangles:
+        bounds, cells = board.bounds(), board.cells  # a rectangle's bounds first
+        assert bounds == (min(i for i, _ in cells), min(j for _, j in cells),
+                          max(i for i, _ in cells), max(j for _, j in cells))
+    # and the same once its cells are read
+    for w, h in RECTANGLES:
+        read = rectangle(w, h)
+        assert _bounds(rectangle(w, h)) == _bounds(Board(read.cells)) == _bounds(read)
+    # a bool width is taken as the int it equals, as the cells it gives are
+    assert [type(x) for x in rectangle(True, 2).bounds()] == [int] * 4
 
 
 def test_l_board_single_chunk():

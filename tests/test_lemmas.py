@@ -150,10 +150,10 @@ def test_parity_sweeps_make_one_sweep_per_board_or_window(monkeypatch):
 @pytest.mark.parametrize("arms, boards", [(2, 121), (3, 1331)])
 def test_l_closed_form_searches_each_chain_once(monkeypatch, arms, boards):
     # a position of the chain is empty or holds one of the 10 non-empty
-    # arm pairs of length <= 4, so 11**arms distinct boards; those of even
-    # size, 65 at arms 2 and 679 at arms 3, are each searched once, from
-    # the cells of its first spec's board, in the order of the specs, and
-    # no chain of odd size has its cells built
+    # arm pairs of length <= 4, so 11**arms distinct boards; those with as
+    # many cells of i + j odd as even, 57 at arms 2 and 511 at arms 3, are
+    # each searched once, from the cells of its first spec's board, in the
+    # order of the specs, and no other chain has its cells built
     import residue_tilings.lemmas as lemmas
 
     searched = []
@@ -164,8 +164,9 @@ def test_l_closed_form_searches_each_chain_once(monkeypatch, arms, boards):
         return search(cells, limit)
 
     def built(chain):
-        assert sum(a + b - 1 for _, a, b in chain) % 2 == 0, chain
-        return chain_cells(chain)
+        cells = chain_cells(chain)
+        assert 2 * sum((i + j) % 2 for i, j in cells) == len(cells), chain
+        return cells
 
     monkeypatch.setattr(lemmas, "_tilings", counted)
     monkeypatch.setattr(lemmas, "_l_chain_cells", built)
@@ -174,9 +175,10 @@ def test_l_closed_form_searches_each_chain_once(monkeypatch, arms, boards):
     assert report["pass"] and report["total"] == len(specs)
     distinct = list(dict.fromkeys(l_board_reference(spec).cells for spec in specs))
     assert len(distinct) == boards
-    even = [cells for cells in distinct if len(cells) % 2 == 0]
-    assert len(even) == {2: 65, 3: 679}[arms]
-    assert searched == even
+    balanced = [cells for cells in distinct
+                if 2 * sum((i + j) % 2 for i, j in cells) == len(cells)]
+    assert len(balanced) == {2: 57, 3: 511}[arms]
+    assert searched == balanced
 
 
 def test_l_closed_form_reads_the_cell_limit_once_per_call(monkeypatch):

@@ -4,12 +4,13 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from collections import OrderedDict
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
-from conftest import biadjacency, domino
+from conftest import biadjacency, domino, window_table_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from residue_tilings.board import Board, LShapeSpec, half_board, l_board, rectan
 from residue_tilings.decomp import closure, closure_union, restricted_sum
 from residue_tilings.gaussian import GaussianInt, i_power
 from residue_tilings.kasteleyn import det_exact
-from residue_tilings.lemmas import run_parity
+from residue_tilings.lemmas import run_parity, run_periodicity
 from residue_tilings.limits import SizeLimitError
 from residue_tilings.tiling import (
     Domino,
@@ -1191,6 +1192,55 @@ def test_a_height_refused_in_its_first_column_builds_no_reversal_table(monkeypat
     assert tiling._REVERSALS == {}
     count_tilings(rectangle(12, 10))
     assert list(tiling._REVERSALS) == [10]
+
+
+def test_a_refused_rectangle_builds_no_cells(monkeypatch):
+    # a rectangle is held as its size, so the signed sum of 1000 x 1000 is
+    # refused at its first window past the state limit without its 10**6
+    # cells, which took 114 MB of a 119 MB traced peak when they were built
+    fresh_memo(monkeypatch)
+    monkeypatch.setattr(tiling, "_WINDOWS", {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="^121393 profile states exceed limit 65536$"):
+            signed_sum(rectangle(1000, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20
+
+
+# every window shape: rights of 1 to 4 cells, a cell above or not, signed or not
+WINDOW_SHAPES = [(rights, up, signed) for length in range(1, 5)
+                 for rights in product((False, True), repeat=length)
+                 for up in (False, True) for signed in (False, True)]
+
+
+@pytest.mark.parametrize("rows", [range(10), range(9, -1, -1)], ids=["rising", "falling"])
+def test_a_window_table_equals_the_one_built_at_its_row(monkeypatch, rows):
+    # a table is stepped out at row 0 or 1 and shifted to any other
+    # row; rows read rising and falling, so that either is read first
+    monkeypatch.setattr(tiling, "_WINDOWS", {})
+    for rights, up, signed in WINDOW_SHAPES:
+        for y in rows:
+            table = tiling._window_table(rights, up, signed, y)
+            assert table == window_table_reference(rights, up, signed, y), (rights, up, signed, y)
+
+
+def test_periodicity_builds_one_window_table_per_shape(monkeypatch):
+    # heights 1..10 are cut into windows from rows 0, 4 and 8, all even, so
+    # of the 12 tables run_periodicity(10, 10) reads, the 5 shapes are
+    # stepped out at row 0 and the other 7 tables shifted from them; all 12
+    # were stepped out before
+    fresh_memo(monkeypatch)
+    monkeypatch.setattr(tiling, "_WINDOWS", {})
+    read, built = [], []
+    table, ways = tiling._window_table, tiling._window_ways
+    monkeypatch.setattr(tiling, "_window_table", lambda *key: read.append(key) or table(*key))
+    monkeypatch.setattr(tiling, "_window_ways", lambda *key: built.append(key) or ways(*key))
+    assert run_periodicity(10, 10)["pass"]
+    assert len(set(read)) == 12
+    assert len(built) == 5 and {y for *_, y in built} == {0}
 
 
 def test_parity_counts_known():

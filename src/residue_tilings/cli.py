@@ -160,9 +160,9 @@ def _json_row(entries: dict[int, int], dim: int) -> str:
 
 
 def _verify_n(task: tuple[int, int, tuple[str, ...], float]) -> list[dict]:
-    """Every case of one n, for m = 1 .. m_max.  A worker of verify --jobs
-    takes all of an n, so that the DP's kept columns of its profile height
-    are swept by that worker alone."""
+    """Every case of one n, for m = 1 .. m_max, in one worker of verify
+    --jobs: for m >= n the DP's kept columns of its height n - 1 are swept
+    by it alone, but for m < n the height is m - 1, varying within a task."""
     n, m_max, methods, tol = task
     out = []
     for m in range(1, m_max + 1):

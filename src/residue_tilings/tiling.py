@@ -20,14 +20,17 @@ upside down keeps h, are kept in one memo by profile height, sign and
 column, within MAX_STATES in total, the oldest column dropped first, so
 that the next rectangle of that height, upright or turned, reads its
 middle columns from the memo or sweeps on from the highest kept column
-below them.  Any other board is swept whole, from its short end.
+below them.  Any other board is swept whole, from its short end.  The
+column plans, window tables and row reversals are functools.cache
+functions, which _forget_memos empties, and a rectangle reads its column
+plan from the same cache as any other board.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable
-from functools import total_ordering
+from functools import cache, total_ordering
 from itertools import groupby
 from operator import attrgetter, itemgetter
 
@@ -210,7 +213,7 @@ def _profile_sum(board, signed):
 
     A rectangle is read by its size and bounds alone.  Any other board is
     swept whole, its windows cut from the runs of consecutive cells in each
-    column and kept by its rows and the next swept column's (_plan), from
+    column by its rows and the next swept column's (_plan), from
     its short end: when its last column holds fewer cells than its first,
     its columns are walked in reverse, mirrored by i -> -i (rows kept).
 
@@ -287,26 +290,25 @@ def _window_step(states, y, table):
     return new_states
 
 
-# (rows, rows of the next column swept if it is adjacent, signed) -> the
-# windows of a column of a board that is not a rectangle, built on first use
-_PLANS: dict[tuple, list] = {}
-
-
+@cache
 def _plan(rows, next_rows, signed):
-    """The windows of a column of rows, ascending, before a column of
-    next_rows, or of () when none is adjacent; only the rows of next_rows
-    that neighbour rows count."""
-    key = (rows, next_rows, signed)
-    windows = _PLANS.get(key)
-    if windows is None:
-        windows = _PLANS[key] = _column_windows(rows, [y in next_rows for y in rows], signed)
+    """(y, table) for each window of a column of rows, ascending, before a
+    column of next_rows, or of () when none is adjacent: its profile rows,
+    in ascending order, cut into runs of consecutive rows of at most
+    WINDOW_ROWS; a cell has a right neighbour when its row is in next_rows,
+    so only the rows of next_rows that neighbour rows count."""
+    rights = list(map(set(next_rows).__contains__, rows))  # linear in the column's height
+    windows, start = [], 0
+    for k, y in enumerate(rows):
+        up = k + 1 < len(rows) and rows[k + 1] == y + 1
+        if not up or k + 1 - start == WINDOW_ROWS:
+            row = rows[start]
+            windows.append((row, _window_table(tuple(rights[start:k + 1]), up, signed, row)))
+            start = k + 1
     return windows
 
 
-# (rights, up, signed, y) -> a window's placements, built on first use
-_WINDOWS: dict[tuple, list] = {}
-
-
+@cache
 def _window_table(rights, up, signed, y):
     """The placements of a window of L = len(rights) cells, one above
     another from row y: rights[k] tells whether cell k has a right
@@ -322,13 +324,10 @@ def _window_table(rights, up, signed, y):
     stepped out only at row y % 2 (signed) or 0 (unsigned); at any other
     row it is that table shifted.
     """
-    key = (rights, up, signed, y)
-    if key not in _WINDOWS:
-        d = y - y % 2 if signed else y  # rows above the one it is built at
-        _WINDOWS[key] = _window_ways(rights, up, signed, y) if not d else [
-            ([x << d for x in plus], [x << d for x in minus])
-            for plus, minus in _window_table(rights, up, signed, y - d)]
-    return _WINDOWS[key]
+    d = y - y % 2 if signed else y  # rows above the one it is built at
+    return _window_ways(rights, up, signed, y) if not d else [
+        ([x << d for x in plus], [x << d for x in minus])
+        for plus, minus in _window_table(rights, up, signed, y - d)]
 
 
 def _window_ways(rights, up, signed, y):
@@ -354,21 +353,6 @@ def _window_ways(rights, up, signed, y):
         for end, negate in states.items():
             (minus if negate else plus).append((end ^ start) << y)
     return table
-
-
-def _column_windows(rows, rights, signed):
-    """(y, table) for each window of one column: its profile rows, in
-    ascending order, cut into runs of consecutive rows of at most
-    WINDOW_ROWS; rights[k] tells whether the cell at rows[k] has a right
-    neighbour."""
-    windows, start = [], 0
-    for k, y in enumerate(rows):
-        up = k + 1 < len(rows) and rows[k + 1] == y + 1
-        if not up or k + 1 - start == WINDOW_ROWS:
-            row = rows[start]
-            windows.append((row, _window_table(tuple(rights[start:k + 1]), up, signed, row)))
-            start = k + 1
-    return windows
 
 
 def _column_step(states, windows):
@@ -412,18 +396,14 @@ def _orbit_step(orbits, windows, height):
     return orbits
 
 
-# profile height -> (half, mask, low, high): rev p = low[p & mask] | high[p >> half]
-_REVERSALS: dict[int, tuple] = {}
-
-
+@cache
 def _reversals(height):
-    """The tables of _REVERSALS for height, built once a column of it fits."""
-    if height not in _REVERSALS:
-        half, top = height // 2, height - height // 2
-        _REVERSALS[height] = (half, (1 << half) - 1,
+    """(half, mask, low, high) for height, with rev p = low[p & mask] |
+    high[p >> half], built once a column of it fits."""
+    half, top = height // 2, height - height // 2
+    return (half, (1 << half) - 1,
             [int(f"{x:0{half}b}"[::-1], 2) << top for x in range(1 << half)],
             [int(f"{x:0{top}b}"[::-1], 2) for x in range(1 << top)])
-    return _REVERSALS[height]
 
 
 # (profile height, signed, c) -> the states after c whole columns of a
@@ -435,8 +415,9 @@ _held = 0
 def _forget_memos():
     """Empty every memo of the DP, so that the next sweep builds what it needs."""
     global _held
-    for memo in (_PLANS, _WINDOWS, _REVERSALS, _SNAPSHOTS):
-        memo.clear()
+    for memo in (_plan, _window_table, _reversals):
+        memo.cache_clear()
+    _SNAPSHOTS.clear()
     _held = 0
 
 
@@ -453,7 +434,8 @@ def _fold_states(height, signed, width):
     While the held states pass MAX_STATES, the oldest kept column is dropped.
     """
     global _held
-    windows = None
+    rows = tuple(range(height))
+    windows = _plan(rows, rows, signed)
     folds = []
     for column in (width // 2, (width + 1) // 2):
         c = column
@@ -461,8 +443,6 @@ def _fold_states(height, signed, width):
             c -= 1
         states = _SNAPSHOTS[height, signed, c] if c else {0: 1}
         while c < column:
-            if windows is None:
-                windows = _column_windows(range(height), [True] * height, signed)
             states = _orbit_step(states, windows, height)
             c += 1
             _SNAPSHOTS[height, signed, c] = states

@@ -1,5 +1,4 @@
 import json
-from collections import OrderedDict
 
 import pytest
 from conftest import l_board_reference, l_chain_specs
@@ -102,9 +101,7 @@ def test_a_report_sweeps_as_much_whatever_report_ran_before(monkeypatch):
     heights, as it does on its own."""
     import residue_tilings.tiling as tiling
 
-    for name, memo in (("_PLANS", {}), ("_WINDOWS", {}), ("_REVERSALS", {}),
-                       ("_SNAPSHOTS", OrderedDict()), ("_held", 0)):
-        monkeypatch.setattr(tiling, name, memo)
+    tiling._forget_memos()
     steps, step = [], tiling._orbit_step
     monkeypatch.setattr(tiling, "_orbit_step", lambda *args: steps.append(1) or step(*args))
     assert run_periodicity(m_max=4, n_max=6)["pass"]
@@ -113,7 +110,9 @@ def test_a_report_sweeps_as_much_whatever_report_ran_before(monkeypatch):
     steps.clear()
     assert run_periodicity(m_max=4, n_max=6)["pass"]
     assert len(steps) == alone > 0
-    assert not (tiling._PLANS or tiling._WINDOWS or tiling._REVERSALS or tiling._SNAPSHOTS)
+    for memo in (tiling._plan, tiling._window_table, tiling._reversals):
+        assert memo.cache_info().currsize == 0
+    assert not tiling._SNAPSHOTS
     assert tiling._held == 0
 
 

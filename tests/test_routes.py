@@ -4,7 +4,6 @@ listed, each with the reason the cross-check still holds."""
 
 import ast
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -62,7 +61,7 @@ OWN_CODE = {
         # a rectangle is read by its size, never by its cells
         "board.Board.__len__", "board.Board.bounds", "board.rectangle",
         "gaussian.GaussianInt.__init__",
-        "tiling._column_windows", "tiling._fold_states", "tiling._orbit_step",
+        "tiling._fold_states", "tiling._orbit_step", "tiling._plan",
         "tiling._profile_sum", "tiling._reversals", "tiling._window_step",
         "tiling._window_table", "tiling._window_ways",
         "tiling.signed_sum",
@@ -110,7 +109,8 @@ SHARED_CODE = {
 
 def _qualnames():
     """module.qualname of every function of the package, by its code
-    object; a code object carries no qualname of its own before 3.11."""
+    object, a cached one by the function it wraps; a code object carries
+    no qualname of its own before 3.11."""
     names = {}
     for module in (board, cli, decomp, gaussian, kasteleyn, lemmas, limits, residue, spectral,
                    tiling):
@@ -118,6 +118,7 @@ def _qualnames():
         for value in vars(module).values():
             for member in vars(value).values() if isinstance(value, type) else (value,):
                 func = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                func = getattr(func, "__wrapped__", func)
                 code = getattr(func, "__code__", None)
                 if code is not None and code.co_filename == module.__file__:
                     names[code] = f"{short}.{func.__qualname__}"
@@ -144,12 +145,10 @@ def _calls(route, names, files):
     return seen
 
 
-def test_routes_call_only_their_own_code(monkeypatch):
+def test_routes_call_only_their_own_code():
     # empty memos, so that the DP sweeps every column it reads and builds
-    # every window table
-    monkeypatch.setattr(tiling, "_SNAPSHOTS", OrderedDict())
-    monkeypatch.setattr(tiling, "_WINDOWS", {})
-    monkeypatch.setattr(tiling, "_held", 0)
+    # every plan and window table
+    tiling._forget_memos()
     names = _qualnames()
     files = {code.co_filename for code in names}
     called = {method: _calls(route, names, files) for method, route in cli.ROUTES.items()}

@@ -14,7 +14,7 @@ from conftest import biadjacency, domino, window_table_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from residue_tilings import limits, tiling
+from residue_tilings import lemmas, limits, tiling
 from residue_tilings.board import Board, LShapeSpec, half_board, l_board, rectangle
 from residue_tilings.decomp import closure, closure_union, restricted_sum
 from residue_tilings.gaussian import GaussianInt, i_power
@@ -473,23 +473,39 @@ def mirror(board):
     return Board((width + 1 - i, j) for i, j in board)
 
 
-def test_a_mirror_image_reads_the_column_plans_of_its_board(monkeypatch):
+def test_a_mirror_image_reads_the_column_plans_of_its_board():
     # a board that is not a rectangle is swept from its short end, so its
     # mirror image walks the same columns with the same next columns, and
     # neither it nor the board swept again cuts a column into windows.  The
     # board's seven columns have three shapes: two cells before a full
     # column, a full column before another, and the last full column
     board = rectangle(7, 4) - Board([(1, 1), (1, 4)])
-    monkeypatch.setattr(tiling, "_PLANS", {})
-    calls = []
-    cut = tiling._column_windows
-    monkeypatch.setattr(tiling, "_column_windows", lambda *args: calls.append(1) or cut(*args))
+    tiling._forget_memos()
     value = signed_sum(board)
     assert value == signed_sum_bruteforce(board) != 0
-    assert len(calls) == 3
-    calls.clear()
+    assert tiling._plan.cache_info().misses == 3
     assert signed_sum(board) == signed_sum(mirror(board)) == value
-    assert calls == []
+    assert tiling._plan.cache_info().misses == 3
+
+
+def test_rectangles_and_boards_share_one_column_plan():
+    # every rectangle w x 8 with w >= 8 is swept at profile height 8 (a
+    # narrower one is turned, to its own height), so after the first its
+    # signed sums cut no column into windows, and the counts cut one more
+    # plan, unsigned.  A board of full 8-row columns but its first reads
+    # the rectangles' signed plan for each of its 10 columns before another
+    # full one: only its first column and its last, before none, are cut
+    tiling._forget_memos()
+    for w in range(8, 21):
+        signed_sum(rectangle(w, 8))
+    assert tiling._plan.cache_info().misses == 1
+    for w in range(8, 21):
+        count_tilings(rectangle(w, 8))
+    assert tiling._plan.cache_info().misses == 2
+    hits = tiling._plan.cache_info().hits
+    signed_sum(rectangle(12, 8) - Board([(1, 1), (1, 2)]))
+    assert tiling._plan.cache_info().misses == 4
+    assert tiling._plan.cache_info().hits == hits + 10
 
 
 def assert_kernel_matches_enumeration(board):
@@ -1075,10 +1091,11 @@ def test_past_the_budget_the_memo_drops_its_oldest_column(monkeypatch):
 
 def test_a_read_of_kept_columns_looks_up_no_window_table(monkeypatch):
     # 20 x 8 keeps columns 1..10; read again, and as 19 x 8, whose middle
-    # columns 9 and 10 are kept, it steps no window and looks up no table
+    # columns 9 and 10 are kept, it steps no window and looks up no table;
+    # the plans are emptied too, since a kept plan looks up no table either
     fresh_memo(monkeypatch)
     cold = signed_sum(rectangle(19, 8))
-    empty_memo()
+    tiling._forget_memos()
     calls = []
     for name in ("_window_table", "_window_step"):
         original = getattr(tiling, name)
@@ -1183,15 +1200,18 @@ def test_a_column_is_refused_only_where_its_whole_states_are(monkeypatch):
 def test_a_height_refused_in_its_first_column_builds_no_reversal_table(monkeypatch):
     # the first column's whole states are its orbits, so a refusal there is
     # final, and the tables of rev, 2 ** (h/2) entries each, are built only
-    # once a column fits: 26 x 26 builds none, 12 x 10 those of height 10
+    # once a column fits: 26 x 26 builds none, 12 x 10 those of height 10,
+    # which a read at height 10 then finds
     fresh_memo(monkeypatch)
-    monkeypatch.setattr(tiling, "_REVERSALS", {})
+    tiling._reversals.cache_clear()
     for sweep in (count_tilings, signed_sum):
         with pytest.raises(SizeLimitError):
             sweep(rectangle(26, 26))
-    assert tiling._REVERSALS == {}
+    assert tiling._reversals.cache_info().currsize == 0
     count_tilings(rectangle(12, 10))
-    assert list(tiling._REVERSALS) == [10]
+    assert tiling._reversals.cache_info().currsize == 1
+    tiling._reversals(10)
+    assert tiling._reversals.cache_info().currsize == 1
 
 
 def test_a_refused_rectangle_builds_no_cells(monkeypatch):
@@ -1199,7 +1219,7 @@ def test_a_refused_rectangle_builds_no_cells(monkeypatch):
     # refused at its first window past the state limit without its 10**6
     # cells, which took 114 MB of a 119 MB traced peak when they were built
     fresh_memo(monkeypatch)
-    monkeypatch.setattr(tiling, "_WINDOWS", {})
+    tiling._forget_memos()
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError, match="^121393 profile states exceed limit 65536$"):
@@ -1217,10 +1237,10 @@ WINDOW_SHAPES = [(rights, up, signed) for length in range(1, 5)
 
 
 @pytest.mark.parametrize("rows", [range(10), range(9, -1, -1)], ids=["rising", "falling"])
-def test_a_window_table_equals_the_one_built_at_its_row(monkeypatch, rows):
+def test_a_window_table_equals_the_one_built_at_its_row(rows):
     # a table is stepped out at row 0 or 1 and shifted to any other
     # row; rows read rising and falling, so that either is read first
-    monkeypatch.setattr(tiling, "_WINDOWS", {})
+    tiling._window_table.cache_clear()
     for rights, up, signed in WINDOW_SHAPES:
         for y in rows:
             table = tiling._window_table(rights, up, signed, y)
@@ -1231,9 +1251,11 @@ def test_periodicity_builds_one_window_table_per_shape(monkeypatch):
     # heights 1..10 are cut into windows from rows 0, 4 and 8, all even, so
     # of the 12 tables run_periodicity(10, 10) reads, the 5 shapes are
     # stepped out at row 0 and the other 7 tables shifted from them; all 12
-    # were stepped out before
+    # were stepped out before.  The report's _forget_memos is a no-op here:
+    # it would call cache_clear on the counting stand-in below, which has none
     fresh_memo(monkeypatch)
-    monkeypatch.setattr(tiling, "_WINDOWS", {})
+    tiling._forget_memos()
+    monkeypatch.setattr(lemmas, "_forget_memos", lambda: None)
     read, built = [], []
     table, ways = tiling._window_table, tiling._window_ways
     monkeypatch.setattr(tiling, "_window_table", lambda *key: read.append(key) or table(*key))

@@ -21,7 +21,7 @@ from .kasteleyn import _eliminate, build_kasteleyn, det_exact, signed_sum_via_de
 from .lemmas import LEMMAS, _grid
 from .limits import MAX_JSON_BYTES, SizeLimitError, check
 from .residue import jacobi, theorem_rhs
-from .spectral import ToleranceError, _check_tol, signed_sum_via_spectral
+from .spectral import ToleranceError, signed_sum_via_spectral
 from .tiling import count_tilings, signed_sum
 
 EXIT_OK = 0
@@ -30,19 +30,24 @@ EXIT_LIMIT = 2
 EXIT_IO = 3
 EXIT_USAGE = 4
 
-# Each route maps (m, n, tol) to the signed sum of the (m-1) x (n-1)
+# Each route maps (m, n) to the signed sum of the (m-1) x (n-1)
 # rectangle.  The lambdas look the functions up at call time, so that a
 # patched module attribute takes effect.
 ROUTES = {
-    "dp": lambda m, n, tol: signed_sum(rectangle(m - 1, n - 1)),
-    "det": lambda m, n, tol: signed_sum_via_det(m, n),
-    "reciprocity-free": lambda m, n, tol: reciprocity_free_sum(m, n),
-    "spectral": lambda m, n, tol: signed_sum_via_spectral(m, n, tol),
+    "dp": lambda m, n: signed_sum(rectangle(m - 1, n - 1)),
+    "det": lambda m, n: signed_sum_via_det(m, n),
+    "reciprocity-free": lambda m, n: reciprocity_free_sum(m, n),
+    "spectral": lambda m, n: signed_sum_via_spectral(m, n),
 }
 METHODS = tuple(ROUTES)
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's own parse errors exit 4: exit 2 means a resource limit here."""
+    """argparse's own parse errors exit 4: exit 2 means a resource limit
+    here.  No flag may be abbreviated, so a removed flag is never read as
+    the prefix of another."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -94,7 +99,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--methods", default="dp,det",
                    help="comma list from: " + ", ".join(METHODS))
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("table", help="emit S and Jacobi values over a range")
     p.add_argument("--m-max", type=int, required=True)
@@ -159,11 +163,11 @@ def _json_row(entries: dict[int, int], dim: int) -> str:
     return "[" + "".join(parts)[:-2] + "]"
 
 
-def _verify_n(task: tuple[int, int, tuple[str, ...], float]) -> list[dict]:
+def _verify_n(task: tuple[int, int, tuple[str, ...]]) -> list[dict]:
     """Every case of one n, for m = 1 .. m_max, in one worker of verify
     --jobs: for m >= n the DP's kept columns of its height n - 1 are swept
     by it alone, but for m < n the height is m - 1, varying within a task."""
-    n, m_max, methods, tol = task
+    n, m_max, methods = task
     out = []
     for m in range(1, m_max + 1):
         rhs = theorem_rhs(m, n)
@@ -171,7 +175,7 @@ def _verify_n(task: tuple[int, int, tuple[str, ...], float]) -> list[dict]:
             case = {"m": m, "n": n, "lhs": None, "rhs": rhs,
                     "method": method, "pass": False}
             try:
-                lhs = ROUTES[method](m, n, tol)
+                lhs = ROUTES[method](m, n)
                 case["lhs"], case["pass"] = str(lhs), lhs == rhs
             except ToleranceError as exc:
                 case["lhs"] = repr(complex(exc.value))  # the published form
@@ -191,12 +195,11 @@ def _cmd_verify(args) -> int:
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-    _check_tol(args.tol)  # whatever the methods, so a bad --tol never exits 0
     _check_range(args)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be a positive int, got {args.jobs}")
     # one task per n, widest first, so that the longest task starts first
-    tasks = [(n, args.m_max, methods, args.tol)
+    tasks = [(n, args.m_max, methods)
              for n in reversed(range(1, args.n_max + 1, 2))]
     start = time.perf_counter()
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))

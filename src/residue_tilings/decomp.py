@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterable
 
 from . import limits
-from .board import Board, LShapeSpec, _half_board_diag
+from .board import Board, LShapeSpec, _half_board_diag, half_board
 from .gaussian import GaussianInt, ZERO, _Frozen, _set, i_power
 from .kasteleyn import SparseMatrix, _eliminate
 from .residue import _check_pair
@@ -180,20 +180,22 @@ def half_board_support(m: int, n: int, diag: Iterable[int]) -> bool:
 
 def half_board_sum(m: int, n: int, diag: Iterable[int]) -> GaussianInt:
     """Exact signed sum of the half board with anti-diagonal cells diag,
-    the single path of half_board_sums.
+    the profile DP of that board.
 
     The value is always one of 0, 1, -1, i, -i, and can be nonzero only
     when diag satisfies the support conditions; a value that breaks
     either fact raises InvariantError.
     """
-    (value,) = half_board_sums(m, n, diag=diag).values()
+    marks = _check_window(m, n, diag)
+    value = signed_sum(half_board(m, n, marks))
+    _check_half_board(m, n, marks, "sum", value, _HALF_BOARD_VALUES)
     return value
 
 
-def half_board_sums(m: int, n: int, signed: bool = True, diag: Iterable[int] | None = None) -> dict:
+def half_board_sums(m: int, n: int, signed: bool = True) -> dict:
     """The signed sum (checked as in half_board_sum), or unsigned the
     parity_counts, of the half board at every diagonal of the window
-    (m, n), or at diag alone, keyed by its marks in ascending order.
+    (m, n), keyed by its marks in ascending order.
 
     Column k = (m+n)/2 - i, with no Board: k = 1 is the staircase's tip,
     and column k holds rows 1..k-1, and row k if marked.  As _profile_sum
@@ -204,21 +206,19 @@ def half_board_sums(m: int, n: int, signed: bool = True, diag: Iterable[int] | N
     column early.  Across the cut both see rows 1..cut: the tip side sets
     no row that column cut lacks.  A diagonal joins its tip leaf L and far
     leaf R as sum_p L[p] * R[p], signed times -1 per even row of p, as both
-    weigh the dominoes that cross.  With diag, the cut is after the last
-    column and R is {0: 1}.  A diagonal of odd size, (m-2)(n-1)/2 plus its
-    marks, reads 0.
+    weigh the dominoes that cross.  A diagonal of odd size, (m-2)(n-1)/2
+    plus its marks, reads 0.
     """
-    marks = _check_window(m, n, () if diag is None else diag)
-    if diag is None:
-        limits.check_diagonals(n)
+    _check_window(m, n)
+    limits.check_diagonals(n)
     full, last = tuple(range(n - 1)), (m + n) // 2 - 1
-    cut = last if diag is not None else n // 2
+    cut = n // 2
     tips = fars = {(): {0: 1}}
     for k in range(1, cut + 1):
         tips = {picks + (k,) * mark: _column_step(states, _plan(
-                    full[:k - 1 + mark], full[:k] if k < last else (), signed))
+                    full[:k - 1 + mark], full[:k], signed))
                 for picks, states in tips.items()
-                for mark in ((0, 1) if diag is None else (k in marks,))}
+                for mark in (0, 1)}
     for k in range(last, cut, -1):
         inner = k - 1 > cut
         fars = {(k - 1,) * mark + picks: _column_step(states, _plan(

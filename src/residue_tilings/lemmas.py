@@ -26,12 +26,11 @@ from .gaussian import GaussianInt, ZERO
 from .kasteleyn import build_kasteleyn, det_exact, signed_sum_via_det
 from .residue import jacobi, theorem_rhs, gauss_sign, gauss_sign_even_half
 from .spectral import (
-    ToleranceError,
+    FLOAT_GATE,
     _is_odd_prime,
     eisenstein_product,
     ktf_count,
     norm_product,
-    round_signed,
 )
 from .tiling import (
     _flip_search,
@@ -44,17 +43,11 @@ from .tiling import (
     totally_vertical_tiling,
 )
 
-# The tolerance of every floating-point claim, fixed so that no argument
-# can widen a gate until it passes anything.
-_FLOAT_GATE = 1e-6
-
 
 def _rounds_to(value: float, expected: int) -> bool:
-    """Whether value rounds to expected within _FLOAT_GATE."""
-    try:
-        return round_signed(value, _FLOAT_GATE) == expected
-    except ToleranceError:
-        return False
+    """Whether value rounds to expected within FLOAT_GATE, which is below
+    1/2; a NaN or infinite value compares False."""
+    return abs(value - expected) <= FLOAT_GATE
 
 
 def _report(lemma: str, params: dict, cases: list[dict]) -> dict:
@@ -88,7 +81,7 @@ def _even_rectangles(max_area: int) -> list[tuple[int, int]]:
     against the cell limit before any of them is searched."""
     rectangles = [(m, n) for n in range(2, max_area + 1, 2) for m in range(1, max_area // n + 1)]
     for m, n in rectangles:
-        limits.check_cells(rectangle(m, n))
+        limits.check_cells(m * n)
     return rectangles
 
 
@@ -135,11 +128,11 @@ def run_norm_bridge(m_max: int = 13, n_max: int = 13) -> dict:
         det = det_exact(build_kasteleyn(m, n))
         ok = _rounds_to(z, det)
         if math.gcd(m, n) > 1:
-            ok = ok and abs(z) <= _FLOAT_GATE
+            ok = ok and abs(z) <= FLOAT_GATE
         # printed as a complex, so the report keeps its published bytes
         cases.append(_case({"m": m, "n": n}, repr(complex(z)), det, ok))
     return _report(
-        "norm-bridge", {"m_max": m_max, "n_max": n_max, "tol": _FLOAT_GATE}, cases
+        "norm-bridge", {"m_max": m_max, "n_max": n_max, "tol": FLOAT_GATE}, cases
     )
 
 
@@ -244,27 +237,20 @@ def run_decomposition() -> dict:
     return _report("decomposition", {"pairs": len(cases)}, cases)
 
 
-def run_periodicity(m_max: int = 6, n_max: int | None = None, n: int | None = None) -> dict:
+def run_periodicity(m_max: int = 6, n_max: int = 6) -> dict:
     """Widening a rectangle by n + 1 columns multiplies its signed sum by
     the fixed fourth root of unity periodicity_factor(n), for the heights
-    1..n_max (6 when neither is given) or for the one height n."""
-    if n is None:
-        n_max = 6 if n_max is None else n_max
-        heights, params = range(1, n_max + 1), {"m_max": m_max, "n_max": n_max}
-    elif n_max is None:
-        heights, params = [n], {"m_max": m_max, "n": n}
-    else:
-        raise ValueError("n and n_max exclude each other")
+    n = 1..n_max."""
     cases = []
-    for height in heights:
-        factor = periodicity_factor(height)  # checks the height before a rectangle is built
+    for height in range(1, n_max + 1):
+        factor = periodicity_factor(height)
         for m in range(1, m_max + 1):
             wide = signed_sum(rectangle(m + height + 1, height))
             narrow = signed_sum(rectangle(m, height)) * factor
             cases.append(
                 _case({"m": m, "n": height}, str(wide), str(narrow), wide == narrow)
             )
-    return _report("periodicity", params, cases)
+    return _report("periodicity", {"m_max": m_max, "n_max": n_max}, cases)
 
 
 def run_coprime_vanishing(bound: int = 15) -> dict:
@@ -345,14 +331,14 @@ def run_half_board(m_max: int = 9) -> dict:
 
 def run_parity(m_max: int = 9, limit: int = 64) -> dict:
     """Every tiling of a tilable half board has the parity of h given by
-    the closed parity expression.  Each board's cell count is checked, in
-    the order of _diagonals, before its window is swept."""
+    the closed parity expression.  Each board's cell count is checked, by
+    its number of marks, smallest first, before its window is swept."""
     limit = limits.cell_limit(limit)  # also when the range holds no board
     cases = []
     for m, n in _window_pairs(m_max):
         cells = (m - 2) * (n - 1) // 2
-        for picks in _diagonals(n):
-            limits.check_cells(cells + len(picks), limit)
+        for size in range(n):
+            limits.check_cells(cells + size, limit)
         counts = half_board_sums(m, n, signed=False)
         for picks in _diagonals(n):
             even, odd = counts[picks]
@@ -383,7 +369,7 @@ def run_eisenstein(bound: int = 23) -> dict:
             expected = jacobi(q, p)
             cases.append(_case({"p": p, "q": q}, value, expected,
                                _rounds_to(value, expected)))
-    return _report("eisenstein", {"bound": bound, "tol": _FLOAT_GATE}, cases)
+    return _report("eisenstein", {"bound": bound, "tol": FLOAT_GATE}, cases)
 
 
 def run_ktf(bound: int = 11) -> dict:
@@ -395,9 +381,9 @@ def run_ktf(bound: int = 11) -> dict:
             exact = count_tilings(rectangle(m - 1, n - 1))
             cases.append(
                 _case({"m": m, "n": n}, approx, exact,
-                      math.isclose(approx, exact, rel_tol=_FLOAT_GATE))
+                      math.isclose(approx, exact, rel_tol=FLOAT_GATE))
             )
-    return _report("ktf", {"bound": bound, "rel_tol": _FLOAT_GATE}, cases)
+    return _report("ktf", {"bound": bound, "rel_tol": FLOAT_GATE}, cases)
 
 
 LEMMAS = {

@@ -15,6 +15,10 @@ from operator import floordiv, getitem, mod, sub, truediv
 from .kasteleyn import det_sign
 from .residue import _check_pair
 
+# The tolerance of every floating-point claim, fixed so that no argument
+# can widen a gate until it passes anything.
+FLOAT_GATE = 1e-6
+
 
 class ToleranceError(ValueError):
     """A floating value failed to round to an integer within tolerance; it
@@ -66,10 +70,10 @@ def _fold(sines: array, rs: range) -> tuple[Iterator[float], int]:
     return map(getitem, repeat(sines), folded), sum(map(floordiv, rs, repeat(2 * m))) % 2
 
 
-def signed_sum_via_spectral(m: int, n: int, tol: float = 1e-6) -> int:
+def signed_sum_via_spectral(m: int, n: int) -> int:
     """Signed tiling sum of the (m-1) x (n-1) rectangle from the eigenvalue
-    product, rounded at tol; raises ToleranceError when it does not round."""
-    return round_signed(norm_product(m, n), tol) * det_sign(m, n)
+    product, rounded at FLOAT_GATE; raises ToleranceError when it does not round."""
+    return round_signed(norm_product(m, n)) * det_sign(m, n)
 
 
 def ktf_count(m: int, n: int) -> float:
@@ -127,7 +131,7 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must satisfy 0 <= tol < 1/2, got {tol!r}")
 
 
-def round_signed(value: float, tol: float = 1e-6) -> int:
+def round_signed(value: float, tol: float = FLOAT_GATE) -> int:
     """Round value to the nearest integer; ToleranceError if the residual
     exceeds tol or value is not finite (its residual is then inf),
     ValueError if tol fails _check_tol."""

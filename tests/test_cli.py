@@ -1,5 +1,6 @@
 """Exit codes, golden outputs, and report shapes for the CLI."""
 
+import argparse
 import hashlib
 import inspect
 import json
@@ -360,14 +361,17 @@ def test_verify_jobs_not_positive(jobs, capsys):
     ["--m-max", "6", "--n-max", "5", "--methods", "spectral", "--tol", "-1"],
     ["--m-max", "3", "--n-max", "3", "--methods", "dp", "--tol", "nan"],
     ["--m-max", "0", "--n-max", "5", "--methods", "spectral", "--tol", "nan"],
-], ids=["nan", "-1", "no-spectral-method", "no-case"])
+    ["--m-max", "3", "--n-max", "3", "--methods", "spectral", "--tol", "0.4"],
+], ids=["nan", "-1", "no-spectral-method", "no-case", "0.4"])
 def test_verify_refuses_a_tolerance_outside_the_gate(argv, capsys):
     # --tol nan used to turn the spectral gate off and exit 0, and --tol -1
     # reported every case as a verification failure; without a spectral
-    # case to run, --tol nan was not checked at all and exited 0
+    # case to run, --tol nan was not checked at all and exited 0.  The
+    # spectral route now rounds at the fixed FLOAT_GATE, and verify takes
+    # no --tol, not even one inside the gate
     code, out, err = run_cli(["verify", *argv], capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
-    assert "0 <= tol < 1/2" in err
+    assert f"unrecognized arguments: --tol {argv[-1]}" in err
 
 
 def test_table_golden_csv(capsys):
@@ -409,31 +413,49 @@ def test_table_io_error(capsys):
 
 def test_lemma_report(capsys):
     code, out, _ = run_cli(
-        ["lemma", "periodicity", "--n", "3", "--m-max", "8"], capsys
+        ["lemma", "periodicity", "--n-max", "3", "--m-max", "8"], capsys
     )
     assert code == 0
     report = json.loads(out)
     assert report["lemma"] == "periodicity"
-    assert report["params"] == {"m_max": 8, "n": 3}
-    assert report["total"] == 8
+    assert report["params"] == {"m_max": 8, "n_max": 3}
+    assert report["total"] == 24
     assert report["pass"] is True
 
 
 @pytest.mark.parametrize("n_max", ["5", "0"])
 def test_lemma_periodicity_refuses_n_with_n_max(n_max, capsys):
-    # --n-max used to be dropped without a word when --n was given
+    # --n-max used to be dropped without a word when --n was given; --n
+    # is gone, and --n-max alone sets the heights
     code, out, err = run_cli(["lemma", "periodicity", "--n", "3", "--n-max", n_max], capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == "lemma: n and n_max exclude each other\n"
+    assert err.endswith("error: unrecognized arguments: --n 3\n")
 
 
-@pytest.mark.parametrize("n", ["-2", "0"])
-def test_lemma_periodicity_names_a_bad_height(n, capsys):
-    # a negative height used to reach rectangle first, whose message
-    # named its own width and height rather than --n
-    code, out, err = run_cli(["lemma", "periodicity", "--n", n], capsys)
+@pytest.mark.parametrize("argv", [["--n", "3"], ["--n", "-2"], ["--n", "0"], ["--n-m", "3"]],
+                         ids=["3", "-2", "0", "abbreviated"])
+def test_lemma_periodicity_takes_no_n_flag(argv, capsys):
+    # a bad --n used to be reported under rectangle's name; --n is gone,
+    # and --n-m, which argparse would read as --n-max, is not a flag either
+    code, out, err = run_cli(["lemma", "periodicity", *argv], capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == "lemma: n must be a positive int\n"
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv)}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "--wid", "2", "--height", "2"],
+    ["detk", "--m", "2", "--n", "3", "--mat"],
+    ["verify", "--m-max", "3", "--n-max", "3", "--meth", "dp"],
+    ["table", "--m-max", "2", "--n-max", "1", "--form", "json"],
+    ["lemma", "gauss", "--ma", "21"],
+], ids=["sum", "detk", "verify", "table", "lemma"])
+def test_no_flag_is_read_from_its_prefix(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert "usage: residue-tilings" in err
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert not any(p.allow_abbrev for p in (parser, *commands.choices.values()))
 
 
 def test_lemma_gauss_max_flag(capsys):

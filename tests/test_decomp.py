@@ -356,14 +356,16 @@ def test_reciprocity_free_matches_theorem():
 def test_half_board_invariants_raise(monkeypatch):
     import residue_tilings.decomp as decomp
 
-    # every column step of the sweep leaves V = 2, and the sum i**e * V is checked
-    monkeypatch.setattr(decomp, "_column_step", lambda states, windows: {0: 2})
+    # the board's DP reads 2 for half_board_sum, and every column step of
+    # the sweep leaves V = 2 for half_board_sums: both sums are checked
+    monkeypatch.setattr(decomp, "signed_sum", lambda board: GaussianInt(2))
     with pytest.raises(InvariantError, match="out of range"):
         half_board_sum(7, 5, admissible_diagonal(7, 5))
+    monkeypatch.setattr(decomp, "_column_step", lambda states, windows: {0: 2})
     with pytest.raises(InvariantError, match="out of range"):
         half_board_sums(7, 5)
     # a unit value is in range, but not at a diagonal outside the support
-    monkeypatch.setattr(decomp, "_column_step", lambda states, windows: {0: 1})
+    monkeypatch.setattr(decomp, "signed_sum", lambda board: GaussianInt(1))
     assert not half_board_support(7, 5, ())
     with pytest.raises(InvariantError, match="unsupported"):
         half_board_sum(7, 5, ())
@@ -386,8 +388,8 @@ def test_half_board_sweep_matches_the_board_oracles():
 
 
 def test_half_board_sum_keeps_the_short_end_sweep():
-    # the single path sweeps from the staircase's tip, in the DP's windows,
-    # so (43, 41) is refused at the README's count of states
+    # the DP of the board sweeps it from its short end, the staircase's
+    # tip, so (43, 41) is refused at the README's count of states
     with pytest.raises(SizeLimitError, match="^98304 profile states exceed limit 65536$"):
         half_board_sum(43, 41, admissible_diagonal(43, 41))
 
@@ -566,7 +568,7 @@ def test_reciprocity_free_invariant_raises(monkeypatch):
 def test_invariant_checks_survive_optimize_flag(src_env):
     script = (
         "import residue_tilings.decomp as d\n"
-        "d._column_step = lambda states, windows: {0: 2}\n"
+        "d.signed_sum = lambda board: d.GaussianInt(2)\n"
         "d._eliminate = lambda columns: 2\n"
         "for check in (lambda: d.half_board_sum(7, 5, d.admissible_diagonal(7, 5)),\n"
         "              lambda: d.reciprocity_free_sum(7, 5)):\n"

@@ -136,14 +136,14 @@ def test_parity_sweeps_make_one_sweep_per_board_or_window(monkeypatch):
     windows = []
     branching = lemmas.half_board_sums
 
-    def branched(m, n, signed=True, diag=None):
-        windows.append((m, n, signed, diag))
-        return branching(m, n, signed, diag)
+    def branched(m, n, signed=True):
+        windows.append((m, n, signed))
+        return branching(m, n, signed)
 
     monkeypatch.setattr(lemmas, "half_board_sums", branched)
     assert run_parity()["pass"]
     assert signs == []
-    assert windows == [(m, n, False, None) for m, n in _window_pairs(9)]
+    assert windows == [(m, n, False) for m, n in _window_pairs(9)]
 
 
 @pytest.mark.parametrize("arms, boards", [(2, 121), (3, 1331)])

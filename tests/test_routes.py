@@ -139,7 +139,7 @@ def _calls(route, names, files):
     try:
         for n in range(1, 16, 2):
             for m in range(1, 30):
-                route(m, n, 1e-6)
+                route(m, n)
     finally:
         sys.setprofile(None)
     return seen
